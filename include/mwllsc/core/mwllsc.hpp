@@ -1,7 +1,7 @@
 // The paper's wait-free N-process W-word LL/SC variable, built from a
 // single-word LL/SC building block (core/llsc.hpp) — full protocol: LL
-// completes in at most 4W+12 memory accesses regardless of N (Theorem 1's
-// O(W) bound), SC in O(W), VL in O(1), with O(NW) shared space.
+// completes in at most 3W+6 memory accesses regardless of N, inside
+// Theorem 1's 4W+12 bound, SC in O(W), VL in O(1), with O(NW) shared space.
 //
 // Layout. The W-word value always lives in one of 2N+R+1 buffers, where
 // R = max(2, P) and P is N rounded up to a power of two. Process p owns a
@@ -12,31 +12,49 @@
 // its sequence tag is the abstract version: tag T's value is whatever the
 // T-th successful SC installed.
 //
-// Fast path with aged validation. LL(p) announces, links X (tag T, buffer
-// b), copies b, then re-reads X's tag: the snapshot is accepted if the tag
-// advanced by AT MOST P. This is safe because retired buffers pass through
-// the ring and are only reused once at least R >= P further SCs have
-// succeeded: a buffer current at tag T is not rewritten until the global
-// tag exceeds T+P, and any rewrite concurrent with the copy forces the
-// validation to observe drift > P and reject. A snapshot accepted with
-// drift in [1, P] is still exactly version T's value and linearizes at the
-// link instant; only drift 0 leaves the SC link intact (link_valid).
+// LL, first attempt (announce-free). LL(p) links X (tag T, buffer b),
+// copies b, then re-reads X's tag: the snapshot is accepted if the tag
+// advanced by AT MOST P. This is safe by ring aging alone: retired buffers
+// pass through the ring and are only reused once at least R >= P further
+// SCs have succeeded, so a buffer current at tag T is not rewritten until
+// the global tag exceeds T+P, and any rewrite concurrent with the copy
+// forces the re-check to observe drift > P and reject. A snapshot accepted
+// with drift in [1, P] is still exactly version T's value and linearizes
+// at the link instant; only drift 0 leaves the SC link intact
+// (link_valid). The announce word is not written, so an LL nobody
+// disturbs pays no fence and no CAS: link (1) + copy (W) + re-check (1) +
+// a read of its own announce word (1, below) = W+3 accesses.
 //
-// Help path, pre-SC. If validation fails (drift >= P+1), at least P
-// successful SCs linked X *after* p's announce. The winner installing tag
-// U probes announce slot U mod P before its SC, so those P consecutive
-// winners sweep every slot including p's; a prober that finds p WAITING
-// copies the current buffer into its own exchange buffer, re-validates its
-// link (strict: the copy is untorn and the value is current at an instant
-// inside p's LL — the prober wins its SC, so its link held throughout),
-// and CASes A[p] from the exact WAITING word to <HELPED, copy, seq>,
-// taking p's offered exchange buffer in return. Because the mark lands
-// before the helper's SC installs, it is complete before p's validation
-// can fail — so a failed validation finds HELPED already posted, and LL
-// finishes by copying the donated buffer: announce (1) + link (1) + copy
-// (W) + validate (1) + check A[p] (1) + donated copy (W) = 2W+4 <= 4W+12
-// accesses, with no retry loop at all. (A defensive retry remains for
-// robustness; tests assert it never fires.)
+// LL, announced round (drift > P). The first attempt is abandoned and the
+// paper's protocol runs: announce, link, copy, aged validation, then
+// either withdraw the announce (drift <= P) or — past P again — take the
+// donation a winner must already have posted (next paragraph). That round
+// costs at most 2W+4 accesses, so the whole LL takes at most
+// (W+2) + (2W+4) = 3W+6 <= 4W+12 and stays wait-free. Deviation from the
+// paper: it announces on every LL; here only an LL that has already seen
+// more than P successful SCs during one copy announces (DESIGN.md §2).
+//
+// Help path, pre-SC. If the announced round's validation fails (drift >=
+// P+1), at least P successful SCs linked X *after* p's announce. The winner
+// installing tag U probes announce slot U mod P before its SC, so those P
+// consecutive winners sweep every slot including p's; a prober that finds
+// p WAITING copies the current buffer into its own exchange buffer,
+// re-validates its link (strict: the copy is untorn and the value is
+// current at an instant inside p's LL — the prober wins its SC, so its
+// link held throughout), and CASes A[p] from the exact WAITING word to
+// <HELPED, copy, seq>, taking p's offered exchange buffer in return.
+// Because the mark lands before the helper's SC installs, it is complete
+// before p's validation can fail — so a failed validation finds HELPED
+// already posted, and LL finishes by copying the donated buffer: announce
+// (1) + link (1) + copy (W) + validate (1) + check A[p] (1) + donated copy
+// (W) = 2W+4 accesses for the round, with no retry loop at all. (A
+// defensive retry remains for robustness; tests assert it never fires.)
+//
+// Reclaimed pids. reclaim_pid (membership layer) judges a process dead and
+// settles its announce slot, always bumping the slot's seq. A process
+// resurrected under test control mid-LL must come back with its link
+// broken: the announced round learns it from a failed withdraw CAS, the
+// first attempt from one read of its own announce word (seq moved).
 //
 // Retirement ring. A successful SC retires the previously-current buffer
 // into ring cell (T+1) mod R — <buf, tag T+1> — taking the cell's old
@@ -47,7 +65,8 @@
 // is a distinct slower winner resolving), and exactly one ring resolution
 // — the "bank write" of invariant I2 — happens per successful SC.
 //
-// Linearization. A fast-path LL linearizes at its X link; a helped LL at
+// Linearization. An LL that accepts its own copy (first attempt or
+// announced round) linearizes at its X link; a helped LL at
 // the donor's help-validation instant (inside p's LL window). A helped or
 // drifted LL returns with its link broken: VL reports false and SC fails
 // in O(1), which is semantically exact — a successful SC intervened.
@@ -125,6 +144,34 @@ class MwLLSC {
     assert(p < n_);
     Priv& me = priv_[p];
     auto& c = stats_.at(p);
+    trace_.emit(obs::EventKind::kLlStart, p, me.seq);
+    // Announce-free first attempt: link, copy, re-check. Ring aging alone
+    // makes an accepted snapshot safe; the announce below only buys the
+    // helping guarantee, so an attempt that needs no help skips it.
+    {
+      std::uint64_t t0 = 0;
+      std::uint32_t b = 0;
+      const std::uint64_t drift =
+          link_and_copy(p, "ll:fast_read_x", out, t0, b);
+      if (drift <= p2_) {
+        // A reclaim_pid that judged this process dead always bumps the
+        // slot's seq; a moved seq means the slot is no longer ours, so
+        // the link must not survive. Only the owner and a reclaimer write
+        // this word while no announce is posted.
+        // mwllsc-ordering: relaxed(own slot, no announce posted: nothing
+        // to synchronize with except a test-driven reclaim on this thread)
+        const bool reclaimed =
+            seq_of_a(announce_[p].a.load(std::memory_order_relaxed)) !=
+            me.seq;
+        me.ll_buf = b;
+        me.link_valid = (drift == 0) && !reclaimed;
+        c.bump(c.ll_ops);
+        trace_.emit(obs::EventKind::kLlFast, p, t0, b);
+        return;
+      }
+    }
+    // Drift > P: fall back to the announced protocol, which bounds the
+    // rest of this LL at 2W+4 accesses through the helping guarantee.
     me.seq = (me.seq + 1) & kSeqMask;  // the announce word holds 44 bits
     // Announce, offering our exchange buffer to a prospective helper.
     // mwllsc-ordering: seq_cst(this store and the winners' pre-SC probes
@@ -133,15 +180,11 @@ class MwLLSC {
     announce_[p].a.store(pack_a(kWaiting, me.xbuf, me.seq),
                          std::memory_order_seq_cst);
     hook("ll:announced", p);
-    trace_.emit(obs::EventKind::kLlStart, p, me.seq);
+    trace_.emit(obs::EventKind::kLlFallback, p, me.seq);
     for (;;) {
-      const std::uint64_t x = x_.ll(p);
-      const std::uint64_t t0 = x_.linked_tag(p);
-      const std::uint32_t b = buf_of_x(x);
-      hook("ll:read_x", p);
-      copy_out(b, out);
-      std::atomic_thread_fence(std::memory_order_acquire);
-      const std::uint64_t drift = x_.current_tag() - t0;
+      std::uint64_t t0 = 0;
+      std::uint32_t b = 0;
+      const std::uint64_t drift = link_and_copy(p, "ll:read_x", out, t0, b);
       if (drift <= p2_) {
         // Aged validation passed: buffers rest >= R >= P tags in the ring
         // before reuse, so the copy is an untorn snapshot of version t0,
@@ -155,7 +198,7 @@ class MwLLSC {
                 expect, pack_a(kIdle, me.xbuf, me.seq),
                 std::memory_order_seq_cst)) {
           if (state_of_a(expect) == kHelped && seq_of_a(expect) == me.seq) {
-            // A donation raced in. The fast-path value stands; adopt the
+            // A donation raced in. Our own copy stands; adopt the
             // donated buffer as our new exchange buffer — the donor took
             // the one we offered.
             me.xbuf = buf_of_a(expect);
@@ -165,8 +208,8 @@ class MwLLSC {
           } else {
             // The word no longer carries our seq: a crash-stop reclaim
             // (reclaim_pid) judged this process dead and withdrew the
-            // announce out from under it. The fast-path value is still an
-            // untorn snapshot, but the slot — and the exchange buffer
+            // announce out from under it. The copy is still an untorn
+            // snapshot, but the slot — and the exchange buffer
             // folded into its word — belong to the reclaimer now, so the
             // only safe exit is to break the link and finish this op.
             // Reached only when a reclaimed process is resurrected under
@@ -301,7 +344,6 @@ class MwLLSC {
     }
     c.bump(c.bank_writes);
     hook("sc:retired", p);
-    trace_.emit(obs::EventKind::kBufferRetire, p, mytag, retired);
     trace_.emit(obs::EventKind::kBankWrite, p, mytag, retired);
     return true;
   }
@@ -469,6 +511,20 @@ class MwLLSC {
     std::uint64_t seq = 0;
     bool link_valid = false;
   };
+
+  /// One LL attempt: link X (tag t0, buffer b), copy b into out, re-read
+  /// X's tag — W+2 accesses. Returns the drift; the caller accepts the
+  /// copy iff it is at most P (aged validation).
+  std::uint64_t link_and_copy(std::uint32_t p, const char* point,
+                              std::uint64_t* out, std::uint64_t& t0,
+                              std::uint32_t& b) {
+    b = buf_of_x(x_.ll(p));
+    t0 = x_.linked_tag(p);
+    hook(point, p);
+    copy_out(b, out);
+    std::atomic_thread_fence(std::memory_order_acquire);
+    return x_.current_tag() - t0;
+  }
 
   std::atomic<std::uint64_t>* buf_row(std::uint32_t b) const {
     return buf0_ + static_cast<std::size_t>(b) * stride_;

@@ -108,9 +108,14 @@ class SlotRegistry {
   }
 
   /// Holder liveness signal. Call once per operation (the managed layer
-  /// does) and periodically when idle.
+  /// does) and periodically when idle. Only the slot's holder beats, so
+  /// the bump is a relaxed load plus store, not a locked RMW. scan() only
+  /// asks whether the value moved; a wrongly condemned holder racing its
+  /// successor can lose a beat, never hide one.
   void beat(std::uint32_t s) {
-    slots_[s].heartbeat.fetch_add(1, std::memory_order_relaxed);
+    std::atomic<std::uint64_t>& hb = slots_[s].heartbeat;
+    hb.store(hb.load(std::memory_order_relaxed) + 1,
+             std::memory_order_relaxed);
   }
 
   std::uint64_t generation(std::uint32_t s) const {

@@ -14,8 +14,9 @@
 //   checker runs on live rings and on a file from another machine.
 //
 // * check_trace — replays per-pid event streams and re-verifies, from
-//   events alone: the 4W+12 LL step bound and zero defensive retries for
-//   every variable labelled as the paper's protocol ("jp…"), exactly one
+//   events alone: the LL step bounds — the paper's 4W+12 and the
+//   implementation's 3W+6 — and zero defensive retries for every
+//   variable labelled as the paper's protocol ("jp…"), exactly one
 //   bank write per successful SC (invariant I2) for every variable that
 //   emits bank writes, and the <= 3 LL/SC rounds bound of the apps-layer
 //   help-all construction. Membership lifecycle events are cross-checked
@@ -25,7 +26,8 @@
 //   lifecycle layer carry no such events and are checked exactly as
 //   before. Ring truncation is tolerated as a missing *prefix* (orphan
 //   closes/bank-writes are skipped while dropped > 0); sampled traces
-//   skip sequencing checks entirely.
+//   skip sequencing checks entirely. A result that replayed no LL window
+//   (or a sampled one) is vacuous and proves nothing.
 //
 // * write_prometheus / write_metrics_json — text + JSON export of a
 //   MetricsRegistry.
@@ -46,7 +48,10 @@
 
 namespace mwllsc::obs {
 
-inline constexpr std::uint32_t kTraceSchemaVersion = 2;
+/// 3: LL windows open at LL entry (before any announce) and a jp LL that
+/// falls back to the announced protocol carries an ll_fallback event
+/// (the "fallback" arg of an exported LL window).
+inline constexpr std::uint32_t kTraceSchemaVersion = 3;
 
 // ------------------------------------------------------------------ checker
 
@@ -64,16 +69,27 @@ struct TraceCheckResult {
   std::vector<std::string> violations;
 
   bool ok() const { return violations.empty(); }
+  /// Nothing was verified: a sampled trace, or no completed LL window.
+  bool vacuous() const { return sampled || lls_checked == 0; }
 };
 
-/// Derived step count for one completed LL, from the observed events: each
-/// round costs announce/link/copy/validate/announce-check = W+4 accesses,
-/// a rescue adds the W+1 donated copy + check (rounded to W here, on the
-/// conservative side of the paper's own constant accounting).
+/// Derived step count for one completed jp LL, from the observed events.
+/// `rounds` counts announced rounds (0: the announce-free first attempt
+/// was accepted). An accepted first attempt costs link/copy/re-check plus
+/// the read of its own announce word = W+3; one that fell back costs W+2,
+/// then each announced round announce/link/copy/validate/announce-check
+/// = W+4, and a rescue adds the W-word donated copy.
 inline std::uint64_t ll_steps_of(std::uint32_t w, std::uint32_t rounds,
                                  bool rescued) {
-  return static_cast<std::uint64_t>(rounds) * (w + 4) + (rescued ? w : 0);
+  if (rounds == 0) return w + 3;
+  return (w + 2) + static_cast<std::uint64_t>(rounds) * (w + 4) +
+         (rescued ? w : 0);
 }
+
+/// The paper's LL step bound (Theorem 1) and the implementation's
+/// (core/mwllsc.hpp: a fallen-back first attempt plus one rescued round).
+inline std::uint64_t ll_paper_bound(std::uint32_t w) { return 4ull * w + 12; }
+inline std::uint64_t ll_impl_bound(std::uint32_t w) { return 3ull * w + 6; }
 
 inline TraceCheckResult check_trace(const TraceData& d) {
   TraceCheckResult r;
@@ -101,6 +117,7 @@ inline TraceCheckResult check_trace(const TraceData& d) {
 
     struct VarState {
       bool in_ll = false;
+      bool fell_back = false;  ///< ll_fallback seen in the open window
       std::uint32_t retries = 0;
       bool commit_open = false;  ///< sc_commit seen, bank_write pending
       bool any_commit = false;
@@ -194,7 +211,11 @@ inline TraceCheckResult check_trace(const TraceData& d) {
             r.violations.push_back(msg);
           }
           v.in_ll = true;
+          v.fell_back = false;
           v.retries = 0;
+          break;
+        case EventKind::kLlFallback:
+          if (v.in_ll) v.fell_back = true;
           break;
         case EventKind::kLlRetry:
           if (v.in_ll) {
@@ -221,15 +242,23 @@ inline TraceCheckResult check_trace(const TraceData& d) {
           }
           v.in_ll = false;
           ++r.lls_checked;
-          const std::uint64_t steps =
-              ll_steps_of(w, v.retries + 1, k == EventKind::kLlRescue);
+          const bool rescued = k == EventKind::kLlRescue;
+          // A rescue or retry implies an announced round even in a trace
+          // that predates ll_fallback markers (the conservative reading).
+          const std::uint32_t rounds =
+              (v.fell_back || rescued || v.retries > 0) ? v.retries + 1 : 0;
+          const std::uint64_t steps = ll_steps_of(w, rounds, rescued);
           if (jp) {
             if (steps > r.max_ll_steps) r.max_ll_steps = steps;
-            if (steps > 4ull * w + 12) {
+            const bool over_paper = steps > ll_paper_bound(w);
+            if (over_paper || steps > ll_impl_bound(w)) {
               std::snprintf(msg, sizeof(msg),
                             "pid %zu var %u: LL took %" PRIu64
-                            " derived steps > 4W+12 = %u (W=%u, retries=%u)",
-                            pid, e.var, steps, 4 * w + 12, w, v.retries);
+                            " derived steps > %s = %" PRIu64
+                            " (W=%u, rounds=%u, retries=%u)",
+                            pid, e.var, steps, over_paper ? "4W+12" : "3W+6",
+                            over_paper ? ll_paper_bound(w) : ll_impl_bound(w),
+                            w, rounds, v.retries);
               r.violations.push_back(msg);
             }
           }
@@ -332,21 +361,34 @@ inline bool write_chrome_trace(const std::string& path, const TraceData& d,
 
   for (std::size_t pid = 0; pid < d.per_pid.size(); ++pid) {
     const auto& stream = d.per_pid[pid];
+    // Retry and fallback markers folded into an LL window's args; they are
+    // not written again as instants (the loader re-expands them).
+    std::vector<bool> folded(stream.size(), false);
     for (std::size_t i = 0; i < stream.size(); ++i) {
       const TraceEvent& e = stream[i];
       const auto k = static_cast<EventKind>(e.kind);
+      if (folded[i]) continue;
 
       // LL / SC windows become "X" complete events; their close marker is
-      // consumed here, inner instants fall through to the instant case on
-      // later iterations (they sit inside the duration visually).
+      // consumed here, other inner instants fall through to the instant
+      // case on later iterations (they sit inside the duration visually).
       if (k == EventKind::kLlStart || k == EventKind::kScAttempt) {
         const bool is_ll = k == EventKind::kLlStart;
         std::uint32_t retries = 0;
+        bool fallback = false;
+        std::vector<std::size_t> inner;
         std::size_t close = stream.size();
         for (std::size_t j = i + 1; j < stream.size(); ++j) {
           const auto kj = static_cast<EventKind>(stream[j].kind);
           if (stream[j].var != e.var) continue;
-          if (is_ll && kj == EventKind::kLlRetry) ++retries;
+          if (is_ll && kj == EventKind::kLlRetry) {
+            ++retries;
+            inner.push_back(j);
+          }
+          if (is_ll && kj == EventKind::kLlFallback) {
+            fallback = true;
+            inner.push_back(j);
+          }
           if ((is_ll && (kj == EventKind::kLlFast ||
                          kj == EventKind::kLlRescue)) ||
               (!is_ll && (kj == EventKind::kScCommit ||
@@ -360,6 +402,7 @@ inline bool write_chrome_trace(const std::string& path, const TraceData& d,
           }
         }
         if (close < stream.size()) {
+          for (std::size_t j : inner) folded[j] = true;
           const TraceEvent& c = stream[close];
           const auto ck = static_cast<EventKind>(c.kind);
           const double ts = detail::us_of(d, e.tsc);
@@ -370,14 +413,16 @@ inline bool write_chrome_trace(const std::string& path, const TraceData& d,
               "{\"ph\":\"X\",\"name\":\"%s(%s)\",\"cat\":\"mwllsc\","
               "\"pid\":0,\"tid\":%zu,\"ts\":%.3f,\"dur\":%.3f,"
               "\"args\":{\"k\":\"%s\",\"end\":\"%s\",\"retries\":%u,"
-              "\"var\":%u,\"tag\":%" PRIu64 ",\"arg\":%u}}",
+              "\"fallback\":%u,\"var\":%u,\"tag\":%" PRIu64
+              ",\"arg\":%u}}",
               is_ll ? "LL" : "SC",
               ck == EventKind::kLlFast     ? "fast"
               : ck == EventKind::kLlRescue ? "helped"
               : ck == EventKind::kScCommit ? "commit"
                                            : "fail",
               pid, ts, dur < 0 ? 0.0 : dur, is_ll ? "ll" : "sc",
-              event_name(ck), retries, e.var, c.tag, c.arg);
+              event_name(ck), retries, fallback ? 1u : 0u, e.var, c.tag,
+              c.arg);
           continue;  // the close marker is skipped below
         }
         // Unclosed window (end of ring): fall through as an instant.
@@ -488,9 +533,12 @@ inline bool find_str(const std::string& s, const char* key,
 }  // namespace detail
 
 /// Parses write_chrome_trace output (one traceEvents entry per line) back
-/// into a TraceData; "X" windows are expanded to their start/retry/close
-/// markers in place, so check_trace sees the same per-pid streams it would
-/// on live rings. Timestamps come back in nanoseconds (ns_per_tick = 1).
+/// into a TraceData; "X" windows are expanded to their start/fallback/
+/// retry/close markers in place, so check_trace sees the same per-pid
+/// streams it would on live rings. Timestamps come back in nanoseconds
+/// (ns_per_tick = 1). Fails (false, *err set) on input that is not a
+/// complete export: empty, foreign bytes, or cut off before the trailing
+/// metadata block the writer emits last.
 inline bool load_chrome_trace(const std::string& path, TraceData* out,
                               std::string* err = nullptr) {
   std::FILE* f = std::fopen(path.c_str(), "r");
@@ -513,10 +561,17 @@ inline bool load_chrome_trace(const std::string& path, TraceData* out,
 
   char buf[2048];
   bool in_vars = false;
+  bool saw_header = false, saw_schema = false, saw_vars_end = false;
   while (std::fgets(buf, sizeof(buf), f)) {
     std::string line(buf);
 
+    if (line.rfind("\"traceEvents\": [", 0) == 0) saw_header = true;
     if (line.find("\"vars\"") != std::string::npos) in_vars = true;
+    if (in_vars && line.rfind("  ]", 0) == 0) {
+      in_vars = false;
+      saw_vars_end = true;
+      continue;
+    }
     if (in_vars && line.find("\"id\"") != std::string::npos) {
       TraceData::VarInfo v;
       std::uint64_t u = 0;
@@ -531,6 +586,10 @@ inline bool load_chrome_trace(const std::string& path, TraceData* out,
       continue;
     }
     std::uint64_t u = 0;
+    if (detail::find_u64(line, "\"schema_version\": ", &u)) {
+      saw_schema = true;
+      continue;
+    }
     if (detail::find_u64(line, "\"sample_shift\": ", &u)) {
       out->sample_shift = static_cast<std::uint32_t>(u);
       continue;
@@ -577,9 +636,10 @@ inline bool load_chrome_trace(const std::string& path, TraceData* out,
 
     if (ph == "X") {
       std::string end;
-      std::uint64_t retries = 0;
+      std::uint64_t retries = 0, fallback = 0;
       detail::find_str(line, "\"end\":\"", &end);
       detail::find_u64(line, "\"retries\":", &retries);
+      detail::find_u64(line, "\"fallback\":", &fallback);
       const int close = kind_of(end);
       if (close < 0) continue;
       const bool is_ll = end == "ll_fast" || end == "ll_rescue";
@@ -589,6 +649,7 @@ inline bool load_chrome_trace(const std::string& path, TraceData* out,
               ? 0.0
               : std::strtod(line.c_str() + dur_pos + 6, nullptr);
       push(is_ll ? EventKind::kLlStart : EventKind::kScAttempt, ts_us);
+      if (is_ll && fallback) push(EventKind::kLlFallback, ts_us);
       for (std::uint64_t i = 0; i < retries; ++i) {
         push(EventKind::kLlRetry, ts_us);
       }
@@ -601,6 +662,13 @@ inline bool load_chrome_trace(const std::string& path, TraceData* out,
     }
   }
   std::fclose(f);
+  if (!saw_header || !saw_schema || !saw_vars_end) {
+    if (err) {
+      *err = !saw_header ? "not an mwllsc chrome-trace export"
+                         : "truncated: the trailing metadata block is missing";
+    }
+    return false;
+  }
   if (out->dropped.size() < out->per_pid.size()) {
     out->dropped.resize(out->per_pid.size(), 0);
   }

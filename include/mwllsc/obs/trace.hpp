@@ -42,7 +42,7 @@ namespace mwllsc::obs {
 /// mapping); announce/help_all/apply_commit are the apps-layer help-all
 /// universal construction.
 enum class EventKind : std::uint16_t {
-  kLlStart = 0,     ///< LL announced / entered          (tag = announce seq)
+  kLlStart = 0,     ///< LL entered                      (tag = announce seq)
   kLlFast,          ///< LL fast path returned           (tag = linked tag)
   kLlHelped,        ///< donation raced a fast-path LL   (tag = announce seq)
   kLlRescue,        ///< LL returned the donated value   (tag = announce seq)
@@ -52,13 +52,16 @@ enum class EventKind : std::uint16_t {
   kScFail,          ///< SC failed (semantic)
   kHelpInstall,     ///< SC donated a buffer pre-SC      (arg = helpee pid)
   kBankWrite,       ///< the one-per-SC retirement write (invariant I2)
-  kBufferRetire,    ///< buffer pushed through the ring  (arg = buffer id)
+  kBufferRetire,    ///< retired kind, no longer emitted: kBankWrite
+                    ///< carries the same (tag, buffer) payload
   kAnnounce,        ///< apps: op published              (tag = op seq)
   kHelpAll,         ///< apps: help-all pass ran         (arg = ops applied)
   kApplyCommit,     ///< apps: apply finished            (arg = attempts)
   kProcJoin,        ///< membership: pid slot acquired   (arg = 1 if degraded)
   kProcRetire,      ///< membership: pid slot released   (tag = slot generation)
   kProcCrashReclaim,///< membership: dead pid reclaimed  (tag = announce seq)
+  kLlFallback,      ///< jp LL first attempt drifted > P; announced
+                    ///<                                 (tag = announce seq)
   kCount,
 };
 
@@ -67,7 +70,7 @@ inline const char* event_name(EventKind k) {
       "ll_start",  "ll_fast",   "ll_helped",    "ll_rescue",     "ll_retry",
       "sc_attempt", "sc_commit", "sc_fail",     "help_install",  "bank_write",
       "buffer_retire", "announce", "help_all",  "apply_commit",
-      "proc_join", "proc_retire", "proc_crash_reclaim"};
+      "proc_join", "proc_retire", "proc_crash_reclaim", "ll_fallback"};
   const auto i = static_cast<std::size_t>(k);
   return i < static_cast<std::size_t>(EventKind::kCount) ? names[i] : "?";
 }

@@ -403,15 +403,17 @@ out:
 /// Re-executes a recorded schedule token-for-token (the format
 /// schedule_string emits and invariant-violation messages embed): "P"
 /// steps process P, "cP" crashes it, "rP" reclaims it. Stops at the end of
-/// the tokens or when the workload completes; a token that is not
-/// applicable (wrong config or seed) reports divergence instead of
-/// asserting.
+/// the tokens; a token that is not applicable (wrong config or seed)
+/// reports divergence instead of asserting. A momentarily done() workload
+/// does not end the replay: a crash-churn run reclaims its frozen
+/// stragglers after every live script finished, and those reclaims and
+/// the steps that follow are part of the schedule.
 template <class System, class Checker>
 RunResult run_replay(SimWorkload<System>& wl, Checker& chk,
                      const std::string& schedule) {
   RunResult res;
   std::size_t i = 0;
-  while (i < schedule.size() && !wl.done()) {
+  while (i < schedule.size()) {
     if (schedule[i] == ',' || schedule[i] == ' ') {
       ++i;
       continue;

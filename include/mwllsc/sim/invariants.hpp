@@ -15,8 +15,9 @@
 //               retirement-ring cell;
 //       I2      exactly one bank write (the ring retirement) per
 //               successful SC, counting the in-flight resolutions;
-//       4W+12   no LL exceeds the paper's step bound and the defensive
-//               retry arm never fires (the help guarantee holds);
+//       3W+6    no LL exceeds the implementation's step bound (inside
+//               the paper's 4W+12) and the defensive retry arm never
+//               fires (the help guarantee holds);
 //       oracle  every LL returns the abstract value of its claimed
 //               linearization version, which lies inside the op's
 //               invocation/response window; SC succeeds iff no successful
@@ -29,7 +30,7 @@
 // the ownership census and the bank-write equation exact (its buffers stay
 // owned, its in-flight retirement stays pending), reclamation must restore
 // them (adopting donations, completing the pending bank write), and the
-// 4W+12 bound and the oracle keep applying to every op the *live*
+// 3W+6 bound and the oracle keep applying to every op the *live*
 // processes complete — which is precisely the wait-freedom claim under
 // crashes: nobody who keeps taking steps is ever blocked or starved by a
 // process that stopped.
@@ -84,7 +85,7 @@ class JpInvariantChecker {
     check_i1(sys);
     check_i2(sys);
     if (sys.ll_retries_total() > 0) {
-      return fail("defensive LL retry fired at step %llu — the 4W+12 "
+      return fail("defensive LL retry fired at step %llu — the 3W+6 "
                   "help guarantee is broken",
                   ull(steps_seen_));
     }
@@ -95,9 +96,10 @@ class JpInvariantChecker {
     (void)sys;
     switch (rec.type) {
       case OpType::kLl: {
-        if (rec.steps > SimJpSystem::ll_step_bound(n_, w_)) {
-          return fail("LL(p%u) took %u steps, over the 4W+12 bound of %u",
-                      rec.pid, rec.steps,
+        if (rec.steps > SimJpSystem::ll_impl_bound(w_)) {
+          return fail("LL(p%u) took %u steps, over the 3W+6 bound of %u "
+                      "(paper's 4W+12 = %u)",
+                      rec.pid, rec.steps, SimJpSystem::ll_impl_bound(w_),
                       SimJpSystem::ll_step_bound(n_, w_));
         }
         if (rec.lin_version < rec.start_version ||

@@ -1,8 +1,9 @@
 // Step machine for the paper's full protocol (core/mwllsc.hpp): 2N+R+1
-// buffers, aged seqlock validation (accept drift <= P), pre-SC helping
-// through the announce slots keyed to X's tag mod P, and the aged
-// retirement ring — re-expressed as an explicit state machine so the
-// simulation harness can interleave processes one memory access at a time.
+// buffers, an announce-free first LL attempt, aged seqlock validation
+// (accept drift <= P), pre-SC helping through the announce slots keyed to
+// X's tag mod P, and the aged retirement ring — re-expressed as an explicit
+// state machine so the simulation harness can interleave processes one
+// memory access at a time.
 //
 // One step() call is one memory access of the protocol (copying a W-word
 // buffer is W steps). The machine also carries *ghost* state the real
@@ -22,8 +23,9 @@
 //       bank_writes_total() + pending_bank_writes() == sc_success_total()
 //       == version() (the ring resolution is its own step after the X SC,
 //       so it may lag the version by the in-flight retirements);
-//   4W+12  no LL takes more steps than the paper's bound, and the
-//       defensive retry arm never fires (ll_retries_total() == 0).
+//   3W+6 no LL takes more steps than the implementation's bound (inside
+//       the paper's 4W+12), and the defensive retry arm never fires
+//       (ll_retries_total() == 0).
 #pragma once
 
 #include <cassert>
@@ -80,7 +82,8 @@ class SimJpSystem {
     pr.rec.pid = p;
     pr.rec.start_version = x_.tag;
     pr.tmp.assign(w_, 0);
-    pr.phase = Phase::kLlAnnounce;
+    pr.announced = false;  // the first attempt skips the announce
+    pr.phase = Phase::kLlReadX;
   }
 
   void begin_sc(std::uint32_t p, std::vector<std::uint64_t> v) {
@@ -183,6 +186,7 @@ class SimJpSystem {
       case Phase::kLlAnnounce:
         pr.seq += 1;
         slot_[p] = Slot{kWaiting, pr.xbuf, pr.seq, 0};
+        pr.announced = true;
         pr.phase = Phase::kLlReadX;
         return {};
       case Phase::kLlReadX:
@@ -198,9 +202,32 @@ class SimJpSystem {
       case Phase::kLlValidate:
         // Aged validation: the snapshot stands if the tag advanced at most
         // P — ring aging guarantees the linked buffer was not rewritten.
+        // The first attempt (not announced) then checks its own slot or,
+        // past P, falls back to announce + a fresh link; the announced
+        // round withdraws or takes the donation.
         pr.drift = x_.tag - pr.link.tag;
-        pr.phase = (pr.drift <= p2_) ? Phase::kLlWithdraw : Phase::kLlCheckA;
+        if (!pr.announced) {
+          if (pr.drift > p2_) ++ll_fallbacks_;
+          pr.phase =
+              (pr.drift <= p2_) ? Phase::kLlFastCheckSlot : Phase::kLlAnnounce;
+        } else {
+          pr.phase =
+              (pr.drift <= p2_) ? Phase::kLlWithdraw : Phase::kLlCheckA;
+        }
         return {};
+      case Phase::kLlFastCheckSlot: {
+        // Read our own announce word: a reclaim bumped its seq iff the pid
+        // was judged dead mid-op (never, here — a reclaimed process
+        // restarts idle — but the real LL pays this access, so it counts).
+        const bool reclaimed = slot_[p].seq != pr.seq;
+        pr.ll_buf = pr.link.buf;
+        pr.link_valid = (pr.drift == 0) && !reclaimed;
+        ++ll_fast_;
+        pr.rec.success = true;
+        pr.rec.value = pr.tmp;
+        pr.rec.lin_version = pr.link.tag;  // linearized at the link
+        return complete(pr);
+      }
       case Phase::kLlWithdraw: {
         // CAS A[p]: WAITING -> IDLE. Failure means a donation raced in
         // after our validation; the fast-path value still stands (it
@@ -394,13 +421,16 @@ class SimJpSystem {
     return std::vector<std::uint64_t>(row, row + w_);
   }
 
-  /// The paper's Theorem 1 bound, now the implemented one: announce (1) +
-  /// link (1) + W-word copy + aged validate (1) + announce check (1) +
-  /// donated W-word copy = 2W+4 steps worst case, comfortably within the
-  /// claimed 4W+12 — independent of N.
+  /// The paper's Theorem 1 bound, 4W+12 — independent of N.
   static std::uint32_t ll_step_bound(std::uint32_t /*n*/, std::uint32_t w) {
     return 4 * w + 12;
   }
+
+  /// The implemented bound: a first attempt that fell back (link + W-word
+  /// copy + re-check = W+2) plus one announced round that needed rescue
+  /// (announce + link + W-word copy + validate + announce check + donated
+  /// W-word copy = 2W+4) = 3W+6 steps. An accepted first attempt is W+3.
+  static std::uint32_t ll_impl_bound(std::uint32_t w) { return 3 * w + 6; }
 
   std::uint32_t num_bufs() const { return nbufs_; }
   std::uint32_t current_buf() const { return x_.buf; }
@@ -422,6 +452,8 @@ class SimJpSystem {
   std::uint64_t sc_success_total() const { return sc_success_; }
   std::uint64_t helps_given_total() const { return helps_given_; }
   std::uint64_t ll_fast_total() const { return ll_fast_; }
+  /// LLs whose announce-free first attempt saw drift > P and announced.
+  std::uint64_t ll_fallbacks_total() const { return ll_fallbacks_; }
   std::uint64_t ll_helped_total() const { return ll_helped_; }
   std::uint64_t ll_retries_total() const { return ll_retries_; }
 
@@ -444,6 +476,7 @@ class SimJpSystem {
     kLlReadX,
     kLlCopy,
     kLlValidate,
+    kLlFastCheckSlot,
     kLlWithdraw,
     kLlCheckA,
     kLlCopyDonated,
@@ -506,6 +539,7 @@ class SimJpSystem {
     std::uint64_t seq = 0;
     bool link_valid = false;
     bool linked = false;
+    bool announced = false;  ///< current LL is past its first attempt
     X link;
     // In-flight op state.
     OpRecord rec;
@@ -551,6 +585,7 @@ class SimJpSystem {
   std::uint64_t bank_writes_ = 0;
   std::uint64_t helps_given_ = 0;
   std::uint64_t ll_fast_ = 0;
+  std::uint64_t ll_fallbacks_ = 0;
   std::uint64_t ll_helped_ = 0;
   std::uint64_t ll_retries_ = 0;
   std::uint64_t crashes_ = 0;

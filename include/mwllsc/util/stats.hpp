@@ -52,8 +52,15 @@ struct OpStatsSnapshot {
 
 namespace mwllsc::util {
 
-/// Per-process counter cell. Each process id is driven by one thread, so
-/// relaxed increments are race-free; padding keeps cells on distinct lines.
+/// Per-process counter cell. Each process id has one writer at a time: the
+/// thread driving it, and — when the membership layer reissues a pid, or
+/// serializes degraded sessions on the reserved pid under its lock — the
+/// next holder, ordered after the previous one by the slot hand-off. So a
+/// bump is a relaxed load plus a relaxed store, not a locked RMW; readers
+/// (snapshot) may run concurrently and see a slightly stale count. A
+/// holder wrongly reclaimed while still running (a heartbeat false
+/// positive) can race its successor and lose counts, never corrupt them.
+/// Padding keeps cells on distinct lines.
 struct alignas(64) OpStatsCell {
   std::atomic<std::uint64_t> ll_ops{0};
   std::atomic<std::uint64_t> sc_ops{0};
@@ -65,8 +72,8 @@ struct alignas(64) OpStatsCell {
   std::atomic<std::uint64_t> bank_writes{0};
   std::atomic<std::uint64_t> ll_retries{0};
 
-  void bump(std::atomic<std::uint64_t>& c) {
-    c.fetch_add(1, std::memory_order_relaxed);
+  static void bump(std::atomic<std::uint64_t>& c) {
+    c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
   }
 };
 

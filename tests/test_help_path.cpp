@@ -1,18 +1,25 @@
-// Deterministic exercise of the full protocol's help machinery, via the
-// step hook. With N = 2 the probe window is P = 2, so aged validation
-// tolerates a drift of up to 2 successful SCs; the hook stalls a reader
-// right after it links X and drives the other process through a chosen
-// number of successful SCs:
+// Deterministic exercise of the two-phase LL and its help machinery, via
+// the step hook. With N = 2 the probe window is P = 2, so aged validation
+// tolerates a drift of up to 2 successful SCs.
+//
+// An LL first tries announce-free (link, copy, re-check). Undisturbed, it
+// never touches its announce word: no seq bump, nothing for a winner to
+// help. To reach the announced round, the hook stalls the reader right
+// after its first link (ll:fast_read_x) and drives the other process
+// through 4 successful SCs — drift 4 > P forces the fallback, and an even
+// count keeps the probe parity of the replayed cases below. The hook then
+// stalls the reader again right after its announced-round link
+// (ll:read_x) and drives a chosen number of further SCs:
 //
 //   1 SC  -> drift 1: aged validation passes, no donation was posted (the
-//            winner of tag 1 probes its own slot), the reader returns the
+//            winner of tag 5 probes its own slot), the reader returns the
 //            buffer it linked — still intact, the ring has not recycled it;
-//   2 SCs -> drift 2: aged validation passes, but the winner of tag 2
+//   2 SCs -> drift 2: aged validation passes, but the winner of tag 6
 //            probed slot 0 and donated pre-SC, so the reader's withdraw
 //            CAS fails and it adopts the donated buffer (ll_helped without
 //            ll_used_helped_value);
 //   3 SCs -> drift 3 > P: validation fails and the reader must find the
-//            donation already posted (the 4W+12 guarantee), returning the
+//            donation already posted (the 3W+6 guarantee), returning the
 //            value that was current at the donor's help validation — what
 //            the donor's own LL read before its donating SC.
 //
@@ -30,49 +37,67 @@ using namespace mwllsc;
 namespace {
 
 constexpr std::uint32_t kW = 4;
+constexpr std::uint32_t kForceFallback = 4;  // SCs at ll:fast_read_x, > P
 
 template <class Engine>
 struct HookState {
   core::MwLLSC<Engine>* obj = nullptr;
   std::uint32_t sc_rounds = 0;  // successful SCs to inject at ll:read_x
-  bool fired = false;
+  bool forced = false;          // the first attempt was pushed past P
+  bool fired = false;           // the announced round was stalled
   std::vector<std::uint64_t> before_donating_sc;  // value a rescue returns
 };
 
+// pid 1 runs `rounds` LL/SC pairs, writing base*round + i into word i.
 template <class Engine>
-void interfere(void* ctx, const char* point, std::uint32_t pid) {
-  auto* st = static_cast<HookState<Engine>*>(ctx);
-  if (st->fired || pid != 0) return;
-  if (std::strcmp(point, "ll:read_x") != 0) return;
-  st->fired = true;  // no reentrant interference from pid 1's own ops
-  // The winner of tag U probes slot U mod 2: tags 1 and 3 probe pid 1's
-  // own slot (no-op), tag 2 probes the stalled reader's slot 0 and
-  // donates there, pre-SC.
+void drive(HookState<Engine>* st, std::uint32_t rounds, std::uint64_t base) {
   std::vector<std::uint64_t> v(kW);
-  for (std::uint64_t round = 1; round <= st->sc_rounds; ++round) {
+  for (std::uint64_t round = 1; round <= rounds; ++round) {
     st->obj->ll(1, v.data());
     if (st->obj->stats().helps_given == 0) st->before_donating_sc = v;
-    for (std::uint32_t i = 0; i < kW; ++i) v[i] = 100 * round + i;
+    for (std::uint32_t i = 0; i < kW; ++i) v[i] = base * round + i;
     CHECK(st->obj->sc(1, v.data()));
   }
 }
 
-/// Runs LL(0) with `sc_rounds` successful SCs injected after its X link;
-/// returns the value the LL produced.
+template <class Engine>
+void interfere(void* ctx, const char* point, std::uint32_t pid) {
+  auto* st = static_cast<HookState<Engine>*>(ctx);
+  if (pid != 0) return;  // no reentrant interference from pid 1's own ops
+  if (!st->forced && std::strcmp(point, "ll:fast_read_x") == 0) {
+    st->forced = true;
+    // The reader has not announced, so none of these winners can donate.
+    drive(st, kForceFallback, 10);
+    CHECK_EQ(st->obj->stats().helps_given, 0u);
+  } else if (!st->fired && std::strcmp(point, "ll:read_x") == 0) {
+    st->fired = true;
+    // The winner of tag U probes slot U mod 2: tags 5 and 7 probe pid 1's
+    // own slot (no-op), tag 6 probes the stalled reader's slot 0 and
+    // donates there, pre-SC.
+    drive(st, st->sc_rounds, 100);
+  }
+}
+
+/// Runs LL(0) with its first attempt forced past P, then `sc_rounds`
+/// successful SCs injected after its announced-round X link; returns the
+/// value the LL produced.
 template <class Engine>
 std::vector<std::uint64_t> stalled_ll(core::MwLLSC<Engine>& obj,
                                       HookState<Engine>& st,
                                       std::uint32_t sc_rounds) {
   st.obj = &obj;
   st.sc_rounds = sc_rounds;
-  st.fired = false;
   obj.set_step_hook(&interfere<Engine>, &st);
   std::vector<std::uint64_t> out(kW);
   obj.ll(0, out.data());
   obj.set_step_hook(nullptr, nullptr);
+  CHECK(st.forced);
   CHECK(st.fired);
   return out;
 }
+
+// The value the forced first attempt left current (tag 4).
+constexpr std::uint64_t kAfterForce = 10 * kForceFallback;
 
 // Drift 3 > P: the rescue path. The reader must return the donated
 // snapshot with the helped/rescue/help-install counters firing exactly
@@ -88,7 +113,7 @@ void rescue_path() {
   CHECK_EQ(s.ll_helped, 1u);
   CHECK_EQ(s.ll_used_helped_value, 1u);
   CHECK_EQ(s.ll_retries, 0u);
-  CHECK_EQ(s.bank_writes, 3u);
+  CHECK_EQ(s.bank_writes, kForceFallback + 3);
 
   // The rescue returned the value current at the donor's help validation
   // — exactly what the donor's LL read before its donating SC.
@@ -124,7 +149,8 @@ void aged_pass_with_donation() {
   HookState<Engine> st;
   const auto out = stalled_ll(obj, st, 2);
 
-  for (auto x : out) CHECK_EQ(x, 0u);  // the linked (initial) snapshot
+  // The snapshot the announced round linked: tag 4's value.
+  for (std::uint32_t i = 0; i < kW; ++i) CHECK_EQ(out[i], kAfterForce + i);
   const auto s = obj.stats();
   CHECK_EQ(s.helps_given, 1u);
   CHECK_EQ(s.ll_helped, 1u);
@@ -140,7 +166,7 @@ void aged_pass_with_donation() {
   CHECK(obj.sc(1, v.data()));
 }
 
-// Drift 1 < P with no donation (tag 1's winner probes its own slot): the
+// Drift 1 < P with no donation (tag 5's winner probes its own slot): the
 // plain aged-validation pass, clean withdraw.
 template <class Engine>
 void aged_pass_plain() {
@@ -148,7 +174,7 @@ void aged_pass_plain() {
   HookState<Engine> st;
   const auto out = stalled_ll(obj, st, 1);
 
-  for (auto x : out) CHECK_EQ(x, 0u);
+  for (std::uint32_t i = 0; i < kW; ++i) CHECK_EQ(out[i], kAfterForce + i);
   const auto s = obj.stats();
   CHECK_EQ(s.helps_given, 0u);
   CHECK_EQ(s.ll_helped, 0u);
@@ -156,11 +182,61 @@ void aged_pass_plain() {
   CHECK(!obj.vl(0));
 }
 
+// Counts the hook points one LL passes.
+struct PointCounts {
+  std::uint32_t fast = 0;
+  std::uint32_t announced = 0;
+  std::uint32_t read_x = 0;
+};
+
+void count_points(void* ctx, const char* point, std::uint32_t pid) {
+  auto* c = static_cast<PointCounts*>(ctx);
+  if (pid != 0) return;
+  if (std::strcmp(point, "ll:fast_read_x") == 0) ++c->fast;
+  if (std::strcmp(point, "ll:announced") == 0) ++c->announced;
+  if (std::strcmp(point, "ll:read_x") == 0) ++c->read_x;
+}
+
+// An undisturbed LL stays announce-free: the announce store is the only
+// write LL makes to its announce word and it sits right before
+// ll:announced, which never fires — so the word keeps its seq and state.
+// The winners that probe slot 0 afterwards find it IDLE and help nobody,
+// and the link stays valid.
+template <class Engine>
+void undisturbed_ll_never_announces() {
+  core::MwLLSC<Engine> obj(2, kW);
+  PointCounts pc;
+  obj.set_step_hook(&count_points, &pc);
+  std::vector<std::uint64_t> v(kW);
+  for (std::uint32_t i = 1; i <= 3; ++i) {
+    obj.ll(0, v.data());
+    CHECK(obj.vl(0));
+    for (std::uint32_t k = 0; k < kW; ++k) v[k] = i;
+    CHECK(obj.sc(0, v.data()));
+  }
+  obj.ll(0, v.data());  // linked, held open while pid 1 commits
+  for (std::uint32_t i = 0; i < 4; ++i) {  // tags 4..7: 4 and 6 probe slot 0
+    obj.ll(1, v.data());
+    v[0] += 1;
+    CHECK(obj.sc(1, v.data()));
+  }
+  obj.set_step_hook(nullptr, nullptr);
+  CHECK_EQ(pc.fast, 4u);
+  CHECK_EQ(pc.announced, 0u);
+  CHECK_EQ(pc.read_x, 0u);
+  const auto s = obj.stats();
+  CHECK_EQ(s.helps_given, 0u);
+  CHECK_EQ(s.ll_helped, 0u);
+  CHECK_EQ(s.ll_retries, 0u);
+  CHECK(!obj.vl(0));  // pid 1's commits broke pid 0's open link
+}
+
 template <class Engine>
 void help_path_for() {
   rescue_path<Engine>();
   aged_pass_with_donation<Engine>();
   aged_pass_plain<Engine>();
+  undisturbed_ll_never_announces<Engine>();
 }
 
 }  // namespace

@@ -234,34 +234,50 @@ void orphan_reclaim_on_join() {
 }
 
 // The withdraw-vs-reclaim race in core ll(): a "zombie" whose pid is
-// reclaimed between its announce and its withdraw must take the tolerant
-// branch — link broken, no assert, subsequent SC fails semantically.
+// reclaimed mid-LL must take the tolerant branch — link broken, no assert,
+// subsequent SC fails semantically. Two injection points, one per LL
+// phase: inside the announce-free first attempt (ll:fast_read_x — caught
+// by the attempt's read of its own announce word), and between announce
+// and withdraw (ll:announced — caught by the failed withdraw CAS; the
+// first attempt is first forced past P by P+1 = 3 commits from pid 1).
 struct ReclaimRaceState {
   Jp* obj = nullptr;
   std::uint32_t zombie = 0;
+  const char* point = nullptr;  // where the reclaim lands
+  bool forced = false;
   bool fired = false;
 };
 
 void reclaim_race_hook(void* ctx, const char* point, std::uint32_t pid) {
   auto* st = static_cast<ReclaimRaceState*>(ctx);
   if (st->fired || pid != st->zombie) return;
-  if (std::strcmp(point, "ll:announced") != 0) return;
-  st->fired = true;
-  // Simulate the reclaimer concluding this pid is dead exactly between
-  // its announce and its withdraw.
-  st->obj->reclaim_pid(st->zombie);
+  if (std::strcmp(point, st->point) == 0) {
+    st->fired = true;
+    // Simulate the reclaimer concluding this pid is dead right here.
+    st->obj->reclaim_pid(st->zombie);
+    return;
+  }
+  if (!st->forced && std::strcmp(point, "ll:fast_read_x") == 0) {
+    st->forced = true;
+    std::vector<std::uint64_t> v(2);
+    for (int i = 0; i < 3; ++i) {
+      st->obj->ll(1, v.data());
+      v[0] += 1;
+      CHECK(st->obj->sc(1, v.data()));
+    }
+  }
 }
 
-void withdraw_reclaim_race() {
+void withdraw_reclaim_race(const char* point) {
   Jp obj(2, 2);
-  ReclaimRaceState st{&obj, 0, false};
+  ReclaimRaceState st{&obj, 0, point};
   obj.set_step_hook(&reclaim_race_hook, &st);
   std::vector<std::uint64_t> v(2);
   obj.ll(0, v.data());
   obj.set_step_hook(nullptr, nullptr);
   CHECK(st.fired);
-  // The zombie's link is gone (its announce was withdrawn by proxy); its
-  // SC must fail semantically, not corrupt the help machinery.
+  // The zombie's link is gone (its slot was settled by proxy); its SC
+  // must fail semantically, not corrupt the help machinery.
   CHECK(!obj.vl(0));
   CHECK(!obj.sc(0, v.data()));
   // The object stays fully functional for the other pid.
@@ -494,7 +510,8 @@ int main() {
   managed_basic();
   degraded_path();
   orphan_reclaim_on_join();
-  withdraw_reclaim_race();
+  withdraw_reclaim_race("ll:fast_read_x");
+  withdraw_reclaim_race("ll:announced");
   traced_lifecycle();
   checker_lifecycle_rules();
   mt_churn();

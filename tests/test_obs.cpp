@@ -3,11 +3,13 @@
 //   * ring semantics — wraparound keeps the newest events, dropped counts
 //     the evicted prefix, sampling records every 2^shift-th event;
 //   * live tracing of the real protocol under threads, replayed through
-//     check_trace: the 4W+12 bound and I2 re-verified from events alone;
+//     check_trace: the 3W+6 / 4W+12 bounds and I2 re-verified from events
+//     alone; a forced fallback + rescue costs exactly 3W+6 derived steps;
 //   * exporter round-trip — write_chrome_trace -> load_chrome_trace must
 //     hand the checker the same windows the live rings did;
 //   * truncated and sampled traces pass (prefix loss is not a violation);
-//   * the checker actually rejects bad traces (synthetic violations);
+//   * the checker actually rejects bad traces (synthetic violations), and
+//     the loader rejects truncated files;
 //   * apps-layer events and the <= 3-round apply bound;
 //   * MetricsRegistry absorption + Prometheus/JSON export.
 #include <cstdio>
@@ -146,7 +148,8 @@ obs::TraceData traced_protocol_mt() {
   CHECK_EQ(r.lls_checked, kThreads * kOps);
   CHECK(r.sc_commits > 0);
   CHECK_EQ(r.sc_commits, r.bank_writes);
-  CHECK(r.max_ll_steps <= 4 * kW + 12);
+  CHECK(r.max_ll_steps <= obs::ll_impl_bound(kW));
+  CHECK(r.max_ll_steps >= kW + 3);  // every LL pays at least its first try
 
   // The counter snapshot and the trace must agree on the successful SCs.
   const auto s = obj.stats();
@@ -256,14 +259,35 @@ void checker_catches_violations() {
     return d;
   };
 
-  {  // defensive retry on a jp variable
+  {  // defensive retry on a jp variable: the retry itself, and the
+     // second announced round it costs pushes the LL past 3W+6
     obs::TraceData d = base();
     d.per_pid[0] = {ev(obs::EventKind::kLlStart, 0, 0),
+                    ev(obs::EventKind::kLlFallback, 0, 0),
                     ev(obs::EventKind::kLlRetry, 0, 0),
                     ev(obs::EventKind::kLlFast, 0, 0)};
     const auto r = obs::check_trace(d);
-    CHECK_EQ(r.violations.size(), 1u);
+    CHECK_EQ(r.violations.size(), 2u);
     CHECK(r.violations[0].find("defensive LL retry") != std::string::npos);
+    CHECK(r.violations[1].find("> 3W+6") != std::string::npos);
+  }
+  {  // fallback + rescue is the implementation's worst case: exactly 3W+6
+    obs::TraceData d = base();
+    d.per_pid[0] = {ev(obs::EventKind::kLlStart, 0, 0),
+                    ev(obs::EventKind::kLlFallback, 0, 0),
+                    ev(obs::EventKind::kLlRescue, 0, 0)};
+    const auto r = obs::check_trace(d);
+    CHECK(r.ok());
+    CHECK_EQ(r.max_ll_steps, obs::ll_impl_bound(4));
+  }
+  {  // a rescue with no fallback marker (a trace from before the markers)
+     // is read conservatively as one announced round, not W+3
+    obs::TraceData d = base();
+    d.per_pid[0] = {ev(obs::EventKind::kLlStart, 0, 0),
+                    ev(obs::EventKind::kLlRescue, 0, 0)};
+    const auto r = obs::check_trace(d);
+    CHECK(r.ok());
+    CHECK_EQ(r.max_ll_steps, obs::ll_impl_bound(4));
   }
   {  // the same retry on a retry-substrate variable is expected behavior
     obs::TraceData d = base();
@@ -276,9 +300,13 @@ void checker_catches_violations() {
      // but a jp LL with the same shape would trip the bound; craft it via
      // a jp label and many retries... which already trips the retry rule,
      // so instead check the derived step accounting directly.
-    CHECK_EQ(obs::ll_steps_of(4, 1, false), 8u);    // one round, W+4
-    CHECK_EQ(obs::ll_steps_of(4, 1, true), 12u);    // rescue adds W
-    CHECK(obs::ll_steps_of(4, 4, false) > 4 * 4 + 12);
+    CHECK_EQ(obs::ll_steps_of(4, 0, false), 7u);    // first try: W+3
+    CHECK_EQ(obs::ll_steps_of(4, 1, false), 14u);   // W+2 then W+4
+    CHECK_EQ(obs::ll_steps_of(4, 1, true), 18u);    // rescue adds W
+    CHECK_EQ(obs::ll_impl_bound(4), 18u);
+    CHECK_EQ(obs::ll_paper_bound(4), 28u);
+    CHECK(obs::ll_steps_of(4, 2, false) > obs::ll_impl_bound(4));
+    CHECK(obs::ll_steps_of(4, 3, false) > obs::ll_paper_bound(4));
   }
   {  // I2: two commits with no bank write between them
     obs::TraceData d = base();
@@ -319,6 +347,92 @@ void checker_catches_violations() {
     CHECK(obs::check_trace(d).ok());
     CHECK(obs::check_trace(d).truncated);
   }
+}
+
+// Forces one jp LL through the worst case on a traced object: the first
+// attempt is pushed past P (3 commits at ll:fast_read_x, N = 2, P = 2), and
+// the announced round past P again (3 more at ll:read_x), so it must be
+// rescued. The trace must show the fallback and cost exactly 3W+6.
+struct ForceState {
+  core::MwLLSC<llsc::Dw128LLSC>* obj = nullptr;
+  int stage = 0;
+};
+
+void force_rescue(void* ctx, const char* point, std::uint32_t pid) {
+  auto* st = static_cast<ForceState*>(ctx);
+  if (pid != 0) return;
+  const bool fast = std::strcmp(point, "ll:fast_read_x") == 0;
+  const bool read = std::strcmp(point, "ll:read_x") == 0;
+  if ((st->stage == 0 && fast) || (st->stage == 1 && read)) {
+    ++st->stage;
+    std::vector<std::uint64_t> v(3);
+    for (int i = 0; i < 3; ++i) {
+      st->obj->ll(1, v.data());
+      v[0] += 1;
+      CHECK(st->obj->sc(1, v.data()));
+    }
+  }
+}
+
+void fallback_rescue_traced() {
+  constexpr std::uint32_t kW = 3;
+  obs::TraceSink sink(2);
+  core::MwLLSC<llsc::Dw128LLSC> obj(2, kW);
+  obj.set_trace(&sink, 0);
+  ForceState st{&obj, 0};
+  obj.set_step_hook(&force_rescue, &st);
+  std::vector<std::uint64_t> v(kW);
+  obj.ll(0, v.data());
+  obj.set_step_hook(nullptr, nullptr);
+  CHECK_EQ(st.stage, 2);
+  CHECK_EQ(obj.stats().ll_used_helped_value, 1u);
+
+  const obs::TraceData d = sink.collect();
+  std::size_t fallbacks = 0;
+  for (const auto& e : d.per_pid[0]) {
+    if (e.kind == static_cast<std::uint16_t>(obs::EventKind::kLlFallback)) {
+      ++fallbacks;
+    }
+  }
+  CHECK_EQ(fallbacks, 1u);
+  const auto r = obs::check_trace(d);
+  CHECK(r.ok());
+  CHECK_EQ(r.max_ll_steps, obs::ll_impl_bound(kW));
+
+  // The fallback marker survives the file round-trip (folded into the
+  // exported LL window), so the file yields the same derived steps.
+  const std::string path = "test_obs_fallback.json";
+  CHECK(obs::write_chrome_trace(path, d));
+  obs::TraceData loaded;
+  CHECK(obs::load_chrome_trace(path, &loaded));
+  const auto r2 = obs::check_trace(loaded);
+  CHECK(r2.ok());
+  CHECK(!r2.vacuous());
+  CHECK_EQ(r2.lls_checked, r.lls_checked);
+  CHECK_EQ(r2.max_ll_steps, r.max_ll_steps);
+  std::remove(path.c_str());
+}
+
+/// An export cut off anywhere before its trailer must fail to load, not
+/// replay as a shorter clean trace (trace_check's fixtures cover empty,
+/// random-byte, LL-less and sampled input through the tool itself).
+void loader_rejects_truncation(const obs::TraceData& good) {
+  const std::string path = "test_obs_cut.json";
+  obs::TraceData d;
+  std::string err;
+  CHECK(obs::write_chrome_trace(path, good));
+  const std::string full = slurp(path);
+  for (const double frac : {0.1, 0.5, 0.99}) {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    CHECK(f != nullptr);
+    const auto cut =
+        static_cast<std::size_t>(frac * static_cast<double>(full.size()));
+    CHECK_EQ(std::fwrite(full.data(), 1, cut, f), cut);
+    std::fclose(f);
+    CHECK(!obs::load_chrome_trace(path, &d, &err));
+    CHECK(err.find("truncated") != std::string::npos);
+  }
+  std::remove(path.c_str());
 }
 
 struct Counter {
@@ -459,6 +573,8 @@ int main() {
   truncation_tolerated();
   sampled_trace_skips_checks();
   checker_catches_violations();
+  fallback_rescue_traced();
+  loader_rejects_truncation(d);
   apps_trace();
   metrics_registry();
   std::printf("test_obs: OK\n");

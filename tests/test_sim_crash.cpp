@@ -2,8 +2,9 @@
 //   (a) bounded-exhaustive search with a crash budget — every N=2, W=2
 //       schedule with <=2 preemptions AND a crash-stop of the currently
 //       scheduled process injected at every protocol step (plus a
-//       2-crash / N=3 variant) keeps I1, I2, the 4W+12 bound and the
-//       sequential-spec oracle green for the live processes;
+//       2-crash / N=3 variant) keeps I1, I2, the 3W+6 bound (inside the
+//       paper's 4W+12) and the sequential-spec oracle green for the live
+//       processes;
 //   (b) directed choreographies for the two nastiest crash points — a
 //       helper dying between posting its donation and its exchange CAS,
 //       and a victim dying between announce and withdraw — asserting that
@@ -65,10 +66,10 @@ void exhaustive_with_crashes() {
     CHECK(!r.truncated);
     CHECK(r.schedules_explored > 100);
     // Live processes stayed wait-free in every schedule: the checker
-    // enforces 4W+12 + the oracle per completed op, and completed ops
+    // enforces 3W+6 + the oracle per completed op, and completed ops
     // exist (crashes never claim every process before its first SC).
     CHECK(r.max_ll_steps > 0);
-    CHECK(r.max_ll_steps <= SimJpSystem::ll_step_bound(s.n, s.w));
+    CHECK(r.max_ll_steps <= SimJpSystem::ll_impl_bound(s.w));
   }
 
   // The crash budget must actually enlarge the explored space over the
@@ -103,6 +104,27 @@ bool step_until(SimWorkload<SimJpSystem>& wl, JpInvariantChecker& chk,
   return false;
 }
 
+// An LL announces only once its announce-free first attempt saw drift > P.
+// Runs `victim` to the brink of that re-check, lands doom_delta() = P+1
+// commits from `other`, then lets the victim re-check and fall back.
+bool force_fallback(SimWorkload<SimJpSystem>& wl, JpInvariantChecker& chk,
+                    std::uint32_t victim, std::uint32_t other) {
+  SimJpSystem& sys = wl.system();
+  if (!step_until(wl, chk, victim,
+                  [&] { return sys.next_is_validate(victim); })) {
+    return false;
+  }
+  const std::uint64_t v0 = sys.version();
+  const std::uint64_t fallbacks = sys.ll_fallbacks_total();
+  if (!step_until(wl, chk, other, [&] {
+        return sys.version() - v0 >= sys.doom_delta();
+      })) {
+    return false;
+  }
+  wl.step(victim, chk);
+  return chk.ok() && sys.ll_fallbacks_total() == fallbacks + 1;
+}
+
 // Runs every runnable process round-robin to completion.
 void drain(SimWorkload<SimJpSystem>& wl, JpInvariantChecker& chk) {
   std::uint32_t guard = 200000;
@@ -118,7 +140,7 @@ void drain(SimWorkload<SimJpSystem>& wl, JpInvariantChecker& chk) {
 }
 
 // (b1) Helper dies between donating a buffer and its exchange CAS. The
-// victim must adopt the orphaned donation and finish inside 4W+12; the
+// victim must adopt the orphaned donation and finish inside 3W+6; the
 // reclaimer then recycles the corpse (completing its pending bank write if
 // the X SC had already landed) and I1's census must come back exact — the
 // checker re-verifies it at the crash step and at the reclaim step.
@@ -133,6 +155,7 @@ void crash_helper_after_donation() {
   const std::uint32_t victim = 0, helper = 1;
 
   // Victim: into its LL far enough to have announced.
+  CHECK(force_fallback(wl, chk, victim, helper));
   CHECK(step_until(wl, chk, victim, [&] { return sys.announce_posted(victim); }));
   // Helper: run until its SC posts a donation into the victim's slot.
   CHECK(step_until(wl, chk, helper, [&] { return sys.donation_posted(victim); }));
@@ -147,7 +170,7 @@ void crash_helper_after_donation() {
     return wl.completed_lls() > lls_before;
   }));
   CHECK(chk.ok());
-  CHECK(wl.max_ll_steps() <= SimJpSystem::ll_step_bound(2, 2));
+  CHECK(wl.max_ll_steps() <= SimJpSystem::ll_impl_bound(2));
 
   // Reclaim the corpse: pending bank write completed, census restored
   // (the checker runs I1/I2 at the reclaim step and would fail here).
@@ -174,6 +197,7 @@ void crash_victim_mid_announce() {
   SimJpSystem& sys = wl.system();
   const std::uint32_t victim = 0, helper = 1;
 
+  CHECK(force_fallback(wl, chk, victim, helper));
   CHECK(step_until(wl, chk, victim, [&] { return sys.announce_posted(victim); }));
   wl.crash(victim, chk);
   CHECK(chk.ok());
@@ -184,7 +208,7 @@ void crash_victim_mid_announce() {
   CHECK(step_until(wl, chk, helper, [&] { return wl.proc_done(helper); },
                    50000));
   CHECK(chk.ok());
-  CHECK(wl.max_ll_steps() <= SimJpSystem::ll_step_bound(2, 2));
+  CHECK(wl.max_ll_steps() <= SimJpSystem::ll_impl_bound(2));
 
   // Reclaim absorbs whatever the slot holds (WAITING withdrawn or HELPED
   // adopted) and restores the census; the victim's stranded script then
@@ -298,7 +322,7 @@ void churn_soak() {
     CHECK(wl.system().crashes_total() > 0);
     CHECK_EQ(wl.system().crashes_total(),
              wl.system().crash_reclaims_total());
-    CHECK(r.max_ll_steps <= SimJpSystem::ll_step_bound(4, 3));
+    CHECK(r.max_ll_steps <= SimJpSystem::ll_impl_bound(3));
     CHECK_EQ(wl.system().ll_retries_total(), 0u);
   }
 }
