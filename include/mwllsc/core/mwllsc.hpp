@@ -84,6 +84,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 
 #include "core/llsc.hpp"
 #include "obs/trace.hpp"
@@ -98,8 +99,10 @@ class MwLLSC {
   /// the default path — the pointer check is the only overhead).
   using StepHook = void (*)(void* ctx, const char* point, std::uint32_t pid);
 
+  /// Throws std::invalid_argument, in every build and before anything is
+  /// allocated, unless 1 <= nprocs <= 2^14 and words >= 1.
   MwLLSC(std::uint32_t nprocs, std::uint32_t words)
-      : n_(nprocs),
+      : n_(checked_nprocs(nprocs, words)),
         w_(words),
         p2_(next_pow2(nprocs)),
         ring_size_(p2_ < 2 ? 2 : p2_),
@@ -113,8 +116,6 @@ class MwLLSC {
         announce_(new AnnounceSlot[nprocs]),
         priv_(new Priv[nprocs]),
         stats_(nprocs) {
-    assert(nprocs >= 1 && nprocs <= kMaxProcs);
-    assert(words >= 1);
     // Align buffer row 0 to a cache line so the stride padding isolates
     // rows from each other (the false-sharing fix E2/E3 measure).
     auto addr = reinterpret_cast<std::uintptr_t>(raw_buf_.get());
@@ -490,6 +491,19 @@ class MwLLSC {
   }
   static std::uint64_t ring_tag_of(std::uint64_t r) { return r >> kBufBits; }
 
+  // n_ is the first member initialized, so this runs before any
+  // allocation. Beyond 2^14 the pid no longer fits X's descriptor.
+  static std::uint32_t checked_nprocs(std::uint32_t nprocs,
+                                      std::uint32_t words) {
+    if (nprocs == 0 || nprocs > kMaxProcs) {
+      throw std::invalid_argument("MwLLSC: nprocs must be in [1, 2^14]");
+    }
+    if (words == 0) {
+      throw std::invalid_argument("MwLLSC: words must be >= 1");
+    }
+    return nprocs;
+  }
+
   static std::uint32_t next_pow2(std::uint32_t v) {
     std::uint32_t p = 1;
     while (p < v) p <<= 1;
@@ -530,8 +544,22 @@ class MwLLSC {
     return buf0_ + static_cast<std::size_t>(b) * stride_;
   }
 
+  /// Issues a read prefetch for lines 1..ceil(W/8)-1 of `row`, so a
+  /// multi-line copy waits on its line misses together instead of one
+  /// after another (line 0 is demanded by the copy at once). Rows are
+  /// 64-byte aligned with a stride of whole lines, so line k starts at
+  /// word 8k. A prefetch is a hint, not a shared access: it is outside
+  /// the step count and the memory-ordering discipline, and the copy it
+  /// precedes is validated exactly as before (DESIGN.md §2).
+  void fetch_row(const std::atomic<std::uint64_t>* row) const {
+    for (std::uint32_t i = 8; i < w_; i += 8) {
+      __builtin_prefetch(row + i, 0, 3);
+    }
+  }
+
   void copy_out(std::uint32_t b, std::uint64_t* out) const {
     const std::atomic<std::uint64_t>* row = buf_row(b);
+    fetch_row(row);
     for (std::uint32_t i = 0; i < w_; ++i) {
       out[i] = row[i].load(std::memory_order_relaxed);
     }
@@ -544,9 +572,14 @@ class MwLLSC {
     }
   }
 
-  void copy_buf(std::uint32_t from, std::uint32_t to) {
+  // The pre-SC help copy runs only when a probe finds a WAITING slot, which
+  // is rare. It is kept out of line so the row fetch does not grow sc()
+  // and change where callers inline it: inline, GCC 12 stopped inlining
+  // sc() into perfbench's rmw_counter loop and its p99 rose 8% (4 vCPUs).
+  [[gnu::noinline]] void copy_buf(std::uint32_t from, std::uint32_t to) {
     const std::atomic<std::uint64_t>* src = buf_row(from);
     std::atomic<std::uint64_t>* dst = buf_row(to);
+    fetch_row(src);
     for (std::uint32_t i = 0; i < w_; ++i) {
       dst[i].store(src[i].load(std::memory_order_relaxed),
                    std::memory_order_relaxed);

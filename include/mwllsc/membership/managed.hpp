@@ -20,6 +20,7 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -180,15 +181,18 @@ class ManagedMwLLSC {
     bool lock_held_ = false;
   };
 
+  /// Throws std::invalid_argument, in every build and before anything is
+  /// allocated, for slots == 0; Impl's constructor refuses the rest
+  /// (words == 0, slots + 1 past its process limit).
   ManagedMwLLSC(std::uint32_t slots, std::uint32_t words,
                 std::uint32_t suspect_scans = 3,
                 std::uint32_t join_retries = 2)
-      : slots_(slots),
+      : slots_(slots != 0 ? slots
+                          : throw std::invalid_argument(
+                                "ManagedMwLLSC: slots must be >= 1")),
         join_retries_(join_retries),
         impl_(slots + 1, words),
-        reg_(slots, suspect_scans) {
-    assert(slots >= 1);
-  }
+        reg_(slots, suspect_scans) {}
 
   /// Acquires a session. Wait-free while slots are available (one bounded
   /// claim pass). Under exhaustion: up to `join_retries` rounds of

@@ -1,8 +1,13 @@
 // Facade-level LL/SC/VL semantics, run identically against all four
 // implementations: single-thread round-trips, semantic SC failure after an
 // intervening SC, VL behavior, full-width multiword values, and counter
-// sanity.
+// sanity. Widths straddle the 8-word line of a buffer row (1, 6, 8, 9, 64,
+// 74), and every word of every value is distinct from every other word and
+// from the same word of every other value, so a copy that drops, repeats or
+// shifts a word — or mixes two versions — at a line boundary fails.
+// Also: the constructor preconditions MwLLSC enforces in every build.
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -12,13 +17,22 @@ using namespace mwllsc;
 
 namespace {
 
-void semantics_for(const core::MwLLSCFactory& f) {
-  std::printf("  %s\n", f.name.c_str());
-  constexpr std::uint32_t kW = 6;
-  auto obj = f.make(3, kW);
-  CHECK_EQ(obj->words(), kW);
+constexpr std::uint32_t kWidths[] = {1, 6, 8, 9, 64, 74};
 
-  std::vector<std::uint64_t> a(kW), b(kW), c(kW);
+// Word i of version `salt`: an odd multiplier keeps the words of one
+// version distinct, the additive salt keeps versions apart word by word.
+void fill(std::vector<std::uint64_t>& v, std::uint64_t salt) {
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    v[i] = 0x9E3779B97F4A7C15ULL * (i + 1) + (salt << 40);
+  }
+}
+
+void semantics_for(const core::MwLLSCFactory& f, std::uint32_t w) {
+  std::printf("  %s W=%u\n", f.name.c_str(), w);
+  auto obj = f.make(3, w);
+  CHECK_EQ(obj->words(), w);
+
+  std::vector<std::uint64_t> a(w), b(w), c(w);
 
   // Fresh object reads all zeros.
   obj->ll(0, a.data());
@@ -29,7 +43,7 @@ void semantics_for(const core::MwLLSCFactory& f) {
   CHECK(obj->vl(0));
 
   // Round trip of a distinct pattern across every word.
-  for (std::uint32_t i = 0; i < kW; ++i) a[i] = 0x1111111111111111ULL * (i + 1);
+  fill(a, 1);
   CHECK(obj->sc(0, a.data()));
   obj->ll(1, b.data());
   CHECK(b == a);
@@ -41,10 +55,10 @@ void semantics_for(const core::MwLLSCFactory& f) {
   // SC fails after an intervening successful SC.
   obj->ll(0, b.data());
   obj->ll(2, c.data());
-  c[0] = 777;
+  fill(c, 2);
   CHECK(obj->sc(2, c.data()));
   CHECK(!obj->vl(0));
-  b[0] = 888;
+  fill(b, 3);
   CHECK(!obj->sc(0, b.data()));
   obj->ll(0, b.data());
   CHECK(b == c);
@@ -59,10 +73,22 @@ void semantics_for(const core::MwLLSCFactory& f) {
   obj->ll(0, b.data());
   CHECK(b == c);
   CHECK(obj->vl(0));
-  b[kW - 1] = 4242;
+  fill(b, 4);
   CHECK(obj->sc(0, b.data()));
   obj->ll(1, a.data());
   CHECK(a == b);
+
+  // Enough successive versions to cycle every buffer row the object owns
+  // (jp: 2N+R+1 = 11 at N=3), each read back whole by another process.
+  for (std::uint64_t salt = 5; salt < 5 + 24; ++salt) {
+    const std::uint32_t p = static_cast<std::uint32_t>(salt % 3);
+    obj->ll(p, b.data());
+    CHECK(b == a);
+    fill(a, salt);
+    CHECK(obj->sc(p, a.data()));
+    obj->ll((p + 1) % 3, c.data());
+    CHECK(c == a);
+  }
 
   // Counter sanity: sc_success <= sc_ops <= ll-ish totals, all populated.
   const auto s = obj->stats();
@@ -103,12 +129,37 @@ void degenerate_for(const core::MwLLSCFactory& f) {
   CHECK_EQ(v, 100u);
 }
 
+// Constructor preconditions hold in Release too: each is refused with
+// std::invalid_argument instead of building an object that overflows the
+// <pid, buf> descriptor or copies zero words.
+template <class Make>
+bool refuses(Make make) {
+  try {
+    make();
+  } catch (const std::invalid_argument&) {
+    return true;
+  }
+  return false;
+}
+
+void preconditions() {
+  using Jp = core::MwLLSC<llsc::Dw128LLSC>;
+  CHECK(refuses([] { Jp obj(0, 4); }));
+  CHECK(refuses([] { Jp obj((1u << 14) + 1, 4); }));
+  CHECK(refuses([] { Jp obj(~0u, 4); }));
+  CHECK(refuses([] { Jp obj(2, 0); }));
+  // The bounds themselves are accepted.
+  CHECK(!refuses([] { Jp obj(1, 1); }));
+  CHECK(!refuses([] { Jp obj(1u << 14, 1); }));
+}
+
 }  // namespace
 
 int main() {
   std::printf("test_core_semantics:\n");
+  preconditions();
   for (const auto& f : bench::all_factories()) {
-    semantics_for(f);
+    for (std::uint32_t w : kWidths) semantics_for(f, w);
     degenerate_for(f);
   }
   std::printf("test_core_semantics: OK\n");

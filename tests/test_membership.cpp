@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -115,6 +116,24 @@ void raii_guard() {
 }
 
 // ------------------------------------------------------- managed sessions
+
+// Construction preconditions hold in Release: slots == 0 is refused by the
+// managed object, words == 0 and a pid count past 2^14 by the protocol
+// object it wraps — all with std::invalid_argument.
+void managed_preconditions() {
+  const auto refuses = [](std::uint32_t slots, std::uint32_t words) {
+    try {
+      Managed m(slots, words);
+    } catch (const std::invalid_argument&) {
+      return true;
+    }
+    return false;
+  };
+  CHECK(refuses(0, 4));
+  CHECK(refuses(2, 0));
+  CHECK(refuses(1u << 14, 4));  // slots + 1 pids, one past the limit
+  CHECK(!refuses(1, 1));
+}
 
 void managed_basic() {
   Managed m(2, 3);
@@ -507,6 +526,7 @@ int main() {
   registry_state_machine();
   registry_heartbeat_reclaim();
   raii_guard();
+  managed_preconditions();
   managed_basic();
   degraded_path();
   orphan_reclaim_on_join();

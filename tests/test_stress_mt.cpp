@@ -3,7 +3,9 @@
 // shared W-word object. Every snapshot an LL returns must be internally
 // consistent (all words carry the same logical count — a torn or stale
 // read would break that), and the final value must be exactly T*K: no lost
-// or duplicated increments.
+// or duplicated increments. Each substrate runs at W=5 (one line of a
+// buffer row) and W=74 (ten lines, the last partial), so concurrent LLs
+// copy multi-line rows while writers rewrite them.
 //
 // tests/CMakeLists.txt compiles this test WITH MWLLSC_TRACE, so the same
 // run doubles as the data-race check for the tracing hot path (TSan job):
@@ -23,12 +25,12 @@ using namespace mwllsc;
 namespace {
 
 constexpr unsigned kThreads = 4;
-constexpr std::uint64_t kIncrements = 15000;
-constexpr std::uint32_t kW = 5;
+constexpr std::uint64_t kIncrements = 10000;
+constexpr std::uint32_t kWidths[] = {5, 74};
 
-void stress_for(const core::MwLLSCFactory& f) {
-  std::printf("  %s...\n", f.name.c_str());
-  auto obj = f.make(kThreads, kW);
+void stress_for(const core::MwLLSCFactory& f, std::uint32_t w) {
+  std::printf("  %s W=%u...\n", f.name.c_str(), w);
+  auto obj = f.make(kThreads, w);
   obs::TraceSink sink(kThreads);
   obj->set_trace(&sink, 0);
   util::SpinBarrier start(kThreads);
@@ -36,21 +38,21 @@ void stress_for(const core::MwLLSCFactory& f) {
   std::atomic<bool> failed{false};
   for (unsigned t = 0; t < kThreads; ++t) {
     pool.emplace_back([&, t] {
-      std::vector<std::uint64_t> v(kW);
+      std::vector<std::uint64_t> v(w);
       start.arrive_and_wait();
       for (std::uint64_t i = 0; i < kIncrements; ++i) {
         for (;;) {
           obj->ll(t, v.data());
           // Internal consistency: every word equals word 0. An update
           // writes count to all words, so any torn snapshot trips this.
-          for (std::uint32_t k = 1; k < kW; ++k) {
+          for (std::uint32_t k = 1; k < w; ++k) {
             if (v[k] != v[0]) {
               failed.store(true);
               return;
             }
           }
           const std::uint64_t next = v[0] + 1;
-          for (std::uint32_t k = 0; k < kW; ++k) v[k] = next;
+          for (std::uint32_t k = 0; k < w; ++k) v[k] = next;
           if (obj->sc(t, v.data())) break;
         }
       }
@@ -59,9 +61,9 @@ void stress_for(const core::MwLLSCFactory& f) {
   for (auto& th : pool) th.join();
   CHECK(!failed.load());
 
-  std::vector<std::uint64_t> fin(kW);
+  std::vector<std::uint64_t> fin(w);
   obj->ll(0, fin.data());
-  for (std::uint32_t k = 0; k < kW; ++k) {
+  for (std::uint32_t k = 0; k < w; ++k) {
     CHECK_EQ(fin[k], kThreads * kIncrements);
   }
 
@@ -90,28 +92,35 @@ void stress_for(const core::MwLLSCFactory& f) {
 }
 
 // Readers validating against concurrent writers: a pure reader must always
-// see consistent snapshots while writers hammer the object.
-void reader_writer_for(const core::MwLLSCFactory& f) {
-  auto obj = f.make(3, kW);
+// see consistent snapshots while writers hammer the object, and — since
+// every write increments — never a value older than one it already saw.
+void reader_writer_for(const core::MwLLSCFactory& f, std::uint32_t w) {
+  auto obj = f.make(3, w);
   util::TimedRun run;
   std::atomic<bool> failed{false};
-  run.run_for(3, 100'000'000, [&](unsigned t) {
-    std::vector<std::uint64_t> v(kW);
+  run.run_for(3, 50'000'000, [&](unsigned t) {
+    std::vector<std::uint64_t> v(w);
     if (t == 0) {  // reader
+      std::uint64_t last = 0;
       while (!run.should_stop()) {
         obj->ll(0, v.data());
-        for (std::uint32_t k = 1; k < kW; ++k) {
+        for (std::uint32_t k = 1; k < w; ++k) {
           if (v[k] != v[0]) {
             failed.store(true);
             return;
           }
         }
+        if (v[0] < last) {
+          failed.store(true);
+          return;
+        }
+        last = v[0];
       }
     } else {  // writers
       while (!run.should_stop()) {
         obj->ll(t, v.data());
         const std::uint64_t next = v[0] + 1;
-        for (std::uint32_t k = 0; k < kW; ++k) v[k] = next;
+        for (std::uint32_t k = 0; k < w; ++k) v[k] = next;
         obj->sc(t, v.data());
       }
     }
@@ -122,11 +131,13 @@ void reader_writer_for(const core::MwLLSCFactory& f) {
 }  // namespace
 
 int main() {
-  std::printf("test_stress_mt: %u threads x %llu increments, W=%u\n",
-              kThreads, static_cast<unsigned long long>(kIncrements), kW);
+  std::printf("test_stress_mt: %u threads x %llu increments\n", kThreads,
+              static_cast<unsigned long long>(kIncrements));
   for (const auto& f : bench::all_factories()) {
-    stress_for(f);
-    reader_writer_for(f);
+    for (std::uint32_t w : kWidths) {
+      stress_for(f, w);
+      reader_writer_for(f, w);
+    }
   }
   std::printf("test_stress_mt: OK\n");
   return 0;
