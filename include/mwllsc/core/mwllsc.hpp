@@ -544,22 +544,18 @@ class MwLLSC {
     return buf0_ + static_cast<std::size_t>(b) * stride_;
   }
 
-  /// Issues a read prefetch for lines 1..ceil(W/8)-1 of `row`, so a
-  /// multi-line copy waits on its line misses together instead of one
-  /// after another (line 0 is demanded by the copy at once). Rows are
-  /// 64-byte aligned with a stride of whole lines, so line k starts at
-  /// word 8k. A prefetch is a hint, not a shared access: it is outside
-  /// the step count and the memory-ordering discipline, and the copy it
-  /// precedes is validated exactly as before (DESIGN.md §2).
-  void fetch_row(const std::atomic<std::uint64_t>* row) const {
+  void copy_out(std::uint32_t b, std::uint64_t* out) const {
+    const std::atomic<std::uint64_t>* row = buf_row(b);
+    // Read-prefetch lines 1..ceil(W/8)-1 so a multi-line copy waits on its
+    // line misses together instead of one after another (line 0 is
+    // demanded by the loop at once). Rows are 64-byte aligned with a
+    // stride of whole lines, so line k starts at word 8k. A prefetch is a
+    // hint, not a shared access: it is outside the step count and the
+    // memory-ordering discipline, and the copy is validated exactly as
+    // before (DESIGN.md §2).
     for (std::uint32_t i = 8; i < w_; i += 8) {
       __builtin_prefetch(row + i, 0, 3);
     }
-  }
-
-  void copy_out(std::uint32_t b, std::uint64_t* out) const {
-    const std::atomic<std::uint64_t>* row = buf_row(b);
-    fetch_row(row);
     for (std::uint32_t i = 0; i < w_; ++i) {
       out[i] = row[i].load(std::memory_order_relaxed);
     }
@@ -572,14 +568,9 @@ class MwLLSC {
     }
   }
 
-  // The pre-SC help copy runs only when a probe finds a WAITING slot, which
-  // is rare. It is kept out of line so the row fetch does not grow sc()
-  // and change where callers inline it: inline, GCC 12 stopped inlining
-  // sc() into perfbench's rmw_counter loop and its p99 rose 8% (4 vCPUs).
-  [[gnu::noinline]] void copy_buf(std::uint32_t from, std::uint32_t to) {
+  void copy_buf(std::uint32_t from, std::uint32_t to) {
     const std::atomic<std::uint64_t>* src = buf_row(from);
     std::atomic<std::uint64_t>* dst = buf_row(to);
-    fetch_row(src);
     for (std::uint32_t i = 0; i < w_; ++i) {
       dst[i].store(src[i].load(std::memory_order_relaxed),
                    std::memory_order_relaxed);

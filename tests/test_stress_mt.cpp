@@ -25,11 +25,22 @@ using namespace mwllsc;
 namespace {
 
 constexpr unsigned kThreads = 4;
-constexpr std::uint64_t kIncrements = 10000;
-constexpr std::uint32_t kWidths[] = {5, 74};
 
-void stress_for(const core::MwLLSCFactory& f, std::uint32_t w) {
-  std::printf("  %s W=%u...\n", f.name.c_str(), w);
+// Each width has its own budget. A W=74 op copies fifteen times the words
+// of a W=5 op, so it gets fewer increments and a shorter reader run; 3000
+// increments usually still lets the four threads overlap.
+struct Width {
+  std::uint32_t w;
+  std::uint64_t increments;  ///< successful RMWs per thread
+  std::uint64_t rw_ns;       ///< reader/writer run length
+};
+constexpr Width kWidths[] = {{5, 15000, 100'000'000}, {74, 3000, 25'000'000}};
+
+void stress_for(const core::MwLLSCFactory& f, const Width& width) {
+  const std::uint32_t w = width.w;
+  const std::uint64_t increments = width.increments;
+  std::printf("  %s W=%u x %llu increments...\n", f.name.c_str(), w,
+              static_cast<unsigned long long>(increments));
   auto obj = f.make(kThreads, w);
   obs::TraceSink sink(kThreads);
   obj->set_trace(&sink, 0);
@@ -40,7 +51,7 @@ void stress_for(const core::MwLLSCFactory& f, std::uint32_t w) {
     pool.emplace_back([&, t] {
       std::vector<std::uint64_t> v(w);
       start.arrive_and_wait();
-      for (std::uint64_t i = 0; i < kIncrements; ++i) {
+      for (std::uint64_t i = 0; i < increments; ++i) {
         for (;;) {
           obj->ll(t, v.data());
           // Internal consistency: every word equals word 0. An update
@@ -64,11 +75,11 @@ void stress_for(const core::MwLLSCFactory& f, std::uint32_t w) {
   std::vector<std::uint64_t> fin(w);
   obj->ll(0, fin.data());
   for (std::uint32_t k = 0; k < w; ++k) {
-    CHECK_EQ(fin[k], kThreads * kIncrements);
+    CHECK_EQ(fin[k], kThreads * increments);
   }
 
   const auto s = obj->stats();
-  CHECK_EQ(s.sc_success, kThreads * kIncrements);
+  CHECK_EQ(s.sc_success, kThreads * increments);
   CHECK(s.sc_ops >= s.sc_success);
 
 #if defined(MWLLSC_TRACE)
@@ -94,11 +105,12 @@ void stress_for(const core::MwLLSCFactory& f, std::uint32_t w) {
 // Readers validating against concurrent writers: a pure reader must always
 // see consistent snapshots while writers hammer the object, and — since
 // every write increments — never a value older than one it already saw.
-void reader_writer_for(const core::MwLLSCFactory& f, std::uint32_t w) {
+void reader_writer_for(const core::MwLLSCFactory& f, const Width& width) {
+  const std::uint32_t w = width.w;
   auto obj = f.make(3, w);
   util::TimedRun run;
   std::atomic<bool> failed{false};
-  run.run_for(3, 50'000'000, [&](unsigned t) {
+  run.run_for(3, width.rw_ns, [&](unsigned t) {
     std::vector<std::uint64_t> v(w);
     if (t == 0) {  // reader
       std::uint64_t last = 0;
@@ -131,12 +143,11 @@ void reader_writer_for(const core::MwLLSCFactory& f, std::uint32_t w) {
 }  // namespace
 
 int main() {
-  std::printf("test_stress_mt: %u threads x %llu increments\n", kThreads,
-              static_cast<unsigned long long>(kIncrements));
+  std::printf("test_stress_mt: %u threads\n", kThreads);
   for (const auto& f : bench::all_factories()) {
-    for (std::uint32_t w : kWidths) {
-      stress_for(f, w);
-      reader_writer_for(f, w);
+    for (const Width& width : kWidths) {
+      stress_for(f, width);
+      reader_writer_for(f, width);
     }
   }
   std::printf("test_stress_mt: OK\n");
