@@ -1,12 +1,14 @@
 // E9 — Wait-freedom step bounds under adversarial schedules (Theorem 1),
-// measured in the deterministic simulator.
+// measured in the deterministic simulator on the shipped classes: one step
+// is one shared access of core::MwLLSC, baseline::AmLLSC or
+// baseline::RetryLLSC (sim/harness.hpp).
 //
 // For the paper's algorithm (jp), the AM baseline and the retry strawman,
 // runs seeded-random and anti-adversarial schedules and reports the MAXIMUM
 // steps any single LL took. jp implements the paper's full protocol behind
 // an announce-free first attempt: its worst LL must stay within the
 // implementation's 3W+6 (inside Theorem 1's 4W+12), independent of N, with
-// zero defensive retries (JpInvariantChecker fails any run where one
+// zero defensive retries (the simulator's checker fails any run where one
 // fires); at least one cell must reach 2W+6, proving the
 // adversary drives LLs through the announced fallback. am stays under its
 // O(N·W) announce/help bound; retry's worst LL
@@ -15,18 +17,20 @@
 // measured worst case exceeds its claimed bound is flagged in the status
 // column and makes the driver exit nonzero (so --smoke gates CI).
 //
-// Every jp run executes under JpInvariantChecker (I1 buffer ownership, I2
-// bank writes, sequential-spec linearizability oracle); any violation makes
-// the driver exit nonzero, so this doubles as a verification pass.
+// Every run executes under the simulator's checker (the sequential-spec
+// linearizability oracle for all three classes; I1 buffer ownership and I2
+// bank writes for jp); any violation makes the driver exit nonzero, so this
+// doubles as a verification pass.
 //
 // Also reports simulator throughput (steps/second) and CHESS coverage
 // (schedules/second), characterizing the verification substrate itself.
 //
-// Run: ./bench_sim_schedules [--smoke] [--metrics PATH]
+// Run: ./bench_sim_schedules [--smoke] [--metrics PATH] [--trace PATH]
 //   --smoke: reduced grid and run lengths for CI smoke testing.
-//   --metrics: export worst/bound cells as gauges. --trace is accepted but
-//   yields an empty trace: the simulator steps hand-written step machines,
-//   not the real (instrumented) protocol objects.
+//   --metrics: export worst/bound cells as gauges.
+//   --trace: record the jp random and adversarial runs (crash-free, so
+//   every LL window closes; rings sized so the smoke grid drops nothing)
+//   for trace_check. Needs a -DMWLLSC_TRACE=ON build.
 //
 // Repro modes (every invariant-violation message embeds the knobs these
 // take — "sched-seed=S" / "churn-seed=S" and "schedule=..."):
@@ -41,15 +45,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "sim/harness.hpp"
-#include "sim/invariants.hpp"
-#include "sim/sim_am.hpp"
-#include "sim/sim_jp.hpp"
-#include "sim/sim_retry.hpp"
 #include "util/table.hpp"
 #include "util/timing.hpp"
 
@@ -60,14 +62,31 @@ using util::TablePrinter;
 namespace {
 
 bool g_all_ok = true;
+bench::ObsSession* g_obs = nullptr;  // traces the jp runs when --trace
 
-std::vector<std::uint64_t> init_value(std::uint32_t w) {
-  return std::vector<std::uint64_t>(w, 1);
+// Records a jp run into the trace sink under a descriptive label.
+template <class Impl>
+void trace_run(SimWorkload<Impl>& wl, const std::string& label) {
+  if constexpr (std::is_same_v<Impl, SimJp>) {
+    if (!g_obs->tracing()) return;
+    const std::uint32_t var = g_obs->bind_obj(wl.object(), label);
+    wl.trace(g_obs->sink(), var);
+    g_obs->sink()->describe_var(var, wl.w(), label);  // the object said "jp"
+  }
 }
 
-// sim::make_checker gives jp runs the full invariant checker (constructed
-// from the workload's own system, AFTER the move — never from the
-// moved-from shell) and the unmodeled baselines a NullChecker.
+// Successful SCs that doom a pending LL validation: jp's aged validation
+// accepts a drift up to P (N rounded up to a power of two); am and retry
+// validate strictly.
+template <class Impl>
+std::uint64_t doom_delta(std::uint32_t n) {
+  if constexpr (std::is_same_v<Impl, SimJp>) {
+    std::uint64_t p = 1;
+    while (p < n) p <<= 1;
+    return p + 1;
+  }
+  return 1;
+}
 
 void note(const RunResult& r, const char* what) {
   if (!r.ok) {
@@ -77,7 +96,7 @@ void note(const RunResult& r, const char* what) {
   }
 }
 
-template <typename System>
+template <typename Impl>
 std::uint32_t worst_ll_random(std::uint32_t n, std::uint32_t w,
                               std::uint32_t seeds) {
   std::uint32_t worst = 0;
@@ -85,16 +104,17 @@ std::uint32_t worst_ll_random(std::uint32_t n, std::uint32_t w,
     WorkloadConfig cfg;
     cfg.ops_per_proc = 300;
     cfg.seed = s;
-    SimWorkload<System> wl(System(n, w, init_value(w)), cfg);
-    auto chk = make_checker(wl.system());
-    const RunResult r = run_random(wl, chk, s * 7919);
+    SimWorkload<Impl> wl(n, w, cfg);
+    trace_run(wl, "jp n=" + std::to_string(n) + " w=" + std::to_string(w) +
+                      " random seed=" + std::to_string(s));
+    const RunResult r = run_random(wl, s * 7919);
     note(r, "random");
     worst = std::max(worst, r.max_ll_steps);
   }
   return worst;
 }
 
-template <typename System>
+template <typename Impl>
 std::uint32_t worst_ll_adversarial(std::uint32_t n, std::uint32_t w,
                                    std::uint64_t max_steps) {
   std::uint32_t worst = 0;
@@ -102,15 +122,16 @@ std::uint32_t worst_ll_adversarial(std::uint32_t n, std::uint32_t w,
     WorkloadConfig cfg;
     cfg.ops_per_proc = 1000000;  // effectively unbounded within max_steps
     cfg.vl_percent = 0;
-    SimWorkload<System> wl(System(n, w, init_value(w)), cfg);
-    auto chk = make_checker(wl.system());
-    const RunResult r =
-        run_adversarial_anti(wl, chk, victim, w + 8, max_steps);
+    SimWorkload<Impl> wl(n, w, cfg);
+    trace_run(wl, "jp n=" + std::to_string(n) + " w=" + std::to_string(w) +
+                      " adversary victim=" + std::to_string(victim));
+    const RunResult r = run_adversarial_anti(wl, victim, w + 8, max_steps,
+                                             doom_delta<Impl>(n));
     note(r, "adversarial");
     worst = std::max(worst, wl.max_ll_steps());
     // For a starved in-flight LL the completed-op maximum understates the
     // damage; count the stuck operation too.
-    worst = std::max(worst, wl.system().steps_in_flight(victim));
+    worst = std::max(worst, wl.steps_in_flight(victim));
   }
   return worst;
 }
@@ -131,19 +152,18 @@ int run_repro(int argc, char** argv) {
   WorkloadConfig cfg;
   cfg.ops_per_proc = u32("--ops", 300);
   cfg.seed = u32("--wl-seed", 1);
-  SimWorkload<SimJpSystem> wl(SimJpSystem(n, w, init_value(w)), cfg);
-  JpInvariantChecker chk(wl.system());
+  SimWorkload<SimJp> wl(n, w, cfg);
   RunResult r;
   if (!replay.empty()) {
     std::printf("replaying %zu schedule chars on jp N=%u W=%u ops=%u\n",
                 replay.size(), n, w, cfg.ops_per_proc);
-    r = run_replay(wl, chk, replay);
+    r = run_replay(wl, replay);
   } else {
     const std::uint64_t seed = std::strtoull(seed_s.c_str(), nullptr, 10);
     std::printf("re-running sched-seed=%llu on jp N=%u W=%u ops=%u\n",
                 static_cast<unsigned long long>(seed), n, w,
                 cfg.ops_per_proc);
-    r = run_random(wl, chk, seed);
+    r = run_random(wl, seed);
   }
   if (!r.ok) {
     std::fprintf(stderr, "INVARIANT FAILURE: %s\n", r.error.c_str());
@@ -151,7 +171,7 @@ int run_repro(int argc, char** argv) {
   }
   std::printf("clean: %llu steps, worst LL %u steps (bound %u)\n",
               static_cast<unsigned long long>(r.total_steps),
-              r.max_ll_steps, SimJpSystem::ll_impl_bound(w));
+              r.max_ll_steps, SimJp::ll_impl_bound(w));
   return 0;
 }
 
@@ -163,7 +183,17 @@ int main(int argc, char** argv) {
     return run_repro(argc, argv);
   }
   const bool smoke = bench::has_flag(argc, argv, "--smoke");
-  bench::ObsSession obs(argc, argv, 1);
+  const std::vector<std::pair<std::uint32_t, std::uint32_t>> grid =
+      smoke ? std::vector<std::pair<std::uint32_t, std::uint32_t>>{{2, 2},
+                                                                   {2, 4}}
+            : std::vector<std::pair<std::uint32_t, std::uint32_t>>{
+                  {2, 4}, {3, 4}, {3, 16}, {4, 8}, {8, 8}};
+  std::uint32_t max_n = 1;
+  for (const auto& cell : grid) max_n = std::max(max_n, cell.first);
+  obs::TraceConfig tcfg;
+  tcfg.capacity = 1u << 18;  // per pid: the smoke grid's jp runs fit
+  bench::ObsSession obs(argc, argv, max_n, tcfg);
+  g_obs = &obs;
   const std::uint32_t seeds = smoke ? 4 : 10;
   const std::uint64_t max_steps = smoke ? 30000 : 300000;
 
@@ -179,25 +209,18 @@ int main(int argc, char** argv) {
                       "jp worst", "am bound", "am worst",
                       "retry worst (starved)", "status"});
   bool reached_fallback = false;  // some cell's worst LL >= 2W+6
-  const std::vector<std::pair<std::uint32_t, std::uint32_t>> grid =
-      smoke ? std::vector<std::pair<std::uint32_t, std::uint32_t>>{{2, 2},
-                                                                   {2, 4}}
-            : std::vector<std::pair<std::uint32_t, std::uint32_t>>{
-                  {2, 4}, {3, 4}, {3, 16}, {4, 8}, {8, 8}};
   for (const auto& [n, w] : grid) {
-    const std::uint32_t r_rand_jp = worst_ll_random<SimJpSystem>(n, w, seeds);
-    const std::uint32_t r_rand_am = worst_ll_random<SimAmSystem>(n, w, seeds);
-    const std::uint32_t adv_jp =
-        worst_ll_adversarial<SimJpSystem>(n, w, max_steps);
-    const std::uint32_t adv_am =
-        worst_ll_adversarial<SimAmSystem>(n, w, max_steps);
+    const std::uint32_t r_rand_jp = worst_ll_random<SimJp>(n, w, seeds);
+    const std::uint32_t r_rand_am = worst_ll_random<SimAm>(n, w, seeds);
+    const std::uint32_t adv_jp = worst_ll_adversarial<SimJp>(n, w, max_steps);
+    const std::uint32_t adv_am = worst_ll_adversarial<SimAm>(n, w, max_steps);
     const std::uint32_t adv_rt =
-        worst_ll_adversarial<SimRetrySystem>(n, w, max_steps);
+        worst_ll_adversarial<SimRetry>(n, w, max_steps);
     const std::uint32_t jp_worst = std::max(r_rand_jp, adv_jp);
     const std::uint32_t am_worst = std::max(r_rand_am, adv_am);
-    const std::uint32_t jp_bound = SimJpSystem::ll_step_bound(n, w);
-    const std::uint32_t jp_impl = SimJpSystem::ll_impl_bound(w);
-    const std::uint32_t am_bound = SimAmSystem::ll_step_bound(n, w);
+    const std::uint32_t jp_bound = SimJp::ll_step_bound(w);
+    const std::uint32_t jp_impl = SimJp::ll_impl_bound(w);
+    const std::uint32_t am_bound = SimAm::ll_step_bound(n, w);
     if (jp_worst >= 2 * w + 6) reached_fallback = true;
     const std::string cell =
         "n=\"" + std::to_string(n) + "\",w=\"" + std::to_string(w) + "\"";
@@ -247,10 +270,9 @@ int main(int argc, char** argv) {
     std::printf("\nsimulator characterization:\n");
     WorkloadConfig cfg;
     cfg.ops_per_proc = smoke ? 4000 : 20000;
-    SimWorkload<SimJpSystem> wl(SimJpSystem(3, 4, init_value(4)), cfg);
-    JpInvariantChecker chk(wl.system());
+    SimWorkload<SimJp> wl(3, 4, cfg);
     util::Stopwatch sw;
-    const RunResult r = run_random(wl, chk, 1);
+    const RunResult r = run_random(wl, 1);
     note(r, "characterization random");
     const double secs = sw.elapsed_s();
     std::printf(
@@ -262,11 +284,9 @@ int main(int argc, char** argv) {
   {
     WorkloadConfig cfg;
     cfg.ops_per_proc = 2;
-    SimWorkload<SimJpSystem> wl(SimJpSystem(2, 2, init_value(2)), cfg);
-    JpInvariantChecker chk(wl.system());
     util::Stopwatch sw;
     const EnumerateResult r =
-        enumerate_preemption_bounded(wl, chk, 2, 100000);
+        enumerate_preemption_bounded<SimJp>(2, 2, cfg, 2, 100000);
     if (!r.ok) {
       std::fprintf(stderr, "INVARIANT FAILURE (CHESS search): %s\n",
                    r.error.c_str());
@@ -285,19 +305,18 @@ int main(int argc, char** argv) {
     // I1/I2 exact throughout.
     WorkloadConfig cfg;
     cfg.ops_per_proc = smoke ? 2000 : 10000;
-    SimWorkload<SimJpSystem> wl(SimJpSystem(3, 4, init_value(4)), cfg);
-    JpInvariantChecker chk(wl.system());
+    SimWorkload<SimJp> wl(3, 4, cfg);
     ChurnConfig churn;
     churn.sched_seed = 42;
-    const RunResult r = run_crash_churn(wl, chk, churn);
+    const RunResult r = run_crash_churn(wl, churn);
     note(r, "crash churn");
     std::printf(
         "  crash churn:     %llu steps, %llu crashes / %llu reclaims, "
         "worst live LL %u steps (bound %u, ok=%d)\n",
         static_cast<unsigned long long>(r.total_steps),
-        static_cast<unsigned long long>(wl.system().crashes_total()),
-        static_cast<unsigned long long>(wl.system().crash_reclaims_total()),
-        r.max_ll_steps, SimJpSystem::ll_impl_bound(4), r.ok ? 1 : 0);
+        static_cast<unsigned long long>(wl.crashes_total()),
+        static_cast<unsigned long long>(wl.crash_reclaims_total()),
+        r.max_ll_steps, SimJp::ll_impl_bound(4), r.ok ? 1 : 0);
   }
   if (!obs.finish()) return 1;
   if (!g_all_ok) {

@@ -60,10 +60,11 @@ class WfUniversal {
   /// Per-apply bound on { LL; help-all; SC } rounds (see file comment).
   static constexpr std::uint64_t kMaxAttempts = 3;
 
-  /// Test seam, mirroring core::MwLLSC::StepHook: called at "announced"
-  /// (op published, before the first LL), "linked" (snapshot taken, before
-  /// help-all + SC) and "sc_failed". Lets a test park a process at an
-  /// exact protocol point and drive the help-all path deterministically.
+  /// Test seam: called at "announced" (op published, before the first
+  /// LL), "linked" (snapshot taken, before help-all + SC) and "sc_failed".
+  /// Lets a test park a process at an exact protocol point and drive the
+  /// help-all path deterministically. (The substrate's own steps are
+  /// reachable the same way through its Env parameter, core/env.hpp.)
   using StepHook = void (*)(void* ctx, const char* point, std::uint32_t pid);
 
   WfUniversal(std::uint32_t nprocs, const T& initial,

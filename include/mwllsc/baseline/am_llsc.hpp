@@ -5,7 +5,8 @@
 // only p reads — the O(N^2 W) handoff matrix the paper's ownership exchange
 // eliminates. Time also pays: every LL keeps a private copy of the value it
 // read (so a later successful SC can donate it), and every help is an O(W)
-// copy instead of an O(1) exchange.
+// copy instead of an O(1) exchange. Env::at marks each shared access, as
+// in core (core/env.hpp).
 #pragma once
 
 #include <atomic>
@@ -14,15 +15,24 @@
 #include <cstdint>
 #include <memory>
 
+#include "core/env.hpp"
 #include "core/llsc.hpp"
 #include "obs/trace.hpp"
 #include "util/stats.hpp"
 
 namespace mwllsc::baseline {
 
-template <class LLSC>
+template <class LLSC, class Env = core::NoEnv>
 class AmLLSC {
  public:
+  /// The announce/help schedule serves an LL within O(N) successful SCs,
+  /// each costing it one O(W) link/copy/validate round: (N+3)(W+3) plus
+  /// the handoff copy and its bookkeeping, 2W+4.
+  static constexpr std::uint32_t ll_step_bound(std::uint32_t n,
+                                               std::uint32_t w) {
+    return (n + 3) * (w + 3) + 2 * w + 4;
+  }
+
   AmLLSC(std::uint32_t nprocs, std::uint32_t words)
       : n_(nprocs),
         w_(words),
@@ -51,6 +61,7 @@ class AmLLSC {
     assert(p < n_);
     Priv& me = priv_[p];
     me.seq = (me.seq + 1) & kSeqMask;  // the announce word holds 44 bits
+    Env::at("ll:announce", p);
     // mwllsc-ordering: seq_cst(announce/help handshake of the copy-helping
     // baseline: the store precedes every later winner's pre-SC scan in the
     // total order, so a winner either sees us or linked before we announced)
@@ -58,14 +69,17 @@ class AmLLSC {
                          std::memory_order_seq_cst);
     trace_.emit(obs::EventKind::kLlStart, p, me.seq);
     for (;;) {
+      Env::at("ll:link", p);
       const std::uint64_t x = x_.ll(p);
       const std::uint32_t b = buf_of_x(x);
-      copy_from_bufs(b, out);
+      copy_from_bufs(b, out, p);
       std::atomic_thread_fence(std::memory_order_acquire);
+      Env::at("ll:validate", p);
       if (x_.vl(p)) {
+        std::uint64_t expect = pack_a(kWaiting, 0, me.seq);
+        Env::at("ll:withdraw", p);
         // mwllsc-ordering: seq_cst(the withdraw races a helper's kHelped
         // CAS on this slot; the total order picks exactly one)
-        std::uint64_t expect = pack_a(kWaiting, 0, me.seq);
         if (!announce_[p].a.compare_exchange_strong(
                 expect, pack_a(kIdle, 0, me.seq),
                 std::memory_order_seq_cst)) {
@@ -80,6 +94,7 @@ class AmLLSC {
         trace_.emit(obs::EventKind::kLlFast, p, me.seq, b);
         return;
       }
+      Env::at("ll:check_slot", p);
       // mwllsc-ordering: seq_cst(re-read of our slot after a failed VL:
       // the SC that broke the link sits before this load in the total
       // order, so its helper's donation — if any — is visible here)
@@ -89,7 +104,10 @@ class AmLLSC {
         // it will not be rewritten until we announce again.
         const std::uint32_t q = donor_of_a(a);
         const std::uint64_t* h = handoff_row(q, p);
-        for (std::uint32_t i = 0; i < w_; ++i) out[i] = h[i];
+        for (std::uint32_t i = 0; i < w_; ++i) {
+          Env::at("ll:copy_handoff", p);
+          out[i] = h[i];
+        }
         me.link_valid = false;
         auto& c = stats_.at(p);
         c.bump(c.ll_helped);
@@ -114,13 +132,15 @@ class AmLLSC {
       return false;
     }
     me.link_valid = false;
-    copy_to_bufs(me.spare, v);
+    copy_to_bufs(me.spare, v, p);
     std::atomic_thread_fence(std::memory_order_release);
     const std::uint64_t t = x_.linked_tag(p);
     const std::uint32_t target = static_cast<std::uint32_t>((t + 1) % n_);
+    Env::at("sc:probe", p);
     // mwllsc-ordering: seq_cst(the pre-SC probe pairs with the announce
     // store: a probe after the announce cannot miss kWaiting)
     std::uint64_t seen = announce_[target].a.load(std::memory_order_seq_cst);
+    Env::at("sc:x", p);
     if (!x_.sc(p, pack_x(p, me.spare))) {
       trace_.emit(obs::EventKind::kScFail, p, me.seq);
       return false;
@@ -135,8 +155,12 @@ class AmLLSC {
       // until our SC an instant ago) through our handoff row. O(W).
       std::uint64_t* h = handoff_row(p, target);
       const std::uint64_t* src = lastrow(p);
-      for (std::uint32_t i = 0; i < w_; ++i) h[i] = src[i];
+      for (std::uint32_t i = 0; i < w_; ++i) {
+        Env::at("sc:help_copy", p);
+        h[i] = src[i];
+      }
       const std::uint64_t donated = pack_a(kHelped, p, seq_of_a(seen));
+      Env::at("sc:help_mark", p);
       // mwllsc-ordering: seq_cst(the help install races the owner's
       // withdraw CAS; exactly one CAS on the slot wins the handoff)
       if (announce_[target].a.compare_exchange_strong(
@@ -154,10 +178,14 @@ class AmLLSC {
     auto& c = stats_.at(p);
     c.bump(c.vl_ops);
     if (!priv_[p].link_valid) return false;
+    Env::at("vl", p);
     return x_.vl(p);
   }
 
   std::uint32_t words() const { return w_; }
+
+  /// The abstract version: X's tag, the number of successful SCs so far.
+  std::uint64_t version() const { return x_.current_tag(); }
 
   core::OpStatsSnapshot stats() const { return stats_.snapshot(); }
 
@@ -224,18 +252,22 @@ class AmLLSC {
     bool link_valid = false;
   };
 
-  void copy_from_bufs(std::uint32_t b, std::uint64_t* out) const {
+  void copy_from_bufs(std::uint32_t b, std::uint64_t* out,
+                      std::uint32_t p) const {
     const std::atomic<std::uint64_t>* row =
         buf_.get() + static_cast<std::size_t>(b) * w_;
     for (std::uint32_t i = 0; i < w_; ++i) {
+      Env::at("ll:copy", p);
       out[i] = row[i].load(std::memory_order_relaxed);
     }
   }
 
-  void copy_to_bufs(std::uint32_t b, const std::uint64_t* v) {
+  void copy_to_bufs(std::uint32_t b, const std::uint64_t* v,
+                    std::uint32_t p) {
     std::atomic<std::uint64_t>* row =
         buf_.get() + static_cast<std::size_t>(b) * w_;
     for (std::uint32_t i = 0; i < w_; ++i) {
+      Env::at("sc:copy", p);
       row[i].store(v[i], std::memory_order_relaxed);
     }
   }

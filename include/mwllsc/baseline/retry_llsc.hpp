@@ -3,7 +3,8 @@
 // its copy until a validation passes. Writers are lock-free and fast —
 // but a reader's copy loop can be invalidated forever under a write storm
 // (reader starvation), which is exactly the gap between lock-freedom and
-// the paper's wait-freedom (experiments E8/E9).
+// the paper's wait-freedom (experiments E8/E9). It has no LL step bound.
+// Env::at marks each shared access, as in core (core/env.hpp).
 #pragma once
 
 #include <atomic>
@@ -12,13 +13,14 @@
 #include <cstdint>
 #include <memory>
 
+#include "core/env.hpp"
 #include "core/llsc.hpp"
 #include "obs/trace.hpp"
 #include "util/stats.hpp"
 
 namespace mwllsc::baseline {
 
-template <class LLSC>
+template <class LLSC, class Env = core::NoEnv>
 class RetryLLSC {
  public:
   RetryLLSC(std::uint32_t nprocs, std::uint32_t words)
@@ -43,10 +45,12 @@ class RetryLLSC {
     Priv& me = priv_[p];
     trace_.emit(obs::EventKind::kLlStart, p);
     for (;;) {  // unbounded: lock-free, not wait-free
+      Env::at("ll:link", p);
       const std::uint64_t x = x_.ll(p);
       const std::uint32_t b = buf_of_x(x);
-      copy_out(b, out);
+      copy_out(b, out, p);
       std::atomic_thread_fence(std::memory_order_acquire);
+      Env::at("ll:validate", p);
       if (x_.vl(p)) {
         me.ll_buf = b;
         me.link_valid = true;
@@ -69,8 +73,9 @@ class RetryLLSC {
       return false;
     }
     me.link_valid = false;
-    copy_in(me.spare, v);
+    copy_in(me.spare, v, p);
     std::atomic_thread_fence(std::memory_order_release);
+    Env::at("sc:x", p);
     if (!x_.sc(p, pack_x(p, me.spare))) {
       trace_.emit(obs::EventKind::kScFail, p);
       return false;
@@ -87,10 +92,14 @@ class RetryLLSC {
     auto& c = stats_.at(p);
     c.bump(c.vl_ops);
     if (!priv_[p].link_valid) return false;
+    Env::at("vl", p);
     return x_.vl(p);
   }
 
   std::uint32_t words() const { return w_; }
+
+  /// The abstract version: X's tag, the number of successful SCs so far.
+  std::uint64_t version() const { return x_.current_tag(); }
 
   core::OpStatsSnapshot stats() const { return stats_.snapshot(); }
 
@@ -130,18 +139,20 @@ class RetryLLSC {
     bool link_valid = false;
   };
 
-  void copy_out(std::uint32_t b, std::uint64_t* out) const {
+  void copy_out(std::uint32_t b, std::uint64_t* out, std::uint32_t p) const {
     const std::atomic<std::uint64_t>* row =
         buf_.get() + static_cast<std::size_t>(b) * w_;
     for (std::uint32_t i = 0; i < w_; ++i) {
+      Env::at("ll:copy", p);
       out[i] = row[i].load(std::memory_order_relaxed);
     }
   }
 
-  void copy_in(std::uint32_t b, const std::uint64_t* v) {
+  void copy_in(std::uint32_t b, const std::uint64_t* v, std::uint32_t p) {
     std::atomic<std::uint64_t>* row =
         buf_.get() + static_cast<std::size_t>(b) * w_;
     for (std::uint32_t i = 0; i < w_; ++i) {
+      Env::at("sc:copy", p);
       row[i].store(v[i], std::memory_order_relaxed);
     }
   }

@@ -50,15 +50,18 @@
 // (W) = 2W+4 accesses for the round, with no retry loop at all. (A
 // defensive retry remains for robustness; tests assert it never fires.)
 //
-// Reclaimed pids. reclaim_pid (membership layer) judges a process dead and
-// settles its announce slot, always bumping the slot's seq. A process
-// resurrected under test control mid-LL must come back with its link
-// broken: the announced round learns it from a failed withdraw CAS, the
-// first attempt from one read of its own announce word (seq moved).
+// Reclaimed pids. reclaim_pid (membership layer) judges a process dead,
+// finishes a ring swap it left pending and settles its announce slot,
+// always bumping the slot's seq. A process resurrected under test control
+// mid-LL must come back with its link broken: the announced round learns it
+// from a failed withdraw CAS, the first attempt from one read of its own
+// announce word (seq moved).
 //
 // Retirement ring. A successful SC retires the previously-current buffer
 // into ring cell (T+1) mod R — <buf, tag T+1> — taking the cell's old
-// buffer (aged by >= R-1 intervening SCs) as its new spare. Writers that
+// buffer (aged by >= R-1 intervening SCs) as its new spare. From the X
+// commit until that swap the retiree is the writer's provisional spare, so
+// every buffer keeps exactly one owner at every step (I1). Writers that
 // stall so long they get lapped (the cell's tag moved ahead of theirs)
 // keep their own retiree, which the lapping itself aged. All tags in a
 // cell are congruent mod R, the CAS retries at most N times (each failure
@@ -77,6 +80,11 @@
 // by the helper's seq_cst mark CAS and need no reader-side validation —
 // ownership transfer makes the buffer private to the reader. ABA on the
 // announce word is bounded by the 44-bit seq; ring tags carry 46 bits.
+//
+// Steps. The Env parameter (core/env.hpp) is called right before every
+// shared access, named by protocol point; NoEnv compiles it away. The
+// simulator counts one step per call, which is what ll_impl_bound() and
+// ll_step_bound() bound.
 #pragma once
 
 #include <atomic>
@@ -85,19 +93,29 @@
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <vector>
 
+#include "core/env.hpp"
 #include "core/llsc.hpp"
 #include "obs/trace.hpp"
 #include "util/stats.hpp"
 
 namespace mwllsc::core {
 
-template <class LLSC>
+template <class LLSC, class Env = NoEnv>
 class MwLLSC {
  public:
-  /// Test seam: called at named protocol points when installed (never from
-  /// the default path — the pointer check is the only overhead).
-  using StepHook = void (*)(void* ctx, const char* point, std::uint32_t pid);
+  /// Theorem 1's LL bound: 4W+12 shared accesses, independent of N.
+  static constexpr std::uint32_t ll_step_bound(std::uint32_t w) {
+    return 4 * w + 12;
+  }
+  /// This implementation's worst LL: a first attempt that fell back
+  /// (link + W-word copy + re-check = W+2) plus one announced round that
+  /// needed rescue (announce + link + copy + validate + announce check +
+  /// donated copy = 2W+4). An accepted first attempt is W+3.
+  static constexpr std::uint32_t ll_impl_bound(std::uint32_t w) {
+    return 3 * w + 6;
+  }
 
   /// Throws std::invalid_argument, in every build and before anything is
   /// allocated, unless 1 <= nprocs <= 2^14 and words >= 1.
@@ -152,13 +170,13 @@ class MwLLSC {
     {
       std::uint64_t t0 = 0;
       std::uint32_t b = 0;
-      const std::uint64_t drift =
-          link_and_copy(p, "ll:fast_read_x", out, t0, b);
+      const std::uint64_t drift = link_and_copy(p, false, out, t0, b);
       if (drift <= p2_) {
         // A reclaim_pid that judged this process dead always bumps the
         // slot's seq; a moved seq means the slot is no longer ours, so
         // the link must not survive. Only the owner and a reclaimer write
         // this word while no announce is posted.
+        Env::at("ll:own_slot", p);
         // mwllsc-ordering: relaxed(own slot, no announce posted: nothing
         // to synchronize with except a test-driven reclaim on this thread)
         const bool reclaimed =
@@ -175,26 +193,28 @@ class MwLLSC {
     // rest of this LL at 2W+4 accesses through the helping guarantee.
     me.seq = (me.seq + 1) & kSeqMask;  // the announce word holds 44 bits
     // Announce, offering our exchange buffer to a prospective helper.
+    Env::at("ll:announce", p);
     // mwllsc-ordering: seq_cst(this store and the winners' pre-SC probes
     // of A[(T+1) mod P] share one total order, so a winner that misses
     // the announce must have linked before it — bounding drift at P tags)
     announce_[p].a.store(pack_a(kWaiting, me.xbuf, me.seq),
                          std::memory_order_seq_cst);
-    hook("ll:announced", p);
+    me.announced = true;
     trace_.emit(obs::EventKind::kLlFallback, p, me.seq);
     for (;;) {
       std::uint64_t t0 = 0;
       std::uint32_t b = 0;
-      const std::uint64_t drift = link_and_copy(p, "ll:read_x", out, t0, b);
+      const std::uint64_t drift = link_and_copy(p, true, out, t0, b);
       if (drift <= p2_) {
         // Aged validation passed: buffers rest >= R >= P tags in the ring
         // before reuse, so the copy is an untorn snapshot of version t0,
         // linearized at the link. Withdraw the announce.
         // The withdraw races a winner's donation CAS on this slot; the
         // total order picks exactly one side of the ownership exchange.
-        // mwllsc-ordering: seq_cst(withdraw vs donation CAS, one winner)
         std::uint64_t expect = pack_a(kWaiting, me.xbuf, me.seq);
         bool reclaimed = false;
+        Env::at("ll:withdraw", p);
+        // mwllsc-ordering: seq_cst(withdraw vs donation CAS, one winner)
         if (!announce_[p].a.compare_exchange_strong(
                 expect, pack_a(kIdle, me.xbuf, me.seq),
                 std::memory_order_seq_cst)) {
@@ -218,6 +238,7 @@ class MwLLSC {
             reclaimed = true;
           }
         }
+        me.announced = false;
         me.ll_buf = b;
         // Any drift already broke the link; so does a raced reclaim.
         me.link_valid = (drift == 0) && !reclaimed;
@@ -227,6 +248,7 @@ class MwLLSC {
       }
       // Drift >= P+1: the P winners that linked after our announce swept
       // every announce slot pre-SC, so a donation is already posted.
+      Env::at("ll:check_slot", p);
       // mwllsc-ordering: seq_cst(this load sits in the same total order as
       // the announce store and the winners' probes — the sweep argument
       // only holds inside that order)
@@ -235,8 +257,9 @@ class MwLLSC {
         // Return the donated snapshot. We own the buffer now; no
         // validation needed.
         const std::uint32_t d = buf_of_a(a);
-        copy_out(d, out);
+        copy_out(d, out, p, "ll:copy_donated");
         me.xbuf = d;
+        me.announced = false;
         me.link_valid = false;  // a successful SC already intervened
         c.bump(c.ll_helped);
         c.bump(c.ll_used_helped_value);
@@ -247,7 +270,6 @@ class MwLLSC {
       // Unreachable if the help guarantee holds (tests assert this
       // counter stays zero); kept as a defensive retry.
       c.bump(c.ll_retries);
-      hook("ll:retry", p);
       trace_.emit(obs::EventKind::kLlRetry, p, me.seq);
     }
   }
@@ -265,9 +287,8 @@ class MwLLSC {
     }
     me.link_valid = false;             // the link is consumed either way
     // Write the new value into our spare buffer.
-    copy_in(me.spare, v);
+    copy_in(me.spare, v, p);
     std::atomic_thread_fence(std::memory_order_release);
-    hook("sc:wrote_spare", p);
     const std::uint64_t t = x_.linked_tag(p);
     // Probe the help schedule *before* the SC: the winner of tag T+1
     // reads A[(T+1) mod P] (P a power of two — mask, no division), so
@@ -277,21 +298,23 @@ class MwLLSC {
     if (target != p && target < n_) {
       // The probe pairs with the announce store in the single total
       // order: a probe after the announce cannot miss kWaiting.
+      Env::at("sc:probe", p);
       // mwllsc-ordering: seq_cst(probe half of the announce handshake)
       const std::uint64_t seen =
           announce_[target].a.load(std::memory_order_seq_cst);
       if (state_of_a(seen) == kWaiting) {
-        hook("sc:probed", p);
         // Pre-SC help: copy the (still linked) current buffer into our
         // exchange buffer, re-validate the link seqlock-style — if it
         // holds, the copy is an untorn snapshot of version T taken after
         // the target announced — and donate it by marking A[target].
-        copy_buf(me.ll_buf, me.xbuf);
+        copy_buf(me.ll_buf, me.xbuf, p);
         std::atomic_thread_fence(std::memory_order_acquire);
+        Env::at("sc:help_validate", p);
         if (x_.vl(p)) {
           // The donation must precede our SC of tag T+1 in the total
           // order, and it races the owner's withdraw CAS on the same
           // slot; exactly one wins.
+          Env::at("sc:help_mark", p);
           // mwllsc-ordering: seq_cst(donation before SC; races withdraw)
           std::uint64_t expect = seen;
           if (announce_[target].a.compare_exchange_strong(
@@ -299,53 +322,24 @@ class MwLLSC {
                   std::memory_order_seq_cst)) {
             me.xbuf = buf_of_a(seen);  // ownership exchange, O(1)
             c.bump(c.helps_given);
-            hook("sc:help_marked", p);
             trace_.emit(obs::EventKind::kHelpInstall, p, seq_of_a(seen),
                         target);
           }
         }
       }
     }
+    Env::at("sc:x", p);
     if (!x_.sc(p, pack_x(p, me.spare))) {
       trace_.emit(obs::EventKind::kScFail, p, me.seq);
       return false;
     }
     c.bump(c.sc_success);
     trace_.emit(obs::EventKind::kScCommit, p, (t + 1) & kRingTagMask);
-    // The bank write: retire the previously-current buffer through the
-    // aged ring (I2: exactly one resolution per successful SC).
-    const std::uint32_t retired = me.ll_buf;
-    const std::uint64_t mytag = (t + 1) & kRingTagMask;
-    RingCell& cell = ring_[static_cast<std::uint32_t>(t + 1) & (ring_size_ - 1)];
-    for (;;) {
-      const std::uint64_t rw = cell.w.load(std::memory_order_acquire);
-      const std::uint64_t d = (mytag - ring_tag_of(rw)) & kRingTagMask;
-      // All tags in a cell are congruent mod R, so d is a multiple of R:
-      // d >= R with the high bits clear means the cell is genuinely
-      // behind us — swap our retiree in and take the aged buffer out.
-      if (d >= ring_size_ && !(d >> (kRingTagBits - 1))) {
-        // The ring swap is the bank-write resolution: exactly one winner
-        // per tag retires into the cell, which is what keeps invariant
-        // I2 and the aging bound R.
-        // mwllsc-ordering: seq_cst(one retiree per tag resolves the cell)
-        std::uint64_t expect = rw;
-        if (cell.w.compare_exchange_strong(expect, pack_ring(retired, mytag),
-                                           std::memory_order_seq_cst)) {
-          me.spare = ring_buf_of(rw);
-          break;
-        }
-        // Lost to another winner resolving this cell; re-read (bounded:
-        // each failure is a distinct winner with a smaller tag).
-      } else {
-        // Lapped: the cell moved past our tag while we stalled, so our
-        // own retiree has already aged >= R tags — keep it as the spare.
-        me.spare = retired;
-        break;
-      }
-    }
-    c.bump(c.bank_writes);
-    hook("sc:retired", p);
-    trace_.emit(obs::EventKind::kBankWrite, p, mytag, retired);
+    // The previously-current buffer is ours from the commit on: it is the
+    // provisional spare until the ring swap trades it for an aged one.
+    me.spare = me.ll_buf;
+    me.retiring = (t + 1) & kRingTagMask;
+    retire(p);
     return true;
   }
 
@@ -354,61 +348,72 @@ class MwLLSC {
     auto& c = stats_.at(p);
     c.bump(c.vl_ops);
     if (!priv_[p].link_valid) return false;
+    Env::at("vl", p);
     return x_.vl(p);  // O(1), independent of W
   }
 
   /// Crash-stop slot reclamation (membership layer, DESIGN.md §10).
-  /// Settles the announce-slot obligations a dead process left behind so
-  /// its pid can be reissued: a posted WAITING announce is withdrawn (so
-  /// future winners stop donating into a slot nobody will read) and an
-  /// unconsumed donation is adopted into the word's buffer field — the
-  /// dead process's old exchange buffer went to the donor, the donated
-  /// buffer is the slot's buffer now, and the ownership census stays
-  /// exact. The unconditional seq bump fences the slot against stale
-  /// donation CASes keyed to the dead seq. A buffer the dead process held
-  /// mid-retirement is not recovered here: the aged ring absorbs orphaned
-  /// cells via the lapping rule, so survivors never block on it.
+  /// Settles the obligations a dead process left behind so its pid can be
+  /// reissued. A ring swap it left pending (it died between its X commit
+  /// and the swap) is finished on its behalf, so the retiree ages in the
+  /// ring before reuse and the pid's next holder starts from an aged spare
+  /// (I2 stays exact: one bank write per successful SC). A posted WAITING
+  /// announce is withdrawn (so future winners stop donating into a slot
+  /// nobody will read) and an unconsumed donation — HELPED while the dead
+  /// process was still in its announced round — is adopted as its exchange
+  /// buffer: the donor took the offered one, so the ownership census stays
+  /// exact. A HELPED word from an earlier, consumed round is stale (its
+  /// buffer may since have been donated away) and adopts nothing. The
+  /// unconditional seq bump fences the slot against stale donation CASes
+  /// keyed to the dead seq.
   /// Precondition: p takes no further steps (crash-stop); the pid is
   /// reissued only after rebind_pid. Returns true if an obligation (a
-  /// posted announce or an unconsumed donation) was actually settled.
+  /// pending ring swap, a posted announce or an unconsumed donation) was
+  /// actually settled.
   bool reclaim_pid(std::uint32_t p) {
     assert(p < n_);
+    Priv& me = priv_[p];
+    const bool retiring = me.retiring != kNoRetire;
+    const bool announced = me.announced;
+    if (retiring) retire(p);
     // mwllsc-ordering: seq_cst(the withdraw-by-proxy races a winner's
     // donation CAS on this slot exactly like the owner's withdraw does;
     // the single total order picks one side of the ownership exchange)
     std::uint64_t a = announce_[p].a.load(std::memory_order_seq_cst);
     for (;;) {
+      const std::uint32_t x =
+          announced && state_of_a(a) == kHelped ? buf_of_a(a) : me.xbuf;
       const std::uint64_t next =
-          pack_a(kIdle, buf_of_a(a), (seq_of_a(a) + 1) & kSeqMask);
+          pack_a(kIdle, x, (seq_of_a(a) + 1) & kSeqMask);
       // mwllsc-ordering: seq_cst(same handshake as the load above: one
       // winner between this withdraw-by-proxy and a racing donation)
       if (announce_[p].a.compare_exchange_weak(a, next,
                                                std::memory_order_seq_cst)) {
+        me.xbuf = x;
         break;
       }
       // Lost to a donation landing on the dead WAITING word; the reloaded
       // word is HELPED and the next lap adopts it (at most one extra lap:
       // donations require WAITING, which the word never is again).
     }
+    me.announced = false;
     trace_.emit(obs::EventKind::kProcCrashReclaim, p, seq_of_a(a));
-    return state_of_a(a) != kIdle;
+    return retiring || announced;
   }
 
   /// Reissues pid p to a new owner after reclaim_pid or a graceful
-  /// retirement: re-derives the private mirror from the announce word so
-  /// the new owner starts consistent — the slot's exchange buffer and seq
-  /// come from the word (a stale HELPED word left by a withdraw-failure
-  /// adoption resolves to the same buffer the old owner held), and the
-  /// link starts broken. Must not run concurrently with any operation by
-  /// a previous owner of p; the membership layer guarantees this by only
-  /// reissuing slots whose holder retired or was reclaimed.
+  /// retirement. The spare and exchange buffer stay the previous holder's
+  /// (reclaim_pid already settled them); the seq comes from the announce
+  /// word, which reclaim_pid bumped, and the link starts broken. Must not
+  /// run concurrently with any operation by a previous owner of p; the
+  /// membership layer guarantees this by only reissuing slots whose holder
+  /// retired or was reclaimed.
   void rebind_pid(std::uint32_t p) {
     assert(p < n_);
     // mwllsc-ordering: seq_cst(reads the word settled by the retire-path
     // withdraw or reclaim_pid CAS in the same total order)
     const std::uint64_t a = announce_[p].a.load(std::memory_order_seq_cst);
     Priv& me = priv_[p];
-    me.xbuf = buf_of_a(a);
     me.seq = seq_of_a(a);
     me.link_valid = false;
   }
@@ -416,6 +421,56 @@ class MwLLSC {
   std::uint32_t words() const { return w_; }
 
   OpStatsSnapshot stats() const { return stats_.snapshot(); }
+
+  /// The abstract version: X's tag, the number of successful SCs so far.
+  std::uint64_t version() const { return x_.current_tag(); }
+
+  /// Buffer-ownership view for the simulator's invariant checker
+  /// (sim/invariants.hpp: I1 every buffer has exactly one owner, I2 one
+  /// bank write per successful SC). It reads every process's private
+  /// state unsynchronized, so call it only while no operation is running,
+  /// as the single-threaded simulator does between steps.
+  struct Census {
+    std::uint64_t version = 0;
+    std::uint32_t buffers = 0;  ///< 2N+R+1
+    std::uint32_t current = 0;  ///< the buffer X names
+    std::vector<std::uint32_t> spare;     ///< per pid
+    std::vector<std::uint32_t> exchange;  ///< per pid: offered or donated
+    std::vector<std::uint32_t> ring;      ///< per ring cell
+    std::vector<std::uint64_t> sc_success, bank_writes;  ///< per pid
+  };
+
+  /// Fills `out` (its vectors are reused, so a per-step census does not
+  /// allocate after the first).
+  void census(Census& out) const {
+    out.version = x_.current_tag();
+    out.buffers = nbufs_;
+    out.current = buf_of_x(x_.peek());
+    out.spare.resize(n_);
+    out.exchange.resize(n_);
+    out.sc_success.resize(n_);
+    out.bank_writes.resize(n_);
+    for (std::uint32_t p = 0; p < n_; ++p) {
+      out.spare[p] = priv_[p].spare;
+      // A donation not yet consumed — HELPED while the process is still in
+      // its announced round — is the process's exchange side (the donor
+      // took the offered buffer); otherwise the private one is.
+      // mwllsc-ordering: relaxed(debug view, no operation in flight)
+      const std::uint64_t a = announce_[p].a.load(std::memory_order_relaxed);
+      out.exchange[p] = priv_[p].announced && state_of_a(a) == kHelped
+                            ? buf_of_a(a)
+                            : priv_[p].xbuf;
+      out.sc_success[p] =
+          stats_.at(p).sc_success.load(std::memory_order_relaxed);
+      out.bank_writes[p] =
+          stats_.at(p).bank_writes.load(std::memory_order_relaxed);
+    }
+    out.ring.resize(ring_size_);
+    for (std::uint32_t j = 0; j < ring_size_; ++j) {
+      // mwllsc-ordering: relaxed(debug view, no operation in flight)
+      out.ring[j] = ring_buf_of(ring_[j].w.load(std::memory_order_relaxed));
+    }
+  }
 
   util::Footprint footprint() const {
     util::Footprint f;
@@ -429,11 +484,6 @@ class MwLLSC {
           n_ * sizeof(Priv) + x_.private_bytes() + stats_.bytes(),
           util::Footprint::Ownership::kPerProcess);
     return f;
-  }
-
-  void set_step_hook(StepHook h, void* ctx) {
-    hook_ = h;
-    hook_ctx_ = ctx;
   }
 
   /// Binds this variable to a trace sink (obs/trace.hpp); self-describes
@@ -452,6 +502,11 @@ class MwLLSC {
   static constexpr std::uint32_t kMaxProcs = 1u << kPidBits;
   static_assert(LLSC::kValueBits >= kBufBits + kPidBits,
                 "engine value too narrow for the <pid, buf> descriptor");
+  // 2N+R+1 buffers with N <= 2^14 and R = max(2, P) <= 2^14: every buffer
+  // index fits the descriptor's, the announce word's and a ring cell's
+  // buf field.
+  static_assert(3 * kMaxProcs + 1 <= (1u << kBufBits),
+                "buffer index wider than kBufBits");
 
   static std::uint64_t pack_x(std::uint32_t pid, std::uint32_t buf) {
     return (static_cast<std::uint64_t>(pid) << kBufBits) | buf;
@@ -490,6 +545,8 @@ class MwLLSC {
     return static_cast<std::uint32_t>(r & ((1u << kBufBits) - 1));
   }
   static std::uint64_t ring_tag_of(std::uint64_t r) { return r >> kBufBits; }
+  /// Priv::retiring when no ring swap is pending (ring tags are 46-bit).
+  static constexpr std::uint64_t kNoRetire = ~std::uint64_t{0};
 
   // n_ is the first member initialized, so this runs before any
   // allocation. Beyond 2^14 the pid no longer fits X's descriptor.
@@ -523,28 +580,78 @@ class MwLLSC {
     std::uint32_t xbuf = 0;
     std::uint32_t ll_buf = 0;
     std::uint64_t seq = 0;
+    std::uint64_t retiring = kNoRetire;  ///< tag whose ring swap is pending
     bool link_valid = false;
+    bool announced = false;  ///< in the announced round: A[p] is posted
+                             ///< or holds a donation not yet consumed
   };
 
   /// One LL attempt: link X (tag t0, buffer b), copy b into out, re-read
   /// X's tag — W+2 accesses. Returns the drift; the caller accepts the
-  /// copy iff it is at most P (aged validation).
-  std::uint64_t link_and_copy(std::uint32_t p, const char* point,
+  /// copy iff it is at most P (aged validation). `announced` only names
+  /// the steps: the first attempt's or the announced round's.
+  std::uint64_t link_and_copy(std::uint32_t p, bool announced,
                               std::uint64_t* out, std::uint64_t& t0,
                               std::uint32_t& b) {
+    Env::at(announced ? "ll:relink" : "ll:link", p);
     b = buf_of_x(x_.ll(p));
     t0 = x_.linked_tag(p);
-    hook(point, p);
-    copy_out(b, out);
+    copy_out(b, out, p, announced ? "ll:recopy" : "ll:copy");
     std::atomic_thread_fence(std::memory_order_acquire);
+    Env::at(announced ? "ll:revalidate" : "ll:validate", p);
     return x_.current_tag() - t0;
+  }
+
+  /// The bank write of the SC that installed tag priv_[p].retiring: swap
+  /// the retiree (the provisional spare) into ring cell tag mod R and take
+  /// the cell's aged buffer as the spare (I2: exactly one resolution per
+  /// successful SC). Runs at the end of sc(), or from reclaim_pid for a
+  /// process that died before finishing it.
+  void retire(std::uint32_t p) {
+    Priv& me = priv_[p];
+    const std::uint64_t mytag = me.retiring;
+    const std::uint32_t retired = me.spare;
+    RingCell& cell =
+        ring_[static_cast<std::uint32_t>(mytag) & (ring_size_ - 1)];
+    for (;;) {
+      Env::at("sc:ring_load", p);
+      const std::uint64_t rw = cell.w.load(std::memory_order_acquire);
+      const std::uint64_t d = (mytag - ring_tag_of(rw)) & kRingTagMask;
+      // All tags in a cell are congruent mod R, so d is a multiple of R:
+      // d >= R with the high bits clear means the cell is genuinely
+      // behind us — swap our retiree in and take the aged buffer out.
+      if (d >= ring_size_ && !(d >> (kRingTagBits - 1))) {
+        // The ring swap is the bank-write resolution: exactly one winner
+        // per tag retires into the cell, which is what keeps invariant
+        // I2 and the aging bound R.
+        Env::at("sc:ring_cas", p);
+        // mwllsc-ordering: seq_cst(one retiree per tag resolves the cell)
+        std::uint64_t expect = rw;
+        if (cell.w.compare_exchange_strong(expect, pack_ring(retired, mytag),
+                                           std::memory_order_seq_cst)) {
+          me.spare = ring_buf_of(rw);
+          break;
+        }
+        // Lost to another winner resolving this cell; re-read (bounded:
+        // each failure is a distinct winner with a smaller tag).
+      } else {
+        // Lapped: the cell moved past our tag while we stalled, so our
+        // own retiree has already aged >= R tags — it stays the spare.
+        break;
+      }
+    }
+    me.retiring = kNoRetire;
+    auto& c = stats_.at(p);
+    c.bump(c.bank_writes);
+    trace_.emit(obs::EventKind::kBankWrite, p, mytag, retired);
   }
 
   std::atomic<std::uint64_t>* buf_row(std::uint32_t b) const {
     return buf0_ + static_cast<std::size_t>(b) * stride_;
   }
 
-  void copy_out(std::uint32_t b, std::uint64_t* out) const {
+  void copy_out(std::uint32_t b, std::uint64_t* out, std::uint32_t p,
+                const char* point) const {
     const std::atomic<std::uint64_t>* row = buf_row(b);
     // Read-prefetch lines 1..ceil(W/8)-1 so a multi-line copy waits on its
     // line misses together instead of one after another (line 0 is
@@ -557,28 +664,29 @@ class MwLLSC {
       __builtin_prefetch(row + i, 0, 3);
     }
     for (std::uint32_t i = 0; i < w_; ++i) {
+      Env::at(point, p);
       out[i] = row[i].load(std::memory_order_relaxed);
     }
   }
 
-  void copy_in(std::uint32_t b, const std::uint64_t* v) {
+  void copy_in(std::uint32_t b, const std::uint64_t* v, std::uint32_t p) {
     std::atomic<std::uint64_t>* row = buf_row(b);
     for (std::uint32_t i = 0; i < w_; ++i) {
+      Env::at("sc:copy", p);
       row[i].store(v[i], std::memory_order_relaxed);
     }
   }
 
-  void copy_buf(std::uint32_t from, std::uint32_t to) {
+  /// One step per word: the read is of the linked (validated) buffer, the
+  /// write goes to the copier's own exchange buffer, which nobody reads.
+  void copy_buf(std::uint32_t from, std::uint32_t to, std::uint32_t p) {
     const std::atomic<std::uint64_t>* src = buf_row(from);
     std::atomic<std::uint64_t>* dst = buf_row(to);
     for (std::uint32_t i = 0; i < w_; ++i) {
+      Env::at("sc:help_copy", p);
       dst[i].store(src[i].load(std::memory_order_relaxed),
                    std::memory_order_relaxed);
     }
-  }
-
-  void hook(const char* point, std::uint32_t pid) {
-    if (hook_) hook_(hook_ctx_, point, pid);
   }
 
   const std::uint32_t n_;
@@ -595,8 +703,6 @@ class MwLLSC {
   std::unique_ptr<Priv[]> priv_;
   util::OpStatsArray stats_;
   obs::TraceHandle trace_;
-  StepHook hook_ = nullptr;
-  void* hook_ctx_ = nullptr;
 };
 
 }  // namespace mwllsc::core

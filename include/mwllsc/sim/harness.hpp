@@ -1,93 +1,84 @@
-// Deterministic simulation harness for the multiword LL/SC protocols.
+// Deterministic simulation of the shipped multiword LL/SC classes.
 //
-// The per-implementation step machines (sim_jp.hpp, sim_am.hpp,
-// sim_retry.hpp) re-express each protocol as an explicit state machine: one
-// call to step(pid) performs one memory access of process pid's in-flight
-// operation. Because the scheduler — not the OS — decides which process
-// moves next, the harness can replay any interleaving exactly, which turns
-// Theorem 1's wait-freedom claim from a statistical observation into a
-// checkable property:
+// Each simulated process runs a script of LL, optional VL and SC calls on
+// a real core::MwLLSC, baseline::AmLLSC or baseline::RetryLLSC built with
+// core::HookEnv (core/env.hpp). The class calls Env::at right before each
+// shared access; the harness's hook records the access's name and yields
+// the process's fiber (sim/fiber.hpp) to the scheduler. So one step is one
+// shared access of the shipped code, and the scheduler — not the OS —
+// decides which process performs its next access. That turns Theorem 1's
+// wait-freedom claim from a statistical observation into a checkable
+// property:
 //
 //   * run_random            seeded uniform scheduling, the baseline sweep;
 //   * run_adversarial_anti  an anti-schedule that tries to starve one
 //                           victim reader: run the victim up to its copy
-//                           validation, inject a successful SC, let the
-//                           doomed validation fail, repeat. Wait-free
-//                           implementations stay bounded (the announce/help
-//                           path rescues the victim); the retry strawman's
-//                           victim LL grows with however long the
-//                           adversary cares to run;
+//                           validation, land enough successful SCs to doom
+//                           it, let the doomed validation run, repeat.
+//                           Wait-free classes stay bounded (the
+//                           announce/help path rescues the victim); the
+//                           retry strawman's victim LL grows with however
+//                           long the adversary cares to run;
 //   * enumerate_preemption_bounded
 //                           CHESS-style bounded search (Musuvathi & Qadeer):
-//                           exhaustively explore every schedule with at
-//                           most K preemptions — and, with a crash budget,
-//                           every crash-stop placement — checking
-//                           invariants and the sequential-spec oracle after
-//                           every step;
+//                           every schedule with at most K preemptions —
+//                           and, with a crash budget, every crash-stop
+//                           placement. Fibers cannot be copied, so the
+//                           search is stateless: it re-runs the schedule
+//                           prefix on a rebuilt object at every branch;
 //   * run_crash_churn       seeded-random scheduling with periodic
-//                           crash(pid) injection and delayed reclamation —
+//                           crash-stop injection and delayed reclamation —
 //                           the membership layer's churn, in the simulator;
 //   * run_replay            re-executes a recorded schedule token-for-token
-//                           (every invariant-violation message embeds its
-//                           scheduler seed and exact schedule prefix, so
-//                           failures reproduce with --seed/--replay).
+//                           (every violation message embeds its scheduler
+//                           seed and exact schedule, so failures reproduce
+//                           with bench_sim_schedules --seed/--replay).
 //
-// Systems and checkers are plain copyable values, which is what makes the
-// exhaustive search a simple DFS with state copies at branch points.
+// A crash is a fiber the scheduler never resumes again. A reclaim is the
+// class's own reclaim_pid + rebind_pid (core::MwLLSC only) plus a fresh
+// fiber that restarts the interrupted script step. The checker
+// (sim/invariants.hpp) runs after every step and every completed op.
 #pragma once
 
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "baseline/am_llsc.hpp"
+#include "baseline/retry_llsc.hpp"
+#include "core/env.hpp"
+#include "core/llsc.hpp"
+#include "core/mwllsc.hpp"
+#include "obs/trace.hpp"
+#include "sim/fiber.hpp"
+#include "sim/invariants.hpp"
 #include "util/rng.hpp"
 
 namespace mwllsc::sim {
 
+/// The shipped classes, with their steps routed to the simulator.
+using SimJp = core::MwLLSC<llsc::Dw128LLSC, core::HookEnv>;
+using SimAm = baseline::AmLLSC<llsc::Dw128LLSC, core::HookEnv>;
+using SimRetry = baseline::RetryLLSC<llsc::Dw128LLSC, core::HookEnv>;
+
 namespace detail {
 
-/// Whether a step machine models the crash-stop adversary (crash/reclaim).
-/// Runners that inject crashes compile their crash arms out for systems
-/// that don't (the am/retry baselines), instead of failing to instantiate.
-template <class S, class = void>
-struct SupportsCrash : std::false_type {};
-template <class S>
-struct SupportsCrash<
-    S, std::void_t<decltype(std::declval<S&>().crash(std::uint32_t{0})),
-                   decltype(std::declval<S&>().reclaim(std::uint32_t{0}))>>
+/// Whether a class can take a crashed pid back (reclaim_pid/rebind_pid).
+template <class T, class = void>
+struct SupportsReclaim : std::false_type {};
+template <class T>
+struct SupportsReclaim<
+    T, std::void_t<decltype(std::declval<T&>().reclaim_pid(0u)),
+                   decltype(std::declval<T&>().rebind_pid(0u))>>
     : std::true_type {};
 
 }  // namespace detail
-
-enum class OpType { kLl, kSc, kVl };
-
-/// Completion record for one operation, carrying the ghost state the
-/// oracle needs. "version" is the abstract state version: the number of
-/// successful SCs applied to the variable so far (version v's value is the
-/// v-th entry of the checker's history).
-struct OpRecord {
-  OpType type = OpType::kLl;
-  std::uint32_t pid = 0;
-  std::uint32_t steps = 0;      ///< simulator steps this op took
-  bool success = false;         ///< SC/VL outcome; LL always true
-  bool helped = false;          ///< LL: a donation was involved
-  bool had_link = false;        ///< SC/VL: link_valid on entry
-  std::vector<std::uint64_t> value;  ///< LL: value read; SC: value written
-  std::uint64_t start_version = 0;   ///< version when the op began
-  std::uint64_t end_version = 0;     ///< version when the op completed
-  std::uint64_t lin_version = 0;     ///< LL: version whose value was returned
-  std::uint64_t link_version = 0;    ///< SC/VL: version the matching LL linked at
-  std::uint64_t version_at_sc = 0;   ///< SC: version right before the X step
-};
-
-struct StepResult {
-  bool completed = false;
-  OpRecord rec;  ///< valid iff completed
-};
 
 struct RunResult {
   bool ok = true;
@@ -100,7 +91,7 @@ struct EnumerateResult {
   bool ok = true;
   std::string error;
   std::uint64_t schedules_explored = 0;  ///< complete executions reached
-  std::uint64_t total_steps = 0;         ///< step() calls across the search
+  std::uint64_t total_steps = 0;         ///< steps run, replays included
   std::uint32_t max_ll_steps = 0;  ///< worst completed LL across schedules
   bool truncated = false;                ///< hit the schedule budget
 };
@@ -111,110 +102,144 @@ struct WorkloadConfig {
   std::uint64_t seed = 1;            ///< workload stream seed (VL coin)
 };
 
-/// Owns a System and drives each process through a deterministic script of
-/// ops_per_proc rounds of LL, optional VL, then SC of a value derived from
-/// (pid, round) — so the oracle can match every observed value to the
-/// unique write that produced it. The scheduler (a runner below) only
-/// chooses *which* process takes the next step.
-template <class System>
+/// One object of class Impl and n processes, each a fiber running
+/// ops_per_proc rounds of LL, an optional VL, then an SC of a value no
+/// other attempt writes. The scheduler (a runner below) only chooses which
+/// process performs its next shared access.
+template <class Impl, class Checker = InvariantChecker<Impl>>
 class SimWorkload {
  public:
-  SimWorkload(System sys, WorkloadConfig cfg)
-      : sys_(std::move(sys)), cfg_(cfg), crashed_(sys_.n(), 0) {
-    procs_.reserve(sys_.n());
-    for (std::uint32_t p = 0; p < sys_.n(); ++p) {
-      procs_.push_back(Proc{util::SplitMix64(cfg_.seed * 0x9e3779b9u + p)});
+  SimWorkload(std::uint32_t n, std::uint32_t w, WorkloadConfig cfg)
+      : n_(n), w_(w), cfg_(cfg), procs_(new Proc[n]) {
+    restart();
+  }
+  SimWorkload(const SimWorkload&) = delete;
+  SimWorkload& operator=(const SimWorkload&) = delete;
+
+  /// Back to the initial state: a fresh object, checker and scripts. The
+  /// stacks are reused, which is what makes the replay search cheap.
+  void restart() {
+    obj_ = std::make_unique<Impl>(n_, w_);
+    if (sink_) obj_->set_trace(sink_, var_);
+    chk_ = std::make_unique<Checker>(n_, w_);
+    parked_.assign(n_, nullptr);
+    crashed_.assign(n_, 0);
+    sched_.clear();
+    done_.clear();
+    next_id_ = 1;
+    total_steps_ = completed_lls_ = crashes_ = reclaims_ = 0;
+    max_ll_steps_ = 0;
+    for (std::uint32_t p = 0; p < n_; ++p) {
+      Proc& pr = procs_[p];
+      pr.wl = this;
+      pr.pid = p;
+      pr.rng = util::SplitMix64(cfg_.seed * 0x9e3779b9u + p);
+      pr.rounds = 0;
+      pr.micro = kAtLl;
+      pr.sc_id = 0;
+      pr.rec.value.assign(w_, 0);
+      launch(p);
     }
   }
 
-  System& system() { return sys_; }
-  const System& system() const { return sys_; }
-
-  /// A crashed process takes no steps until reclaimed, so it counts as
-  /// done for scheduling purposes (done() means "no runnable work", not
-  /// "every script finished" — a crash-stop may strand a script forever).
-  bool proc_done(std::uint32_t p) const {
-    return crashed_[p] != 0 ||
-           (procs_[p].rounds >= cfg_.ops_per_proc && sys_.idle(p));
+  /// Records the object's events into `sink` as variable `var`, from the
+  /// first operation on: restarts the workload with the binding in place.
+  void trace(obs::TraceSink* sink, std::uint32_t var) {
+    sink_ = sink;
+    var_ = var;
+    restart();
   }
 
+  Impl& object() { return *obj_; }
+  const Impl& object() const { return *obj_; }
+  std::uint32_t n() const { return n_; }
+  std::uint32_t w() const { return w_; }
+
+  bool ok() const { return chk_->ok(); }
+  const std::string& error() const { return chk_->error(); }
+
+  /// Crashed processes count as done: done() means "no runnable work", not
+  /// "every script finished" — a crash-stop may strand a script forever.
+  bool proc_done(std::uint32_t p) const {
+    return crashed_[p] != 0 || procs_[p].fiber.finished();
+  }
   bool done() const {
-    for (std::uint32_t p = 0; p < sys_.n(); ++p) {
+    for (std::uint32_t p = 0; p < n_; ++p) {
       if (!proc_done(p)) return false;
     }
     return true;
   }
-
   bool crashed(std::uint32_t p) const { return crashed_[p] != 0; }
 
-  /// Whether p's script is finished regardless of crash state (used by
-  /// churn runners to decide if a crashed process is worth reclaiming
-  /// before declaring the run over).
-  bool script_done(std::uint32_t p) const {
-    return procs_[p].rounds >= cfg_.ops_per_proc && sys_.idle(p);
+  /// The shared access p performs at its next step (nullptr once done).
+  const char* parked_at(std::uint32_t p) const { return parked_[p]; }
+  /// Whether p's next step is an LL copy validation.
+  bool at_validation(std::uint32_t p) const {
+    return detail::is_point(parked_[p], "ll:validate") ||
+           detail::is_point(parked_[p], "ll:revalidate");
   }
+  /// Steps p's unfinished operation has taken so far.
+  std::uint32_t steps_in_flight(std::uint32_t p) const {
+    return procs_[p].fiber.finished() ? 0 : procs_[p].op_steps;
+  }
+  std::uint64_t version() const { return obj_->version(); }
 
-  /// One simulator step of process p, feeding the checker after the step
-  /// and after any op completion. p must not be done.
-  template <class Checker>
-  StepResult step(std::uint32_t p, Checker& chk) {
+  /// One step of p: the shared access it is parked at, then its private
+  /// work up to the next access. p must not be done.
+  void step(std::uint32_t p) {
     assert(!proc_done(p));
     sched_.push_back(p << 2);
-    if (sys_.idle(p)) begin_next(p);
-    StepResult r = sys_.step(p);
+    const char* point = parked_[p];
+    resume(p);
     ++total_steps_;
-    chk.on_step(sys_);
-    if (r.completed) {
-      advance_script(p, r.rec);
-      chk.on_op(sys_, r.rec);
-    }
-    return r;
+    chk_->on_step(*obj_, StepInfo{p, point, procs_[p].sc_id, parked_});
+    drain();
   }
 
-  /// Crash-stop event: p freezes wherever it is and never steps again
-  /// (until reclaimed). Re-runs the invariant checks at the crash point —
-  /// a frozen process must leave every invariant intact by construction.
-  template <class Checker>
-  void crash(std::uint32_t p, Checker& chk) {
-    static_assert(detail::SupportsCrash<System>::value,
-                  "this step machine does not model crash-stop");
-    assert(!crashed_[p]);
+  /// Crash-stop: p stays parked where it is and never steps again (until
+  /// reclaimed). Nothing shared changes, so there is nothing to check.
+  void crash(std::uint32_t p) {
+    assert(!proc_done(p));
     sched_.push_back((p << 2) | 1);
     crashed_[p] = 1;
-    sys_.crash(p);
-    chk.on_step(sys_);
+    ++crashes_;
   }
 
-  /// Reclaims a crashed process's slot (completing/withdrawing its help
-  /// obligations, see System::reclaim) and makes the pid runnable again;
-  /// its interrupted micro-op restarts from scratch. Re-runs the invariant
-  /// checks — reclamation must restore the exact buffer-ownership census.
-  template <class Checker>
-  void reclaim(std::uint32_t p, Checker& chk) {
+  /// Takes a crashed pid back through the class's own reclaim_pid and
+  /// rebind_pid, and gives it a fresh fiber that restarts the interrupted
+  /// script step (an interrupted LL reruns; an interrupted SC fails, its
+  /// link gone). The checker re-verifies the census right after.
+  void reclaim(std::uint32_t p) {
+    static_assert(detail::SupportsReclaim<Impl>::value,
+                  "this class cannot take a crashed pid back");
     assert(crashed_[p]);
     sched_.push_back((p << 2) | 2);
     crashed_[p] = 0;
-    sys_.reclaim(p);
-    chk.on_step(sys_);
+    ++reclaims_;
+    obj_->reclaim_pid(p);
+    obj_->rebind_pid(p);
+    chk_->on_reclaim(p);
+    launch(p);
+    chk_->on_step(*obj_, StepInfo{p, "reclaim", procs_[p].sc_id, parked_});
+    drain();
   }
 
   std::uint64_t total_steps() const { return total_steps_; }
   std::uint32_t max_ll_steps() const { return max_ll_steps_; }
   std::uint64_t completed_lls() const { return completed_lls_; }
+  std::uint64_t crashes_total() const { return crashes_; }
+  std::uint64_t crash_reclaims_total() const { return reclaims_; }
 
   /// The exact schedule so far in `--replay` token form: "P" is one step
   /// of process P, "cP" a crash, "rP" a reclaim. Longer schedules are
-  /// truncated with a "+K" tail — the scheduler seed in the same message
-  /// reproduces them in full.
+  /// truncated with a "+K more" tail — the scheduler seed in the same
+  /// message reproduces them in full.
   std::string schedule_string(std::size_t max_chars = 4096) const {
     std::string out;
     for (std::size_t i = 0; i < sched_.size(); ++i) {
-      std::string tok;
-      switch (sched_[i] & 3) {
-        case 1: tok = "c"; break;
-        case 2: tok = "r"; break;
-        default: break;
-      }
+      std::string tok = (sched_[i] & 3) == 1   ? "c"
+                        : (sched_[i] & 3) == 2 ? "r"
+                                               : "";
       tok += std::to_string(sched_[i] >> 2);
       if (!out.empty()) out += ',';
       if (out.size() + tok.size() > max_chars) {
@@ -227,140 +252,194 @@ class SimWorkload {
   }
 
  private:
-  // Micro-op script position within the current round.
+  // Script position within the current round.
   enum : std::uint8_t { kAtLl = 0, kAtVl = 1, kAtSc = 2 };
 
+  // Everything a fiber's script touches lives here, outside the fiber's
+  // frames, so a crashed fiber leaks nothing.
   struct Proc {
-    util::SplitMix64 rng;
+    SimWorkload* wl = nullptr;
+    std::uint32_t pid = 0;
+    Fiber fiber;
+    util::SplitMix64 rng{0};
     std::uint32_t rounds = 0;
     std::uint8_t micro = kAtLl;
+    std::uint32_t op_steps = 0;
+    std::uint64_t sc_id = 0;  ///< latest SC attempt's value id
+    OpRecord rec;
   };
 
-  void begin_next(std::uint32_t p) {
-    Proc& pr = procs_[p];
-    assert(pr.rounds < cfg_.ops_per_proc);
-    switch (pr.micro) {
-      case kAtLl:
-        sys_.begin_ll(p);
-        break;
-      case kAtVl:
-        sys_.begin_vl(p);
-        break;
-      case kAtSc:
-        sys_.begin_sc(p, value_for(p, pr.rounds));
-        break;
+  static void run(void* arg) {
+    auto* pr = static_cast<Proc*>(arg);
+    pr->wl->script(*pr);
+  }
+
+  void script(Proc& pr) {
+    const std::uint32_t p = pr.pid;
+    OpRecord& rec = pr.rec;
+    while (pr.rounds < cfg_.ops_per_proc) {
+      rec.pid = p;
+      rec.start_version = obj_->version();
+      pr.op_steps = 0;
+      switch (pr.micro) {
+        case kAtLl:
+          rec.type = OpType::kLl;
+          obj_->ll(p, rec.value.data());
+          rec.success = true;
+          pr.micro = (pr.rng.next() % 100 < cfg_.vl_percent) ? kAtVl : kAtSc;
+          break;
+        case kAtVl:
+          rec.type = OpType::kVl;
+          rec.success = obj_->vl(p);
+          pr.micro = kAtSc;
+          break;
+        default:
+          rec.type = OpType::kSc;
+          rec.sc_id = pr.sc_id = next_id_++;
+          for (std::uint32_t i = 0; i < w_; ++i) {
+            rec.value[i] = value_word(rec.sc_id, i);
+          }
+          rec.success = obj_->sc(p, rec.value.data());
+          pr.micro = kAtLl;
+          ++pr.rounds;
+          break;
+      }
+      rec.steps = pr.op_steps;
+      rec.end_version = obj_->version();
+      done_.push_back(rec);
     }
   }
 
-  void advance_script(std::uint32_t p, const OpRecord& rec) {
-    Proc& pr = procs_[p];
-    switch (rec.type) {
-      case OpType::kLl:
-        if (rec.steps > max_ll_steps_) max_ll_steps_ = rec.steps;
+  /// The Env hook: p is about to make the shared access `point`; park it.
+  static void on_at(void* ctx, const char* point, std::uint32_t pid) {
+    auto* self = static_cast<SimWorkload*>(ctx);
+    Proc& pr = self->procs_[pid];
+    self->parked_[pid] = point;
+    pr.fiber.yield();
+    ++pr.op_steps;
+  }
+
+  /// Arms p's fiber on its script and runs it to its first shared access
+  /// (not a step: nothing shared happens before it).
+  void launch(std::uint32_t p) {
+    procs_[p].fiber.start(&run, &procs_[p]);
+    resume(p);
+    drain();
+  }
+
+  void resume(std::uint32_t p) {
+    core::HookEnv::install(&on_at, this);
+    procs_[p].fiber.resume();
+    core::HookEnv::install(nullptr, nullptr);
+    if (procs_[p].fiber.finished()) parked_[p] = nullptr;
+  }
+
+  void drain() {
+    for (const OpRecord& r : done_) {
+      if (r.type == OpType::kLl) {
+        if (r.steps > max_ll_steps_) max_ll_steps_ = r.steps;
         ++completed_lls_;
-        pr.micro = (pr.rng.next() % 100 < cfg_.vl_percent) ? kAtVl : kAtSc;
-        break;
-      case OpType::kVl:
-        pr.micro = kAtSc;
-        break;
-      case OpType::kSc:
-        pr.micro = kAtLl;
-        ++pr.rounds;
-        break;
+      }
+      chk_->on_op(r);
     }
+    done_.clear();
   }
 
-  std::vector<std::uint64_t> value_for(std::uint32_t p,
-                                       std::uint32_t round) const {
-    std::vector<std::uint64_t> v(sys_.w());
-    for (std::uint32_t i = 0; i < sys_.w(); ++i) {
-      v[i] = (std::uint64_t{p} + 1) * 0x100000001b3ULL +
-             std::uint64_t{round} * 131 + i * 7 + 1;
-    }
-    return v;
-  }
-
-  System sys_;
-  WorkloadConfig cfg_;
+  const std::uint32_t n_;
+  const std::uint32_t w_;
+  const WorkloadConfig cfg_;
+  std::unique_ptr<Proc[]> procs_;
+  std::unique_ptr<Impl> obj_;
+  std::unique_ptr<Checker> chk_;
+  obs::TraceSink* sink_ = nullptr;
+  std::uint32_t var_ = 0;
+  std::vector<const char*> parked_;
   std::vector<std::uint8_t> crashed_;
-  std::vector<Proc> procs_;
-  std::vector<std::uint32_t> sched_;  ///< (pid << 2) | {step=0, crash=1, reclaim=2}
+  std::vector<std::uint32_t> sched_;  ///< (pid << 2) | {step, crash, reclaim}
+  std::vector<OpRecord> done_;        ///< ops completed by the current step
+  std::uint64_t next_id_ = 1;
   std::uint64_t total_steps_ = 0;
   std::uint64_t completed_lls_ = 0;
+  std::uint64_t crashes_ = 0;
+  std::uint64_t reclaims_ = 0;
   std::uint32_t max_ll_steps_ = 0;
 };
 
 namespace detail {
 
-/// On a checker violation, embeds how the schedule was produced (the seed
-/// or adversary) plus the exact schedule prefix in the error, so every
+/// On a violation, embeds how the schedule was produced (the seed or
+/// adversary) plus the exact schedule so far in the error, so every
 /// failure reproduces via --seed or --replay (bench_sim_schedules).
-template <class System, class Checker>
-bool bail(const Checker& chk, RunResult& res, const SimWorkload<System>& wl,
-          const std::string& how) {
-  if (chk.ok()) return false;
+template <class Wl>
+bool bail(const Wl& wl, RunResult& res, const std::string& how) {
+  if (wl.ok()) return false;
   res.ok = false;
-  res.error = chk.error() + " [repro: " + how +
-              " schedule=" + wl.schedule_string() + "]";
+  res.error =
+      wl.error() + " [repro: " + how + " schedule=" + wl.schedule_string() +
+      "]";
   return true;
+}
+
+template <class Wl>
+RunResult finish(const Wl& wl, RunResult res) {
+  res.total_steps = wl.total_steps();
+  res.max_ll_steps = wl.max_ll_steps();
+  return res;
+}
+
+template <class Wl>
+void runnable(const Wl& wl, std::vector<std::uint32_t>& out) {
+  out.clear();
+  for (std::uint32_t p = 0; p < wl.n(); ++p) {
+    if (!wl.proc_done(p)) out.push_back(p);
+  }
 }
 
 }  // namespace detail
 
 /// Seeded uniform scheduling: every step, a uniformly random not-yet-done
 /// process moves.
-template <class System, class Checker>
-RunResult run_random(SimWorkload<System>& wl, Checker& chk,
-                     std::uint64_t sched_seed) {
+template <class Wl>
+RunResult run_random(Wl& wl, std::uint64_t sched_seed) {
   util::Xoshiro256 rng(sched_seed ? sched_seed : 1);
   RunResult res;
   const std::string how = "sched-seed=" + std::to_string(sched_seed);
-  std::vector<std::uint32_t> runnable;
+  std::vector<std::uint32_t> ready;
   while (!wl.done()) {
-    runnable.clear();
-    for (std::uint32_t p = 0; p < wl.system().n(); ++p) {
-      if (!wl.proc_done(p)) runnable.push_back(p);
-    }
-    const std::uint32_t p =
-        runnable[rng.next_below(static_cast<std::uint32_t>(runnable.size()))];
-    wl.step(p, chk);
-    if (detail::bail(chk, res, wl, how)) break;
+    detail::runnable(wl, ready);
+    wl.step(ready[rng.next_below(static_cast<std::uint32_t>(ready.size()))]);
+    if (detail::bail(wl, res, how)) break;
   }
-  res.total_steps = wl.total_steps();
-  res.max_ll_steps = wl.max_ll_steps();
-  return res;
+  return detail::finish(wl, res);
 }
 
 /// Churn scheduling for the crash-stop adversary: seeded-random stepping
 /// with a crash injected every ~crash_period steps (never the last live
-/// process) and each dead slot reclaimed reclaim_delay steps later, so
+/// process) and each dead pid reclaimed reclaim_delay steps later, so
 /// survivors keep running against frozen announces, orphaned donations and
-/// in-flight retirements, then against the recycled slots.
+/// pending ring swaps, then against the recycled pids.
 struct ChurnConfig {
   std::uint64_t sched_seed = 1;
   std::uint32_t crash_period = 53;   ///< steps between crash injections
-  std::uint32_t reclaim_delay = 23;  ///< steps a dead slot stays unreclaimed
+  std::uint32_t reclaim_delay = 23;  ///< steps a dead pid stays unreclaimed
   std::uint32_t max_concurrent_crashes = 1;
 };
 
-template <class System, class Checker>
-RunResult run_crash_churn(SimWorkload<System>& wl, Checker& chk,
-                          ChurnConfig cfg) {
-  static_assert(detail::SupportsCrash<System>::value,
-                "crash churn needs a step machine with crash/reclaim");
+template <class Wl>
+RunResult run_crash_churn(Wl& wl, ChurnConfig cfg) {
   util::Xoshiro256 rng(cfg.sched_seed ? cfg.sched_seed : 1);
   RunResult res;
   const std::string how = "churn-seed=" + std::to_string(cfg.sched_seed);
   std::vector<std::pair<std::uint32_t, std::uint64_t>> dead;  // pid, at step
-  std::vector<std::uint32_t> runnable;
+  std::vector<std::uint32_t> ready;
   std::uint64_t next_crash = cfg.crash_period;
   for (;;) {
-    // Reclaim dead slots whose grace period expired.
+    // Reclaim dead pids whose grace period expired.
     while (!dead.empty() &&
            wl.total_steps() >= dead.front().second + cfg.reclaim_delay) {
-      wl.reclaim(dead.front().first, chk);
+      wl.reclaim(dead.front().first);
       dead.erase(dead.begin());
-      if (detail::bail(chk, res, wl, how)) goto out;
+      if (detail::bail(wl, res, how)) return detail::finish(wl, res);
     }
     if (wl.done()) {
       // Only frozen stragglers can still hold unfinished scripts; recycle
@@ -368,49 +447,39 @@ RunResult run_crash_churn(SimWorkload<System>& wl, Checker& chk,
       // the oracle would be vacuous on the tail).
       if (dead.empty()) break;
       for (const auto& d : dead) {
-        wl.reclaim(d.first, chk);
-        if (detail::bail(chk, res, wl, how)) goto out;
+        wl.reclaim(d.first);
+        if (detail::bail(wl, res, how)) return detail::finish(wl, res);
       }
       dead.clear();
       if (wl.done()) break;
     }
-    runnable.clear();
-    for (std::uint32_t p = 0; p < wl.system().n(); ++p) {
-      if (!wl.proc_done(p)) runnable.push_back(p);
-    }
-    if (runnable.empty()) continue;  // everyone crashed; loop reclaims
-    if (wl.total_steps() >= next_crash && runnable.size() > 1 &&
+    detail::runnable(wl, ready);
+    if (ready.empty()) continue;  // everyone crashed; the loop reclaims
+    if (wl.total_steps() >= next_crash && ready.size() > 1 &&
         dead.size() < cfg.max_concurrent_crashes) {
-      const std::uint32_t v = runnable[rng.next_below(
-          static_cast<std::uint32_t>(runnable.size()))];
-      wl.crash(v, chk);
+      const std::uint32_t v =
+          ready[rng.next_below(static_cast<std::uint32_t>(ready.size()))];
+      wl.crash(v);
       dead.emplace_back(v, wl.total_steps());
       next_crash = wl.total_steps() + cfg.crash_period;
-      if (detail::bail(chk, res, wl, how)) goto out;
       continue;
     }
-    const std::uint32_t p =
-        runnable[rng.next_below(static_cast<std::uint32_t>(runnable.size()))];
-    wl.step(p, chk);
-    if (detail::bail(chk, res, wl, how)) goto out;
+    wl.step(ready[rng.next_below(static_cast<std::uint32_t>(ready.size()))]);
+    if (detail::bail(wl, res, how)) break;
   }
-out:
-  res.total_steps = wl.total_steps();
-  res.max_ll_steps = wl.max_ll_steps();
-  return res;
+  return detail::finish(wl, res);
 }
 
 /// Re-executes a recorded schedule token-for-token (the format
-/// schedule_string emits and invariant-violation messages embed): "P"
-/// steps process P, "cP" crashes it, "rP" reclaims it. Stops at the end of
-/// the tokens; a token that is not applicable (wrong config or seed)
-/// reports divergence instead of asserting. A momentarily done() workload
-/// does not end the replay: a crash-churn run reclaims its frozen
-/// stragglers after every live script finished, and those reclaims and
-/// the steps that follow are part of the schedule.
-template <class System, class Checker>
-RunResult run_replay(SimWorkload<System>& wl, Checker& chk,
-                     const std::string& schedule) {
+/// schedule_string emits and violation messages embed): "P" steps process
+/// P, "cP" crashes it, "rP" reclaims it. Stops at the end of the tokens; a
+/// token that does not apply (wrong config or seed) reports divergence
+/// instead of asserting. A momentarily done() workload does not end the
+/// replay: a crash-churn run reclaims its frozen stragglers after every
+/// live script finished, and those reclaims and the steps that follow are
+/// part of the schedule.
+template <class Wl>
+RunResult run_replay(Wl& wl, const std::string& schedule) {
   RunResult res;
   std::size_t i = 0;
   while (i < schedule.size()) {
@@ -430,14 +499,14 @@ RunResult run_replay(SimWorkload<System>& wl, Checker& chk,
       p = p * 10 + static_cast<std::uint32_t>(schedule[i++] - '0');
     }
     const char* diverged = nullptr;
-    if (p >= wl.system().n()) {
+    if (p >= wl.n()) {
       diverged = "pid out of range";
     } else if (kind == 'c') {
-      if (wl.crashed(p)) diverged = "crash of an already-crashed pid";
+      if (wl.proc_done(p)) diverged = "crash of a done or crashed pid";
     } else if (kind == 'r') {
       if (!wl.crashed(p)) diverged = "reclaim of a live pid";
     } else if (wl.proc_done(p)) {
-      diverged = "step of a done/crashed pid";
+      diverged = "step of a done or crashed pid";
     }
     if (diverged) {
       res.ok = false;
@@ -445,240 +514,191 @@ RunResult run_replay(SimWorkload<System>& wl, Checker& chk,
                   "): check that N/W/ops/seed match the failing run";
       break;
     }
-    if (kind == 'c' || kind == 'r') {
-      if constexpr (detail::SupportsCrash<System>::value) {
-        if (kind == 'c') {
-          wl.crash(p, chk);
-        } else {
-          wl.reclaim(p, chk);
-        }
+    if (kind == 'c') {
+      wl.crash(p);
+    } else if (kind == 'r') {
+      if constexpr (detail::SupportsReclaim<
+                        std::decay_t<decltype(wl.object())>>::value) {
+        wl.reclaim(p);
       } else {
         res.ok = false;
-        res.error = "replay: crash token for a crash-less step machine";
+        res.error = "replay: reclaim token for a class without reclaim_pid";
         break;
       }
     } else {
-      wl.step(p, chk);
+      wl.step(p);
     }
-    if (detail::bail(chk, res, wl, "replay")) break;
+    if (detail::bail(wl, res, "replay")) break;
   }
-  res.total_steps = wl.total_steps();
-  res.max_ll_steps = wl.max_ll_steps();
-  return res;
+  return detail::finish(wl, res);
 }
 
 /// The anti-schedule: starve `victim`'s copy loop. Run the victim until its
-/// next step is the copy validation (capped at victim_burst steps), run the
-/// other processes round-robin until one lands a successful SC, then let
-/// the victim take its now-doomed validation. Repeat until max_steps.
+/// next step is a copy validation (capped at victim_burst steps), run the
+/// other processes round-robin until `doom_delta` successful SCs land —
+/// enough to make that validation fail (1 for strict validation, P+1 for
+/// jp's aged validation) — then let the victim take its doomed validation.
+/// Repeat until max_steps.
 ///
-/// For the announce/help protocols the victim is rescued by a donation
+/// For the announce/help classes the victim is rescued by a donation
 /// within O(N) successful SCs, so its worst LL is flat in max_steps; the
-/// retry strawman's victim never completes and system().steps_in_flight(
-/// victim) grows linearly with max_steps.
-template <class System, class Checker>
-RunResult run_adversarial_anti(SimWorkload<System>& wl, Checker& chk,
-                               std::uint32_t victim,
+/// retry strawman's victim never completes and steps_in_flight(victim)
+/// grows linearly with max_steps.
+template <class Wl>
+RunResult run_adversarial_anti(Wl& wl, std::uint32_t victim,
                                std::uint32_t victim_burst,
-                               std::uint64_t max_steps) {
+                               std::uint64_t max_steps,
+                               std::uint64_t doom_delta) {
   RunResult res;
   const std::string how = "anti-adversary victim=" + std::to_string(victim);
-  System& sys = wl.system();
-  const std::uint32_t n = sys.n();
+  const std::uint32_t n = wl.n();
   std::uint32_t rr = victim;  // round-robin cursor over the adversaries
   while (wl.total_steps() < max_steps && !wl.done()) {
     // Victim slice: up to the brink of its validation.
     for (std::uint32_t k = 0; k < victim_burst; ++k) {
-      if (wl.proc_done(victim) || sys.next_is_validate(victim) ||
+      if (wl.proc_done(victim) || wl.at_validation(victim) ||
           wl.total_steps() >= max_steps) {
         break;
       }
-      wl.step(victim, chk);
-      if (detail::bail(chk, res, wl, how)) goto out;
+      wl.step(victim);
+      if (detail::bail(wl, res, how)) return detail::finish(wl, res);
     }
     if (wl.proc_done(victim)) break;  // the victim survived its whole script
-    // Adversary slice: writers run until enough successful SCs land to
-    // doom the victim's validation (doom_delta: 1 for strict validation,
-    // P+1 for the jp protocol's aged validation).
-    {
-      const std::uint64_t v0 = sys.version();
-      bool progressed = false;
-      while (sys.version() - v0 < sys.doom_delta() &&
-             wl.total_steps() < max_steps) {
-        std::uint32_t q = n;
-        for (std::uint32_t i = 1; i <= n; ++i) {
-          const std::uint32_t c = (rr + i) % n;
-          if (c != victim && !wl.proc_done(c)) {
-            q = c;
-            break;
-          }
+    // Adversary slice: writers run until enough successful SCs land.
+    const std::uint64_t v0 = wl.version();
+    bool progressed = false;
+    while (wl.version() - v0 < doom_delta && wl.total_steps() < max_steps) {
+      std::uint32_t q = n;
+      for (std::uint32_t i = 1; i <= n; ++i) {
+        const std::uint32_t c = (rr + i) % n;
+        if (c != victim && !wl.proc_done(c)) {
+          q = c;
+          break;
         }
-        if (q == n) break;  // no adversaries left
-        rr = q;
-        wl.step(q, chk);
-        if (detail::bail(chk, res, wl, how)) goto out;
-        progressed = true;
       }
-      if (!progressed) {
-        // Degenerate (N==1 or writers exhausted): the victim runs alone.
-        wl.step(victim, chk);
-        if (detail::bail(chk, res, wl, how)) goto out;
-      } else if (sys.version() - v0 >= sys.doom_delta() &&
-                 sys.next_is_validate(victim)) {
-        // Only validate once an SC has actually landed; if the step
-        // budget ran out mid-slice the validation would *succeed* and
-        // hand the victim a completion the adversary never conceded.
-        wl.step(victim, chk);  // the doomed validation
-        if (detail::bail(chk, res, wl, how)) goto out;
-      }
+      if (q == n) break;  // no adversaries left
+      rr = q;
+      wl.step(q);
+      if (detail::bail(wl, res, how)) return detail::finish(wl, res);
+      progressed = true;
+    }
+    if (!progressed) {
+      // Degenerate (N == 1 or writers exhausted): the victim runs alone.
+      wl.step(victim);
+      if (detail::bail(wl, res, how)) break;
+    } else if (wl.version() - v0 >= doom_delta && wl.at_validation(victim)) {
+      // Only validate once the SCs have actually landed; if the step
+      // budget ran out mid-slice the validation would succeed and hand
+      // the victim a completion the adversary never conceded.
+      wl.step(victim);  // the doomed validation
+      if (detail::bail(wl, res, how)) break;
     }
   }
-out:
-  res.total_steps = wl.total_steps();
-  res.max_ll_steps = wl.max_ll_steps();
-  return res;
+  return detail::finish(wl, res);
 }
 
-namespace detail {
-
-template <class System, class Checker>
-struct Enumerator {
-  std::uint64_t max_schedules;
-  EnumerateResult res;
-  bool stop = false;
-
-  void fail(const Checker& chk, const SimWorkload<System>& wl) {
-    res.ok = false;
-    // The enumerated schedule is the exact repro: feed it to --replay.
-    res.error = chk.error() + " [repro: enumerated schedule=" +
-                wl.schedule_string() + "]";
-    stop = true;
-  }
-
-  // Depth-first over scheduling choice points. The default scheduler runs
-  // `current` until it finishes its script; the choice of who runs first
-  // and each context switch at a completion are free, branching over
-  // EVERY runnable successor (not just one canonical pick — otherwise
-  // schedules that resume a specific process after a completion would
-  // silently cost a preemption). With budget left, every other step is
-  // additionally a branch point where any live process may preempt.
-  // `fresh_switch` marks the step right after a free choice, where
-  // preempting would only replay a sibling free branch — suppressing it
-  // keeps the enumeration duplicate-free. Recursion depth <= preemption
-  // budget + crash budget + number of processes: the continue-arm is the
-  // loop, not a recursive call.
-  //
-  // With crash budget, every step of `current` is additionally a branch
-  // point where current crash-stops instead of stepping. Crashing only
-  // the about-to-step process is a sound reduction: a crash is
-  // protocol-inert (it only suppresses the victim's future steps), so any
-  // execution with a crash is step-for-step identical to one where the
-  // victim froze immediately after its own last step — or before its
-  // first, which the free start/switch branches make it `current` for.
-  // The budget therefore injects a crash at every protocol step of every
-  // process without enumerating the redundant placements in between.
-  void explore(SimWorkload<System> wl, Checker chk, std::uint32_t current,
-               std::uint32_t preempts_left, std::uint32_t crashes_left,
-               bool fresh_switch) {
-    for (;;) {
-      if (stop) return;
-      if (wl.done()) {
-        ++res.schedules_explored;
-        if (wl.max_ll_steps() > res.max_ll_steps) {
-          res.max_ll_steps = wl.max_ll_steps();
-        }
-        if (res.schedules_explored >= max_schedules) {
-          res.truncated = true;
-          stop = true;
-        }
-        return;
-      }
-      if (wl.proc_done(current)) {
-        // Free switch: continue with the first runnable process, branch
-        // recursively into each alternative successor.
-        std::uint32_t first = wl.system().n();
-        for (std::uint32_t q = 0; q < wl.system().n(); ++q) {
-          if (wl.proc_done(q)) continue;
-          if (first == wl.system().n()) {
-            first = q;
-            continue;
-          }
-          explore(wl, chk, q, preempts_left, crashes_left,
-                  /*fresh_switch=*/true);
-          if (stop) return;
-        }
-        assert(first < wl.system().n());
-        current = first;
-      } else if (!fresh_switch && preempts_left > 0) {
-        for (std::uint32_t q = 0; q < wl.system().n(); ++q) {
-          if (q == current || wl.proc_done(q)) continue;
-          SimWorkload<System> wl2 = wl;
-          Checker chk2 = chk;
-          wl2.step(q, chk2);
-          ++res.total_steps;
-          if (!chk2.ok()) {
-            fail(chk2, wl2);
-            return;
-          }
-          explore(std::move(wl2), std::move(chk2), q, preempts_left - 1,
-                  crashes_left, /*fresh_switch=*/false);
-          if (stop) return;
-        }
-      }
-      if constexpr (SupportsCrash<System>::value) {
-        if (crashes_left > 0 && !wl.crashed(current)) {
-          // Crash branch: current freezes here instead of taking this step.
-          SimWorkload<System> wl2 = wl;
-          Checker chk2 = chk;
-          wl2.crash(current, chk2);
-          if (!chk2.ok()) {
-            fail(chk2, wl2);
-            return;
-          }
-          explore(std::move(wl2), std::move(chk2), current, preempts_left,
-                  crashes_left - 1, /*fresh_switch=*/true);
-          if (stop) return;
-        }
-      }
-      wl.step(current, chk);
-      fresh_switch = false;
-      ++res.total_steps;
-      if (!chk.ok()) {
-        fail(chk, wl);
-        return;
-      }
-    }
-  }
-};
-
-}  // namespace detail
-
-/// CHESS-style bounded exhaustive search: explore every schedule with at
-/// most max_preemptions preemptions and max_crashes crash-stop events (up
-/// to max_schedules complete executions), checking after every step. The
-/// choice of which process runs first is a free branch — it is not a
-/// preemption — so the search really covers every schedule within the
-/// budget regardless of who starts; with a crash budget, every protocol
-/// step of every process doubles as a crash-stop injection point (see
-/// Enumerator::explore for why that placement is exhaustive). Crashed
-/// processes stay frozen to the end of the schedule — the live processes
-/// must complete against their abandoned announces, donations and
-/// in-flight retirements. The workload and checker passed in are templates
-/// for the search's copies; they are left untouched.
-template <class System, class Checker>
-EnumerateResult enumerate_preemption_bounded(const SimWorkload<System>& wl,
-                                             const Checker& chk,
+/// CHESS-style bounded exhaustive search over SimWorkload<Impl>(n, w, cfg):
+/// every schedule with at most max_preemptions preemptions and max_crashes
+/// crash-stops (up to max_schedules complete executions), checked after
+/// every step.
+///
+/// The scheduler runs `current` until its script ends. Who runs first and
+/// who runs after a script ends are free choices over every runnable
+/// process. With budget left, every other step is also a branch point
+/// where any other live process may preempt — except the step right after
+/// a free choice, where a preemption would only repeat a sibling free
+/// branch. With a crash budget, every step of `current` is also a branch
+/// point where it crash-stops instead (frozen to the end of the schedule;
+/// survivors must finish against its abandoned announce, donation or ring
+/// swap). Crashing only the process about to step is a sound reduction: a
+/// crash changes no shared word, so an execution with a crash is
+/// step-for-step one where the victim froze right after its own last step.
+///
+/// Fibers cannot be copied, so the search is stateless: each schedule is
+/// a run from a restarted workload that replays the recorded choices and
+/// takes the first alternative at each new branch point; the next
+/// schedule advances the deepest branch point with alternatives left.
+template <class Impl>
+EnumerateResult enumerate_preemption_bounded(std::uint32_t n, std::uint32_t w,
+                                             WorkloadConfig cfg,
                                              std::uint32_t max_preemptions,
                                              std::uint64_t max_schedules,
                                              std::uint32_t max_crashes = 0) {
-  detail::Enumerator<System, Checker> e;
-  e.max_schedules = max_schedules ? max_schedules : 1;
-  for (std::uint32_t p = 0; p < wl.system().n() && !e.stop; ++p) {
-    if (wl.proc_done(p)) continue;
-    e.explore(wl, chk, p, max_preemptions, max_crashes,
-              /*fresh_switch=*/true);
+  struct Branch {
+    std::uint32_t taken;
+    std::uint32_t count;
+  };
+  EnumerateResult res;
+  SimWorkload<Impl> wl(n, w, cfg);
+  std::vector<Branch> path;
+  std::vector<std::uint32_t> ready;
+  for (bool first = true;; first = false) {
+    if (!first) wl.restart();
+    std::size_t depth = 0;
+    auto choose = [&](std::uint32_t count) -> std::uint32_t {
+      if (count == 1) return 0;
+      if (depth == path.size()) path.push_back({0, count});
+      assert(path[depth].count == count && "replay diverged");
+      return path[depth++].taken;
+    };
+    std::uint32_t current = n;
+    std::uint32_t preempts = max_preemptions;
+    std::uint32_t crashes = max_crashes;
+    bool fresh = true;
+    while (!wl.done()) {
+      detail::runnable(wl, ready);
+      if (current == n || wl.proc_done(current)) {
+        current = ready[choose(static_cast<std::uint32_t>(ready.size()))];
+        fresh = true;
+      }
+      // Alternatives: 0 steps current; 1..k preempt to the k others; the
+      // last crashes current.
+      const std::uint32_t others =
+          (!fresh && preempts > 0)
+              ? static_cast<std::uint32_t>(ready.size()) - 1
+              : 0;
+      const std::uint32_t pick = choose(1 + others + (crashes > 0 ? 1 : 0));
+      if (pick == 0 || pick <= others) {
+        if (pick != 0) {
+          std::uint32_t k = pick;
+          for (std::uint32_t q : ready) {
+            if (q != current && --k == 0) {
+              current = q;
+              break;
+            }
+          }
+          --preempts;
+        }
+        wl.step(current);
+        ++res.total_steps;
+        fresh = false;
+      } else {
+        wl.crash(current);
+        --crashes;
+        fresh = true;
+      }
+      if (!wl.ok()) {
+        res.ok = false;
+        res.error = wl.error() + " [repro: enumerated schedule=" +
+                    wl.schedule_string() + "]";
+        return res;
+      }
+    }
+    ++res.schedules_explored;
+    if (wl.max_ll_steps() > res.max_ll_steps) {
+      res.max_ll_steps = wl.max_ll_steps();
+    }
+    if (res.schedules_explored >= max_schedules) {
+      res.truncated = true;
+      return res;
+    }
+    path.resize(depth);
+    while (!path.empty() && path.back().taken + 1 == path.back().count) {
+      path.pop_back();
+    }
+    if (path.empty()) return res;
+    ++path.back().taken;
   }
-  return e.res;
 }
 
 }  // namespace mwllsc::sim

@@ -1,242 +1,300 @@
-// Invariant checkers for the simulation harness.
+// The simulator's checker. sim/harness.hpp calls it after every step
+// (on_step), every completed operation (on_op) and every reclaim; ok()
+// turns false, with error() explaining, at the first violation. It reads
+// the real class only through its public surface — version(), stats()
+// and, for core::MwLLSC, census() — and keeps no ghost state of the
+// protocol.
 //
-// A checker is a copyable value the harness calls after every simulator
-// step (on_step) and after every completed operation (on_op); ok() turns
-// false, with error() explaining, the first time anything is violated.
-// Checkers hold no pointer into the system — they always inspect the
-// instance the harness passes — so the CHESS enumerator can copy
-// (workload, checker) pairs freely at preemption branch points.
+//   oracle  The sequential specification of LL/SC/VL, for every class.
+//           Each SC attempt writes a value no other attempt writes (word i
+//           of attempt `id` is value_word(id, i); ids are never reused, not
+//           even across reclaims), and the harness reports which access
+//           advanced the version, so the value an LL returns names the one
+//           version it belongs to. An LL must return a committed, untorn
+//           value whose version was current inside the LL's
+//           invocation/response window. An SC succeeds iff no successful
+//           SC intervened since its LL's linearization: failures are
+//           semantic, never spurious (the Brown–Ellen–Ruppert "pragmatic
+//           primitives" contract). VL mirrors SC. jp's LL that accepts a
+//           copy with drift in [1, P] and returns with its link broken is
+//           exactly what this permits: a successful SC did intervene.
+//   census  core::MwLLSC only:
+//     I1    every buffer has exactly one owner: the object (current), a
+//           process's spare, its exchange side, or a ring cell;
+//     I2    one bank write per successful SC: the successful SCs sum to the
+//           version, and each process's successful SCs minus its bank
+//           writes is 1 exactly while it is parked between its X commit
+//           and its ring swap, 0 otherwise;
+//     3W+6  no LL takes more than MwLLSC::ll_impl_bound(W) steps (inside
+//           the paper's 4W+12), and the defensive retry never fires.
 //
-//   * NullChecker         accepts everything (pure measurement runs);
-//   * JpInvariantChecker  the paper's structural invariants on the jp
-//     step machine plus a sequential-spec linearizability oracle:
-//       I1      every buffer has exactly one owner: the object (current),
-//               a process's spare, a process's exchange side, or a
-//               retirement-ring cell;
-//       I2      exactly one bank write (the ring retirement) per
-//               successful SC, counting the in-flight resolutions;
-//       3W+6    no LL exceeds the implementation's step bound (inside
-//               the paper's 4W+12) and the defensive retry arm never
-//               fires (the help guarantee holds);
-//       oracle  every LL returns the abstract value of its claimed
-//               linearization version, which lies inside the op's
-//               invocation/response window; SC succeeds iff no successful
-//               SC intervened since the matching LL (the Brown–Ellen–
-//               Ruppert "pragmatic primitives" contract: failures are
-//               semantic, never spurious); VL mirrors SC.
-//
-// Crash-stop schedules need no weakening of any check: the harness re-runs
-// on_step at every crash and reclaim event, so a frozen process must leave
-// the ownership census and the bank-write equation exact (its buffers stay
-// owned, its in-flight retirement stays pending), reclamation must restore
-// them (adopting donations, completing the pending bank write), and the
-// 3W+6 bound and the oracle keep applying to every op the *live*
-// processes complete — which is precisely the wait-freedom claim under
-// crashes: nobody who keeps taking steps is ever blocked or starved by a
-// process that stopped.
+// Crash-stop schedules weaken nothing: a crashed process is a fiber parked
+// forever, so its buffers stay owned where it left them, and a ring swap
+// it left pending stays pending until reclaim_pid finishes it.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
-
-#include "sim/harness.hpp"
-#include "sim/sim_jp.hpp"
 
 namespace mwllsc::sim {
 
-/// Checker that checks nothing: for runs that only measure step counts.
-struct NullChecker {
-  template <class System>
-  void on_step(const System&) {}
-  template <class System>
-  void on_op(const System&, const OpRecord&) {}
-  bool ok() const { return true; }
-  const std::string& error() const {
-    static const std::string kEmpty;
-    return kEmpty;
-  }
+enum class OpType { kLl, kSc, kVl };
+
+/// One completed operation, as the process's script saw it. Versions are
+/// the class's version() (successful SCs so far) at the call and at the
+/// return.
+struct OpRecord {
+  OpType type = OpType::kLl;
+  std::uint32_t pid = 0;
+  std::uint32_t steps = 0;          ///< shared accesses the op made
+  bool success = false;             ///< SC/VL outcome; LL always true
+  std::vector<std::uint64_t> value;  ///< LL: value read; SC: value written
+  std::uint64_t sc_id = 0;          ///< SC: the attempt's value id
+  std::uint64_t start_version = 0;
+  std::uint64_t end_version = 0;
 };
 
-class JpInvariantChecker {
+/// What one step did: process `pid` performed the access named `point`
+/// while its SC attempt `sc_id` (0: none yet) was the latest it started.
+/// `parked` names every process's next access (nullptr once its script
+/// ended).
+struct StepInfo {
+  std::uint32_t pid;
+  const char* point;
+  std::uint64_t sc_id;
+  const std::vector<const char*>& parked;
+};
+
+/// Word i of the value SC attempt `id` (>= 1) writes. The all-zero value
+/// is version 0, the constructors' initial value.
+inline std::uint64_t value_word(std::uint64_t id, std::uint32_t i) {
+  return (id << 16) | (i + 1);
+}
+
+namespace detail {
+
+template <class T, class = void>
+struct HasCensus : std::false_type {};
+template <class T>
+struct HasCensus<T, std::void_t<typename T::Census>> : std::true_type {};
+
+struct NoCensus {};
+template <class T, bool = HasCensus<T>::value>
+struct CensusOf {
+  using type = NoCensus;
+};
+template <class T>
+struct CensusOf<T, true> {
+  using type = typename T::Census;
+};
+
+inline bool is_point(const char* point, const char* name) {
+  return point != nullptr && std::strcmp(point, name) == 0;
+}
+
+}  // namespace detail
+
+template <class Impl>
+class InvariantChecker {
  public:
-  explicit JpInvariantChecker(const SimJpSystem& sys)
-      : n_(sys.n()),
-        w_(sys.w()),
-        nbufs_(sys.num_bufs()),
-        ring_size_(sys.ring_size()) {
-    history_.push_back(sys.current_value());
-  }
+  InvariantChecker(std::uint32_t n, std::uint32_t w)
+      : w_(w), last_ll_(n, kNone), version_of_id_(1, kNever) {}
 
-  void on_step(const SimJpSystem& sys) {
+  void on_step(const Impl& obj, const StepInfo& s) {
     if (failed_) return;
-    ++steps_seen_;
-    // Track the abstract state: one step can apply at most one successful
-    // SC, whose installed value is the new current buffer's content (the
-    // buffer is unwritable while current, so reading it now is exact).
-    if (sys.version() == history_.size()) {
-      history_.push_back(sys.current_value());
-    }
-    if (sys.version() + 1 != history_.size()) {
-      return fail("abstract version jumped: version=%llu history=%zu",
-                  ull(sys.version()), history_.size());
-    }
-    check_i1(sys);
-    check_i2(sys);
-    if (sys.ll_retries_total() > 0) {
-      return fail("defensive LL retry fired at step %llu — the 3W+6 "
-                  "help guarantee is broken",
-                  ull(steps_seen_));
-    }
-  }
-
-  void on_op(const SimJpSystem& sys, const OpRecord& rec) {
-    if (failed_) return;
-    (void)sys;
-    switch (rec.type) {
-      case OpType::kLl: {
-        if (rec.steps > SimJpSystem::ll_impl_bound(w_)) {
-          return fail("LL(p%u) took %u steps, over the 3W+6 bound of %u "
-                      "(paper's 4W+12 = %u)",
-                      rec.pid, rec.steps, SimJpSystem::ll_impl_bound(w_),
-                      SimJpSystem::ll_step_bound(n_, w_));
-        }
-        if (rec.lin_version < rec.start_version ||
-            rec.lin_version > rec.end_version) {
-          return fail(
-              "LL(p%u) linearization version %llu outside its window "
-              "[%llu, %llu]",
-              rec.pid, ull(rec.lin_version), ull(rec.start_version),
-              ull(rec.end_version));
-        }
-        if (rec.lin_version >= history_.size() ||
-            rec.value != history_[rec.lin_version]) {
-          return fail("LL(p%u) returned a value that was never the "
-                      "variable's state at its claimed version %llu%s",
-                      rec.pid, ull(rec.lin_version),
-                      rec.helped ? " (helped path)" : "");
-        }
-        break;
+    ++steps_;
+    const std::uint64_t v = obj.version();
+    if (v != version_) {
+      if (v != version_ + 1 || !detail::is_point(s.point, "sc:x") ||
+          s.sc_id == 0) {
+        return fail("version moved %llu -> %llu at step %llu (p%u's %s): "
+                    "only an X commit may advance it, by one",
+                    ull(version_), ull(v), ull(steps_), s.pid,
+                    s.point ? s.point : "?");
       }
-      case OpType::kSc: {
-        const bool should_succeed =
-            rec.had_link && rec.version_at_sc == rec.link_version;
-        if (rec.success != should_succeed) {
-          return fail(
-              "SC(p%u) %s but link_version=%llu version_at_sc=%llu "
-              "had_link=%d — SC failures must be semantic, never spurious",
-              rec.pid, rec.success ? "succeeded" : "failed",
-              ull(rec.link_version), ull(rec.version_at_sc),
-              rec.had_link ? 1 : 0);
-        }
-        if (rec.success) {
-          const std::uint64_t installed = rec.version_at_sc + 1;
-          if (installed >= history_.size() ||
-              history_[installed] != rec.value) {
-            return fail("SC(p%u) succeeded but version %llu's abstract "
-                        "value is not the value it wrote",
-                        rec.pid, ull(installed));
+      if (s.sc_id >= version_of_id_.size()) {
+        version_of_id_.resize(s.sc_id + 1, kNever);
+      }
+      version_of_id_[s.sc_id] = v;
+      version_ = v;
+    }
+    if constexpr (detail::HasCensus<Impl>::value) {
+      obj.census(census_);
+      check_i1();
+      check_i2(s.parked);
+      if (obj.stats().ll_retries != 0) {
+        return fail("defensive LL retry fired at step %llu: the 3W+6 help "
+                    "guarantee is broken",
+                    ull(steps_));
+      }
+    }
+  }
+
+  void on_op(const OpRecord& r) {
+    if (failed_) return;
+    const std::uint64_t link = last_ll_[r.pid];
+    switch (r.type) {
+      case OpType::kLl: {
+        if constexpr (detail::HasCensus<Impl>::value) {
+          if (r.steps > Impl::ll_impl_bound(w_)) {
+            return fail("LL(p%u) took %u steps, over the 3W+6 bound of %u "
+                        "(paper's 4W+12 = %u)",
+                        r.pid, r.steps, Impl::ll_impl_bound(w_),
+                        Impl::ll_step_bound(w_));
           }
         }
+        const std::uint64_t l = version_of(r.value);
+        if (l == kNever) {
+          return fail("LL(p%u) returned a value no successful SC installed "
+                      "(torn, or an attempt that never committed)",
+                      r.pid);
+        }
+        if (l < r.start_version || l > r.end_version) {
+          return fail("LL(p%u) returned version %llu, outside its window "
+                      "[%llu, %llu]",
+                      r.pid, ull(l), ull(r.start_version),
+                      ull(r.end_version));
+        }
+        last_ll_[r.pid] = l;
         break;
       }
-      case OpType::kVl: {
-        const bool should_hold =
-            rec.had_link && rec.end_version == rec.link_version;
-        if (rec.success != should_hold) {
-          return fail("VL(p%u) returned %d but link_version=%llu "
-                      "version=%llu had_link=%d",
-                      rec.pid, rec.success ? 1 : 0, ull(rec.link_version),
-                      ull(rec.end_version), rec.had_link ? 1 : 0);
+      case OpType::kVl:
+        // True needs the linked version still current at the call; false
+        // needs a successful SC after it by the return.
+        if (link == kNone ? r.success
+                          : (r.success ? r.start_version != link
+                                       : r.end_version == link)) {
+          return fail("VL(p%u) returned %d, linked version %llu, window "
+                      "[%llu, %llu]",
+                      r.pid, r.success ? 1 : 0, ull(link),
+                      ull(r.start_version), ull(r.end_version));
+        }
+        break;
+      case OpType::kSc: {
+        last_ll_[r.pid] = kNone;  // the link is consumed either way
+        const std::uint64_t installed = r.sc_id < version_of_id_.size()
+                                            ? version_of_id_[r.sc_id]
+                                            : kNever;
+        if (r.success != (installed != kNever)) {
+          return fail("SC(p%u) returned %d but its value was %scommitted",
+                      r.pid, r.success ? 1 : 0,
+                      installed != kNever ? "" : "never ");
+        }
+        if (link == kNone ? r.success
+                          : (r.success ? installed != link + 1
+                                       : r.end_version == link)) {
+          return fail("SC(p%u) %s, linked version %llu, installed %llu, "
+                      "version at return %llu: SC failures must be "
+                      "semantic, never spurious",
+                      r.pid, r.success ? "succeeded" : "failed", ull(link),
+                      ull(installed), ull(r.end_version));
         }
         break;
       }
     }
   }
+
+  /// A reclaimed pid's new holder starts with no link.
+  void on_reclaim(std::uint32_t p) { last_ll_[p] = kNone; }
 
   bool ok() const { return !failed_; }
   const std::string& error() const { return error_; }
 
  private:
+  static constexpr std::uint64_t kNone = ~std::uint64_t{0};
+  static constexpr std::uint64_t kNever = ~std::uint64_t{0};
+
   static unsigned long long ull(std::uint64_t v) {
     return static_cast<unsigned long long>(v);
   }
 
-  void check_i1(const SimJpSystem& sys) {
-    owners_.assign(nbufs_, 0);
-    bump_owner(sys.current_buf());
-    for (std::uint32_t p = 0; p < n_; ++p) {
-      bump_owner(sys.spare_of(p));
-      bump_owner(sys.exchange_buf_of(p));
+  /// The version whose value `v` is, or kNever if no committed SC wrote
+  /// exactly this value.
+  std::uint64_t version_of(const std::vector<std::uint64_t>& v) const {
+    const std::uint64_t id = v[0] >> 16;
+    if (id == 0) {
+      for (std::uint64_t x : v) {
+        if (x != 0) return kNever;
+      }
+      return 0;
     }
-    for (std::uint32_t j = 0; j < ring_size_; ++j) {
-      bump_owner(sys.ring_buf(j));
+    if (id >= version_of_id_.size()) return kNever;
+    for (std::uint32_t i = 0; i < v.size(); ++i) {
+      if (v[i] != value_word(id, i)) return kNever;
     }
-    for (std::uint32_t b = 0; b < nbufs_; ++b) {
+    return version_of_id_[id];
+  }
+
+  void check_i1() {
+    const auto& c = census_;
+    owners_.assign(c.buffers, 0);
+    bump_owner(c.current);
+    for (std::size_t p = 0; p < c.spare.size(); ++p) {
+      bump_owner(c.spare[p]);
+      bump_owner(c.exchange[p]);
+    }
+    for (std::uint32_t b : c.ring) bump_owner(b);
+    for (std::uint32_t b = 0; b < c.buffers; ++b) {
       if (owners_[b] != 1) {
         return fail("I1 violated at step %llu: buffer %u has %d owners "
-                    "(want exactly 1: current, a spare, an exchange "
-                    "slot, or a ring cell)",
-                    ull(steps_seen_), b, owners_[b]);
+                    "(want exactly 1: current, a spare, an exchange side, "
+                    "or a ring cell)",
+                    ull(steps_), b, owners_[b]);
       }
     }
   }
 
   void bump_owner(std::uint32_t b) {
-    if (b < nbufs_) {
+    if (b < owners_.size()) {
       ++owners_[b];
     } else {
       fail("I1 violated: out-of-range buffer index %u", b);
     }
   }
 
-  void check_i2(const SimJpSystem& sys) {
-    // The ring resolution is its own step after the X SC, so completed
-    // plus in-flight bank writes must exactly cover the successful SCs.
-    if (sys.bank_writes_total() + sys.pending_bank_writes() !=
-            sys.version() ||
-        sys.sc_success_total() != sys.version()) {
-      fail("I2 violated at step %llu: %llu+%llu bank writes "
-           "(done+pending), %llu successful SCs, version %llu (want one "
-           "bank write per successful SC)",
-           ull(steps_seen_), ull(sys.bank_writes_total()),
-           ull(sys.pending_bank_writes()), ull(sys.sc_success_total()),
-           ull(sys.version()));
+  void check_i2(const std::vector<const char*>& parked) {
+    const auto& c = census_;
+    std::uint64_t commits = 0;
+    for (std::size_t p = 0; p < c.sc_success.size(); ++p) {
+      commits += c.sc_success[p];
+      const bool pending = detail::is_point(parked[p], "sc:ring_load") ||
+                           detail::is_point(parked[p], "sc:ring_cas");
+      if (c.sc_success[p] - c.bank_writes[p] != (pending ? 1u : 0u)) {
+        return fail("I2 violated at step %llu: p%zu has %llu successful SCs "
+                    "and %llu bank writes with %s ring swap pending",
+                    ull(steps_), p, ull(c.sc_success[p]),
+                    ull(c.bank_writes[p]), pending ? "its" : "no");
+      }
+    }
+    if (commits != c.version) {
+      fail("I2 violated at step %llu: %llu successful SCs counted, version "
+           "%llu",
+           ull(steps_), ull(commits), ull(c.version));
     }
   }
 
   template <typename... Args>
   void fail(const char* fmt, Args... args) {
     if (failed_) return;
-    char buf[256];
+    char buf[320];
     std::snprintf(buf, sizeof(buf), fmt, args...);
     failed_ = true;
     error_ = buf;
   }
 
-  std::uint32_t n_;
   std::uint32_t w_;
-  std::uint32_t nbufs_;
-  std::uint32_t ring_size_;
-  std::uint64_t steps_seen_ = 0;
+  std::uint64_t steps_ = 0;
+  std::uint64_t version_ = 0;
   bool failed_ = false;
   std::string error_;
-  std::vector<std::vector<std::uint64_t>> history_;  ///< version -> value
+  std::vector<std::uint64_t> last_ll_;        ///< per pid: linked version
+  std::vector<std::uint64_t> version_of_id_;  ///< SC attempt id -> version
   std::vector<int> owners_;  ///< scratch for the I1 ownership census
+  typename detail::CensusOf<Impl>::type census_;
 };
-
-/// The strongest checker available for a system, picked by overload: the
-/// full invariant checker for the jp step machine, NullChecker for systems
-/// whose internals no checker models yet. Drivers and tests share this so
-/// adding a checker upgrades every call site at once. Call it on the
-/// workload's own system (wl.system()) — never on a moved-from shell.
-inline JpInvariantChecker make_checker(const SimJpSystem& sys) {
-  return JpInvariantChecker(sys);
-}
-template <class System>
-NullChecker make_checker(const System&) {
-  return NullChecker{};
-}
 
 }  // namespace mwllsc::sim

@@ -83,6 +83,7 @@ class OpStatsArray {
       : cells_(new OpStatsCell[nprocs]), n_(nprocs) {}
 
   OpStatsCell& at(std::uint32_t p) { return cells_[p]; }
+  const OpStatsCell& at(std::uint32_t p) const { return cells_[p]; }
 
   core::OpStatsSnapshot snapshot() const {
     core::OpStatsSnapshot s;

@@ -1,15 +1,15 @@
 // Deterministic exercise of the two-phase LL and its help machinery, via
-// the step hook. With N = 2 the probe window is P = 2, so aged validation
-// tolerates a drift of up to 2 successful SCs.
+// a core::HookEnv step hook. With N = 2 the probe window is P = 2, so aged
+// validation tolerates a drift of up to 2 successful SCs.
 //
 // An LL first tries announce-free (link, copy, re-check). Undisturbed, it
 // never touches its announce word: no seq bump, nothing for a winner to
 // help. To reach the announced round, the hook stalls the reader right
-// after its first link (ll:fast_read_x) and drives the other process
+// after its first link (its first ll:copy step) and drives the other process
 // through 4 successful SCs — drift 4 > P forces the fallback, and an even
 // count keeps the probe parity of the replayed cases below. The hook then
 // stalls the reader again right after its announced-round link
-// (ll:read_x) and drives a chosen number of further SCs:
+// (its first ll:recopy step) and drives a chosen number of further SCs:
 //
 //   1 SC  -> drift 1: aged validation passes, no donation was posted (the
 //            winner of tag 5 probes its own slot), the reader returns the
@@ -37,12 +37,15 @@ using namespace mwllsc;
 namespace {
 
 constexpr std::uint32_t kW = 4;
-constexpr std::uint32_t kForceFallback = 4;  // SCs at ll:fast_read_x, > P
+constexpr std::uint32_t kForceFallback = 4;  // SCs after the first link, > P
+
+template <class Engine>
+using Hooked = core::MwLLSC<Engine, core::HookEnv>;
 
 template <class Engine>
 struct HookState {
-  core::MwLLSC<Engine>* obj = nullptr;
-  std::uint32_t sc_rounds = 0;  // successful SCs to inject at ll:read_x
+  Hooked<Engine>* obj = nullptr;
+  std::uint32_t sc_rounds = 0;  // successful SCs after the announced link
   bool forced = false;          // the first attempt was pushed past P
   bool fired = false;           // the announced round was stalled
   std::vector<std::uint64_t> before_donating_sc;  // value a rescue returns
@@ -64,12 +67,12 @@ template <class Engine>
 void interfere(void* ctx, const char* point, std::uint32_t pid) {
   auto* st = static_cast<HookState<Engine>*>(ctx);
   if (pid != 0) return;  // no reentrant interference from pid 1's own ops
-  if (!st->forced && std::strcmp(point, "ll:fast_read_x") == 0) {
+  if (!st->forced && std::strcmp(point, "ll:copy") == 0) {
     st->forced = true;
     // The reader has not announced, so none of these winners can donate.
     drive(st, kForceFallback, 10);
     CHECK_EQ(st->obj->stats().helps_given, 0u);
-  } else if (!st->fired && std::strcmp(point, "ll:read_x") == 0) {
+  } else if (!st->fired && std::strcmp(point, "ll:recopy") == 0) {
     st->fired = true;
     // The winner of tag U probes slot U mod 2: tags 5 and 7 probe pid 1's
     // own slot (no-op), tag 6 probes the stalled reader's slot 0 and
@@ -82,15 +85,15 @@ void interfere(void* ctx, const char* point, std::uint32_t pid) {
 /// successful SCs injected after its announced-round X link; returns the
 /// value the LL produced.
 template <class Engine>
-std::vector<std::uint64_t> stalled_ll(core::MwLLSC<Engine>& obj,
+std::vector<std::uint64_t> stalled_ll(Hooked<Engine>& obj,
                                       HookState<Engine>& st,
                                       std::uint32_t sc_rounds) {
   st.obj = &obj;
   st.sc_rounds = sc_rounds;
-  obj.set_step_hook(&interfere<Engine>, &st);
+  core::HookEnv::install(&interfere<Engine>, &st);
   std::vector<std::uint64_t> out(kW);
   obj.ll(0, out.data());
-  obj.set_step_hook(nullptr, nullptr);
+  core::HookEnv::install(nullptr, nullptr);
   CHECK(st.forced);
   CHECK(st.fired);
   return out;
@@ -104,7 +107,7 @@ constexpr std::uint64_t kAfterForce = 10 * kForceFallback;
 // once, and the defensive retry arm must never run.
 template <class Engine>
 void rescue_path() {
-  core::MwLLSC<Engine> obj(2, kW);
+  Hooked<Engine> obj(2, kW);
   HookState<Engine> st;
   const auto out = stalled_ll(obj, st, 3);
 
@@ -145,7 +148,7 @@ void rescue_path() {
 // fails and the reader adopts the donated buffer without using its value.
 template <class Engine>
 void aged_pass_with_donation() {
-  core::MwLLSC<Engine> obj(2, kW);
+  Hooked<Engine> obj(2, kW);
   HookState<Engine> st;
   const auto out = stalled_ll(obj, st, 2);
 
@@ -170,7 +173,7 @@ void aged_pass_with_donation() {
 // plain aged-validation pass, clean withdraw.
 template <class Engine>
 void aged_pass_plain() {
-  core::MwLLSC<Engine> obj(2, kW);
+  Hooked<Engine> obj(2, kW);
   HookState<Engine> st;
   const auto out = stalled_ll(obj, st, 1);
 
@@ -182,31 +185,31 @@ void aged_pass_plain() {
   CHECK(!obj.vl(0));
 }
 
-// Counts the hook points one LL passes.
+// Counts the steps that open each LL phase.
 struct PointCounts {
-  std::uint32_t fast = 0;
-  std::uint32_t announced = 0;
-  std::uint32_t read_x = 0;
+  std::uint32_t fast = 0;       // ll:link, the first attempt
+  std::uint32_t announced = 0;  // ll:announce
+  std::uint32_t read_x = 0;     // ll:relink, the announced round
 };
 
 void count_points(void* ctx, const char* point, std::uint32_t pid) {
   auto* c = static_cast<PointCounts*>(ctx);
   if (pid != 0) return;
-  if (std::strcmp(point, "ll:fast_read_x") == 0) ++c->fast;
-  if (std::strcmp(point, "ll:announced") == 0) ++c->announced;
-  if (std::strcmp(point, "ll:read_x") == 0) ++c->read_x;
+  if (std::strcmp(point, "ll:link") == 0) ++c->fast;
+  if (std::strcmp(point, "ll:announce") == 0) ++c->announced;
+  if (std::strcmp(point, "ll:relink") == 0) ++c->read_x;
 }
 
 // An undisturbed LL stays announce-free: the announce store is the only
-// write LL makes to its announce word and it sits right before
-// ll:announced, which never fires — so the word keeps its seq and state.
+// write LL makes to its announce word and it is the ll:announce step,
+// which never runs — so the word keeps its seq and state.
 // The winners that probe slot 0 afterwards find it IDLE and help nobody,
 // and the link stays valid.
 template <class Engine>
 void undisturbed_ll_never_announces() {
-  core::MwLLSC<Engine> obj(2, kW);
+  Hooked<Engine> obj(2, kW);
   PointCounts pc;
-  obj.set_step_hook(&count_points, &pc);
+  core::HookEnv::install(&count_points, &pc);
   std::vector<std::uint64_t> v(kW);
   for (std::uint32_t i = 1; i <= 3; ++i) {
     obj.ll(0, v.data());
@@ -220,7 +223,7 @@ void undisturbed_ll_never_announces() {
     v[0] += 1;
     CHECK(obj.sc(1, v.data()));
   }
-  obj.set_step_hook(nullptr, nullptr);
+  core::HookEnv::install(nullptr, nullptr);
   CHECK_EQ(pc.fast, 4u);
   CHECK_EQ(pc.announced, 0u);
   CHECK_EQ(pc.read_x, 0u);

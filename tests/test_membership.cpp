@@ -255,12 +255,14 @@ void orphan_reclaim_on_join() {
 // The withdraw-vs-reclaim race in core ll(): a "zombie" whose pid is
 // reclaimed mid-LL must take the tolerant branch — link broken, no assert,
 // subsequent SC fails semantically. Two injection points, one per LL
-// phase: inside the announce-free first attempt (ll:fast_read_x — caught
-// by the attempt's read of its own announce word), and between announce
-// and withdraw (ll:announced — caught by the failed withdraw CAS; the
-// first attempt is first forced past P by P+1 = 3 commits from pid 1).
+// phase: right after the announce-free first attempt's link (ll:copy —
+// caught by the attempt's read of its own announce word), and between
+// announce and withdraw (ll:relink — caught by the failed withdraw CAS;
+// the first attempt is first forced past P by P+1 = 3 commits from pid 1).
+using HookedJp = core::MwLLSC<llsc::Dw128LLSC, core::HookEnv>;
+
 struct ReclaimRaceState {
-  Jp* obj = nullptr;
+  HookedJp* obj = nullptr;
   std::uint32_t zombie = 0;
   const char* point = nullptr;  // where the reclaim lands
   bool forced = false;
@@ -276,7 +278,7 @@ void reclaim_race_hook(void* ctx, const char* point, std::uint32_t pid) {
     st->obj->reclaim_pid(st->zombie);
     return;
   }
-  if (!st->forced && std::strcmp(point, "ll:fast_read_x") == 0) {
+  if (!st->forced && std::strcmp(point, "ll:copy") == 0) {
     st->forced = true;
     std::vector<std::uint64_t> v(2);
     for (int i = 0; i < 3; ++i) {
@@ -288,12 +290,12 @@ void reclaim_race_hook(void* ctx, const char* point, std::uint32_t pid) {
 }
 
 void withdraw_reclaim_race(const char* point) {
-  Jp obj(2, 2);
+  HookedJp obj(2, 2);
   ReclaimRaceState st{&obj, 0, point};
-  obj.set_step_hook(&reclaim_race_hook, &st);
+  core::HookEnv::install(&reclaim_race_hook, &st);
   std::vector<std::uint64_t> v(2);
   obj.ll(0, v.data());
-  obj.set_step_hook(nullptr, nullptr);
+  core::HookEnv::install(nullptr, nullptr);
   CHECK(st.fired);
   // The zombie's link is gone (its slot was settled by proxy); its SC
   // must fail semantically, not corrupt the help machinery.
@@ -530,8 +532,8 @@ int main() {
   managed_basic();
   degraded_path();
   orphan_reclaim_on_join();
-  withdraw_reclaim_race("ll:fast_read_x");
-  withdraw_reclaim_race("ll:announced");
+  withdraw_reclaim_race("ll:copy");
+  withdraw_reclaim_race("ll:relink");
   traced_lifecycle();
   checker_lifecycle_rules();
   mt_churn();

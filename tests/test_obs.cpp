@@ -350,19 +350,22 @@ void checker_catches_violations() {
 }
 
 // Forces one jp LL through the worst case on a traced object: the first
-// attempt is pushed past P (3 commits at ll:fast_read_x, N = 2, P = 2), and
-// the announced round past P again (3 more at ll:read_x), so it must be
-// rescued. The trace must show the fallback and cost exactly 3W+6.
+// attempt is pushed past P (3 commits right after its link, N = 2, P = 2),
+// and the announced round past P again (3 more right after its link), so
+// it must be rescued. The trace must show the fallback and cost exactly
+// 3W+6.
+using HookedJp = core::MwLLSC<llsc::Dw128LLSC, core::HookEnv>;
+
 struct ForceState {
-  core::MwLLSC<llsc::Dw128LLSC>* obj = nullptr;
+  HookedJp* obj = nullptr;
   int stage = 0;
 };
 
 void force_rescue(void* ctx, const char* point, std::uint32_t pid) {
   auto* st = static_cast<ForceState*>(ctx);
   if (pid != 0) return;
-  const bool fast = std::strcmp(point, "ll:fast_read_x") == 0;
-  const bool read = std::strcmp(point, "ll:read_x") == 0;
+  const bool fast = std::strcmp(point, "ll:copy") == 0;
+  const bool read = std::strcmp(point, "ll:recopy") == 0;
   if ((st->stage == 0 && fast) || (st->stage == 1 && read)) {
     ++st->stage;
     std::vector<std::uint64_t> v(3);
@@ -377,13 +380,13 @@ void force_rescue(void* ctx, const char* point, std::uint32_t pid) {
 void fallback_rescue_traced() {
   constexpr std::uint32_t kW = 3;
   obs::TraceSink sink(2);
-  core::MwLLSC<llsc::Dw128LLSC> obj(2, kW);
+  HookedJp obj(2, kW);
   obj.set_trace(&sink, 0);
   ForceState st{&obj, 0};
-  obj.set_step_hook(&force_rescue, &st);
+  core::HookEnv::install(&force_rescue, &st);
   std::vector<std::uint64_t> v(kW);
   obj.ll(0, v.data());
-  obj.set_step_hook(nullptr, nullptr);
+  core::HookEnv::install(nullptr, nullptr);
   CHECK_EQ(st.stage, 2);
   CHECK_EQ(obj.stats().ll_used_helped_value, 1u);
 
