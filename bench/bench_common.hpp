@@ -145,6 +145,21 @@ inline bool has_flag(int argc, char** argv, const char* flag) {
   return false;
 }
 
+/// argv without ObsSession's flags and their values, for benches whose
+/// own parser rejects unknown arguments (google-benchmark).
+inline std::vector<char*> without_obs_flags(int argc, char** argv) {
+  std::vector<char*> args;
+  for (int i = 0; i < argc; ++i) {
+    const std::string a = argv[i];
+    if (a == "--trace" || a == "--metrics") {
+      ++i;  // skip the flag's value too
+    } else {
+      args.push_back(argv[i]);
+    }
+  }
+  return args;
+}
+
 /// Version of the BENCH_*.json row format; bump on breaking field changes
 /// so the cross-PR trajectory tooling can tell schemas apart.
 inline constexpr unsigned kBenchSchemaVersion = 2;
@@ -217,8 +232,10 @@ class JsonEmitter {
 //
 // Every bench constructs one ObsSession from argv; benches bind the
 // objects they create to it, absorb their counters/latencies into the
-// registry, and call finish() after the threads join. Tracing needs the
-// MWLLSC_TRACE build; the metrics registry always works.
+// registry, and call finish() after the threads join. `--trace PATH`
+// writes the trace dump (obs::write_trace, what trace_check reads) to PATH
+// and its Perfetto view to PATH.json. Tracing needs the MWLLSC_TRACE
+// build; the metrics registry always works.
 
 class ObsSession {
  public:
@@ -226,20 +243,14 @@ class ObsSession {
              obs::TraceConfig cfg = {})
       : trace_path_(arg_value(argc, argv, "--trace")),
         metrics_path_(arg_value(argc, argv, "--metrics")) {
-    const std::string shift = arg_value(argc, argv, "--trace-sample-shift");
-    if (!shift.empty()) {
-      cfg.sample_shift = static_cast<std::uint32_t>(std::atoi(shift.c_str()));
-    }
     if (!trace_path_.empty()) {
-#if defined(MWLLSC_TRACE)
-      sink_ = std::make_unique<obs::TraceSink>(nprocs, cfg);
-#else
+#if !defined(MWLLSC_TRACE)
       std::fprintf(stderr,
                    "[obs] --trace requested but this binary was built "
                    "without MWLLSC_TRACE; rebuild with -DMWLLSC_TRACE=ON. "
                    "Writing an empty trace.\n");
-      sink_ = std::make_unique<obs::TraceSink>(nprocs, cfg);
 #endif
+      sink_ = std::make_unique<obs::TraceSink>(nprocs, cfg);
     }
   }
 
@@ -288,12 +299,15 @@ class ObsSession {
     if (sink_ && !trace_path_.empty()) {
       const obs::TraceData d = sink_->collect();
       registry_.absorb_trace(d);
-      if (obs::write_chrome_trace(trace_path_, d, &err)) {
+      const std::string view = trace_path_ + ".json";
+      if (obs::write_trace(trace_path_, d, &err) &&
+          obs::write_chrome_trace(view, d, &err)) {
         std::fprintf(stderr,
-                     "[obs] wrote %llu events (%u procs) to %s\n",
+                     "[obs] wrote %llu events (%u procs) to %s "
+                     "(Perfetto view: %s)\n",
                      static_cast<unsigned long long>(d.total_events()),
                      static_cast<unsigned>(d.per_pid.size()),
-                     trace_path_.c_str());
+                     trace_path_.c_str(), view.c_str());
       } else {
         std::fprintf(stderr, "[obs] trace export failed: %s\n", err.c_str());
         ok = false;

@@ -1,57 +1,61 @@
-// Exporters and the offline trace checker (DESIGN.md §8).
+// Trace files, the offline trace checker and metrics export (DESIGN.md §8).
 //
-// * write_chrome_trace — Chrome-trace / Perfetto JSON of a collected
-//   TraceData: one track per process id, LL and SC rendered as complete
-//   ("X") duration events with their inner detail in args, the remaining
-//   protocol events as instants, and flow events linking every
-//   help_install to the ll_helped / ll_rescue that consumed the donated
-//   buffer on the helpee's track. One traceEvents entry per line, so the
-//   loader below can parse it without a JSON library.
-//
-// * load_chrome_trace — reads that exporter's output back into a
-//   TraceData (X events are expanded to their start/retry/end markers in
-//   place), making an exported file a third correctness oracle: the same
-//   checker runs on live rings and on a file from another machine.
+// * write_trace / load_trace — the one trace file format: TraceData as it
+//   is in memory (magic word, format version, tsc0, ns_per_tick, the vars,
+//   then per pid its dropped count, event count and raw 32-byte events),
+//   so load_trace(write_trace(d)) == d field by field and in order. The
+//   loader refuses anything that is not one whole dump of this version.
 //
 // * check_trace — replays per-pid event streams and re-verifies, from
 //   events alone: the LL step bounds — the paper's 4W+12 and the
-//   implementation's 3W+6 — and zero defensive retries for every
-//   variable labelled as the paper's protocol ("jp…"), exactly one
-//   bank write per successful SC (invariant I2) for every variable that
-//   emits bank writes, and the <= 3 LL/SC rounds bound of the apps-layer
-//   help-all construction. Membership lifecycle events are cross-checked
-//   too: pid leases must not overlap (join while live), retire must not
-//   leave an LL window open, and a retired/reclaimed pid must not emit
-//   protocol events until its next join — traces from before the
-//   lifecycle layer carry no such events and are checked exactly as
-//   before. Ring truncation is tolerated as a missing *prefix* (orphan
-//   closes/bank-writes are skipped while dropped > 0); sampled traces
-//   skip sequencing checks entirely. A result that replayed no LL window
-//   (or a sampled one) is vacuous and proves nothing.
+//   implementation's 3W+6, both taken from core::MwLLSC — and zero
+//   defensive retries for every variable labelled as the paper's protocol
+//   ("jp…"), exactly one bank write per successful SC (invariant I2) for
+//   every variable that emits bank writes, and the <= 3 LL/SC rounds bound
+//   of the apps-layer help-all construction. Membership lifecycle events
+//   are cross-checked too: pid leases must not overlap (join while live),
+//   retire must not leave an LL window open, and a retired/reclaimed pid
+//   must not emit protocol events until its next join — traces from
+//   before the lifecycle layer carry no such events and are checked
+//   exactly as before. Ring truncation is tolerated as a missing *prefix*
+//   (orphan closes/bank-writes are skipped while dropped > 0). A result
+//   that replayed no LL window is vacuous and proves nothing.
+//
+// * write_chrome_trace — an output-only Perfetto view: one track per pid,
+//   closed LL/SC windows as "X" events, all else as instants, and a flow
+//   arrow from each help_install to the LL that consumed the donation.
 //
 // * write_prometheus / write_metrics_json — text + JSON export of a
 //   MetricsRegistry.
 #pragma once
 
+#include <array>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/mwllsc.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace mwllsc::obs {
 
-/// 3: LL windows open at LL entry (before any announce) and a jp LL that
-/// falls back to the announced protocol carries an ll_fallback event
-/// (the "fallback" arg of an exported LL window).
-inline constexpr std::uint32_t kTraceSchemaVersion = 3;
+/// The dump's magic word and format version; bump the version on any
+/// change to the layout or to EventKind's numbering. Fields are in host
+/// byte order; on a machine of the other byte order a dump fails the
+/// version check.
+inline constexpr char kTraceMagic[8] = {'M', 'W', 'L', 'L', 'S', 'C', 'T', 'R'};
+inline constexpr std::uint32_t kTraceFormatVersion = 1;
+
+/// write_metrics_json's schema, versioned apart from the trace dump.
+inline constexpr std::uint32_t kMetricsSchemaVersion = 3;
 
 // ------------------------------------------------------------------ checker
 
@@ -64,13 +68,12 @@ struct TraceCheckResult {
   std::uint64_t joins = 0;          ///< proc_join events (membership layer)
   std::uint64_t retires = 0;
   std::uint64_t crash_reclaims = 0;
-  bool sampled = false;             ///< sequencing checks skipped
   bool truncated = false;           ///< some ring evicted its prefix
   std::vector<std::string> violations;
 
   bool ok() const { return violations.empty(); }
-  /// Nothing was verified: a sampled trace, or no completed LL window.
-  bool vacuous() const { return sampled || lls_checked == 0; }
+  /// Nothing was verified: no completed LL window.
+  bool vacuous() const { return lls_checked == 0; }
 };
 
 /// Derived step count for one completed jp LL, from the observed events.
@@ -86,18 +89,10 @@ inline std::uint64_t ll_steps_of(std::uint32_t w, std::uint32_t rounds,
          (rescued ? w : 0);
 }
 
-/// The paper's LL step bound (Theorem 1) and the implementation's
-/// (core/mwllsc.hpp: a fallen-back first attempt plus one rescued round).
-inline std::uint64_t ll_paper_bound(std::uint32_t w) { return 4ull * w + 12; }
-inline std::uint64_t ll_impl_bound(std::uint32_t w) { return 3ull * w + 6; }
-
 inline TraceCheckResult check_trace(const TraceData& d) {
+  // The bounds do not depend on the engine; any instantiation states them.
+  using Jp = core::MwLLSC<llsc::Dw128LLSC>;
   TraceCheckResult r;
-  if (d.sample_shift > 0) {
-    // Sampling drops arbitrary events; sequencing proofs are meaningless.
-    r.sampled = true;
-    return r;
-  }
 
   // Pre-scan: which vars ever emit bank writes? Substrates without a
   // retirement write (lock) are exempt from the I2 pairing check.
@@ -250,14 +245,16 @@ inline TraceCheckResult check_trace(const TraceData& d) {
           const std::uint64_t steps = ll_steps_of(w, rounds, rescued);
           if (jp) {
             if (steps > r.max_ll_steps) r.max_ll_steps = steps;
-            const bool over_paper = steps > ll_paper_bound(w);
-            if (over_paper || steps > ll_impl_bound(w)) {
+            const std::uint64_t paper = Jp::ll_step_bound(w);
+            const std::uint64_t impl = Jp::ll_impl_bound(w);
+            const bool over_paper = steps > paper;
+            if (over_paper || steps > impl) {
               std::snprintf(msg, sizeof(msg),
                             "pid %zu var %u: LL took %" PRIu64
                             " derived steps > %s = %" PRIu64
                             " (W=%u, rounds=%u, retries=%u)",
                             pid, e.var, steps, over_paper ? "4W+12" : "3W+6",
-                            over_paper ? ll_paper_bound(w) : ll_impl_bound(w),
+                            over_paper ? paper : impl,
                             w, rounds, v.retries);
               r.violations.push_back(msg);
             }
@@ -306,25 +303,137 @@ inline TraceCheckResult check_trace(const TraceData& d) {
   return r;
 }
 
-// ------------------------------------------------------ chrome-trace write
+// ------------------------------------------------------------ trace dump
 
-namespace detail {
-
-/// Key for matching a donation to its consumption: (var, helpee pid, seq).
-inline std::uint64_t flow_id(std::uint32_t var, std::uint32_t pid,
-                             std::uint64_t seq) {
-  return (seq & ((std::uint64_t{1} << 40) - 1)) << 24 |
-         (static_cast<std::uint64_t>(var & 0x3ff) << 14) | (pid & 0x3fff);
+/// Writes `d` as a trace dump (layout in the file comment). Returns false
+/// and fills *err on I/O failure.
+inline bool write_trace(const std::string& path, const TraceData& d,
+                        std::string* err = nullptr) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (!f) {
+    if (err) *err = "cannot open " + path;
+    return false;
+  }
+  bool ok = true;
+  auto put = [&](const void* p, std::size_t n) {
+    if (n > 0 && std::fwrite(p, 1, n, f) != n) ok = false;
+  };
+  auto put_u32 = [&](std::size_t v) {
+    const auto u = static_cast<std::uint32_t>(v);
+    put(&u, sizeof(u));
+  };
+  put(kTraceMagic, sizeof(kTraceMagic));
+  put_u32(kTraceFormatVersion);
+  put(&d.tsc0, sizeof(d.tsc0));
+  put(&d.ns_per_tick, sizeof(d.ns_per_tick));
+  put_u32(d.vars.size());
+  for (const auto& v : d.vars) {
+    put_u32(v.id);
+    put_u32(v.words);
+    put_u32(v.label.size());
+    put(v.label.data(), v.label.size());
+  }
+  put_u32(d.per_pid.size());
+  for (std::size_t p = 0; p < d.per_pid.size(); ++p) {
+    const std::uint64_t head[2] = {p < d.dropped.size() ? d.dropped[p] : 0,
+                                   d.per_pid[p].size()};
+    put(head, sizeof(head));
+    put(d.per_pid[p].data(), d.per_pid[p].size() * sizeof(TraceEvent));
+  }
+  if (std::fclose(f) != 0) ok = false;
+  if (!ok && err) *err = "write failed: " + path;
+  return ok;
 }
 
-inline double us_of(const TraceData& d, std::uint64_t tsc) {
-  return d.ns_of(tsc) / 1000.0;
+/// Reads a write_trace dump into *out. Fails (false, *err set) on a file
+/// that is not one whole dump of this format version: empty or cut short
+/// anywhere, a bad magic word, another version, trailing bytes, an event
+/// kind >= kCount, or an event whose pid is not its stream's.
+inline bool load_trace(const std::string& path, TraceData* out,
+                       std::string* err = nullptr) {
+  auto fail = [&](std::string why) {
+    if (err) *err = std::move(why);
+    return false;
+  };
+  std::ifstream file(path, std::ios::binary);
+  if (!file) return fail("cannot open " + path);
+  const std::string bytes{std::istreambuf_iterator<char>(file), {}};
+  if (bytes.empty()) return fail("empty file");
+
+  std::size_t at = 0;  // read cursor; every read is bounds-checked
+  auto left = [&] { return bytes.size() - at; };
+  auto take = [&](void* dst, std::size_t n) {
+    if (left() < n) return false;
+    if (n > 0) std::memcpy(dst, bytes.data() + at, n);  // dst may be null
+    at += n;
+    return true;
+  };
+  auto get = [&](auto* v) { return take(v, sizeof(*v)); };
+  const std::string cut = "truncated: the file ends inside ";
+
+  char magic[sizeof(kTraceMagic)] = {};
+  std::uint32_t version = 0;
+  const bool whole = take(magic, sizeof(magic)) && get(&version);
+  if (at >= sizeof(magic) &&
+      std::memcmp(magic, kTraceMagic, sizeof(magic)) != 0) {
+    return fail("bad magic word: not an mwllsc trace dump");
+  }
+  if (!whole) return fail(cut + "the header");
+  if (version != kTraceFormatVersion) {
+    return fail("unknown format version " + std::to_string(version) +
+                " (this build reads " + std::to_string(kTraceFormatVersion) +
+                ")");
+  }
+  TraceData d;
+  std::uint32_t nvars = 0;
+  if (!get(&d.tsc0) || !get(&d.ns_per_tick) || !get(&nvars)) {
+    return fail(cut + "the header");
+  }
+  for (std::uint32_t i = 0; i < nvars; ++i) {
+    TraceData::VarInfo v;
+    std::uint32_t len = 0;
+    if (!get(&v.id) || !get(&v.words) || !get(&len) || left() < len) {
+      return fail(cut + "var " + std::to_string(i));
+    }
+    v.label.resize(len);
+    take(v.label.data(), len);
+    d.vars.push_back(std::move(v));
+  }
+  std::uint32_t npids = 0;
+  if (!get(&npids)) return fail(cut + "the header");
+  for (std::uint32_t p = 0; p < npids; ++p) {
+    const std::string where = "pid " + std::to_string(p);
+    std::uint64_t dropped = 0, count = 0;
+    if (!get(&dropped) || !get(&count) ||
+        left() / sizeof(TraceEvent) < count) {
+      return fail(cut + where + "'s stream");
+    }
+    std::vector<TraceEvent> stream(static_cast<std::size_t>(count));
+    take(stream.data(), stream.size() * sizeof(TraceEvent));
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      const TraceEvent& e = stream[i];
+      const bool known = e.kind < static_cast<std::uint16_t>(EventKind::kCount);
+      if (known && e.pid == p) continue;
+      return fail(where + " event " + std::to_string(i) + ": " +
+                  (known ? "recorded under pid " + std::to_string(e.pid)
+                         : "kind " + std::to_string(e.kind) + " >= kCount"));
+    }
+    d.dropped.push_back(dropped);
+    d.per_pid.push_back(std::move(stream));
+  }
+  if (left() != 0) {
+    return fail(std::to_string(left()) +
+                " trailing bytes after the last stream");
+  }
+  *out = std::move(d);
+  return true;
 }
 
-}  // namespace detail
+// ------------------------------------------------ chrome-trace view (write)
 
-/// Writes the collected trace as Chrome-trace JSON (open in Perfetto /
-/// chrome://tracing). Returns false and fills *err on I/O failure.
+/// Writes a Chrome-trace JSON view of `d` (open in ui.perfetto.dev or
+/// chrome://tracing). Output only: the dump is the file to check or
+/// reload. Returns false and fills *err on I/O failure.
 inline bool write_chrome_trace(const std::string& path, const TraceData& d,
                                std::string* err = nullptr) {
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -338,159 +447,101 @@ inline bool write_chrome_trace(const std::string& path, const TraceData& d,
     if (!first) std::fprintf(f, ",\n");
     first = false;
   };
+  auto us = [&](std::uint64_t tsc) { return d.ns_of(tsc) / 1000.0; };
+  // Matches a donation to its consumption: (var, helpee pid, seq).
+  auto flow_id = [](std::uint32_t var, std::uint32_t pid, std::uint64_t seq) {
+    return (seq & ((std::uint64_t{1} << 40) - 1)) << 24 |
+           (static_cast<std::uint64_t>(var & 0x3ff) << 14) | (pid & 0x3fff);
+  };
+  auto instant = [&](std::size_t pid, const TraceEvent& e) {
+    sep();
+    std::fprintf(f,
+                 "{\"ph\":\"i\",\"name\":\"%s\",\"cat\":\"mwllsc\","
+                 "\"s\":\"t\",\"pid\":0,\"tid\":%zu,\"ts\":%.3f,"
+                 "\"args\":{\"var\":%u,\"tag\":%" PRIu64 ",\"arg\":%u}}",
+                 event_name(static_cast<EventKind>(e.kind)), pid, us(e.tsc),
+                 e.var, e.tag, e.arg);
+  };
 
-  // Track names.
+  // Where each donation lands: flow targets on the helpee's track.
+  std::map<std::uint64_t, std::uint64_t> consume_tsc;  // flow id -> tsc
+  for (const auto& stream : d.per_pid) {
+    for (const TraceEvent& e : stream) {
+      const auto k = static_cast<EventKind>(e.kind);
+      if (k == EventKind::kLlHelped || k == EventKind::kLlRescue) {
+        consume_tsc[flow_id(e.var, e.pid, e.tag)] = e.tsc;
+      }
+    }
+  }
+
   for (std::size_t pid = 0; pid < d.per_pid.size(); ++pid) {
     sep();
     std::fprintf(f,
                  "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":0,"
                  "\"tid\":%zu,\"args\":{\"name\":\"process %zu\"}}",
                  pid, pid);
-  }
-
-  // First pass: where does each donation land? (flow targets)
-  std::map<std::uint64_t, std::uint64_t> consume_tsc;  // flow id -> tsc
-  for (const auto& stream : d.per_pid) {
-    for (const TraceEvent& e : stream) {
+    // Per var, the opener of its open LL window [0] and SC window [1].
+    std::map<std::uint32_t, std::array<const TraceEvent*, 2>> open;
+    for (const TraceEvent& e : d.per_pid[pid]) {
       const auto k = static_cast<EventKind>(e.kind);
-      if (k == EventKind::kLlHelped || k == EventKind::kLlRescue) {
-        consume_tsc[detail::flow_id(e.var, e.pid, e.tag)] = e.tsc;
+      const bool opens_sc = k == EventKind::kScAttempt;
+      const bool closes_ll = k == EventKind::kLlFast ||
+                             k == EventKind::kLlRescue;
+      const bool closes_sc = k == EventKind::kScCommit ||
+                             k == EventKind::kScFail;
+      if (k == EventKind::kLlStart || opens_sc) {
+        const TraceEvent*& slot = open[e.var][opens_sc];
+        if (slot) instant(pid, *slot);  // a window that never closed
+        slot = &e;
+        continue;
       }
-    }
-  }
-
-  for (std::size_t pid = 0; pid < d.per_pid.size(); ++pid) {
-    const auto& stream = d.per_pid[pid];
-    // Retry and fallback markers folded into an LL window's args; they are
-    // not written again as instants (the loader re-expands them).
-    std::vector<bool> folded(stream.size(), false);
-    for (std::size_t i = 0; i < stream.size(); ++i) {
-      const TraceEvent& e = stream[i];
-      const auto k = static_cast<EventKind>(e.kind);
-      if (folded[i]) continue;
-
-      // LL / SC windows become "X" complete events; their close marker is
-      // consumed here, other inner instants fall through to the instant
-      // case on later iterations (they sit inside the duration visually).
-      if (k == EventKind::kLlStart || k == EventKind::kScAttempt) {
-        const bool is_ll = k == EventKind::kLlStart;
-        std::uint32_t retries = 0;
-        bool fallback = false;
-        std::vector<std::size_t> inner;
-        std::size_t close = stream.size();
-        for (std::size_t j = i + 1; j < stream.size(); ++j) {
-          const auto kj = static_cast<EventKind>(stream[j].kind);
-          if (stream[j].var != e.var) continue;
-          if (is_ll && kj == EventKind::kLlRetry) {
-            ++retries;
-            inner.push_back(j);
-          }
-          if (is_ll && kj == EventKind::kLlFallback) {
-            fallback = true;
-            inner.push_back(j);
-          }
-          if ((is_ll && (kj == EventKind::kLlFast ||
-                         kj == EventKind::kLlRescue)) ||
-              (!is_ll && (kj == EventKind::kScCommit ||
-                          kj == EventKind::kScFail))) {
-            close = j;
-            break;
-          }
-          if ((is_ll && kj == EventKind::kLlStart) ||
-              (!is_ll && kj == EventKind::kScAttempt)) {
-            break;  // window never closed (shouldn't happen)
-          }
-        }
-        if (close < stream.size()) {
-          for (std::size_t j : inner) folded[j] = true;
-          const TraceEvent& c = stream[close];
-          const auto ck = static_cast<EventKind>(c.kind);
-          const double ts = detail::us_of(d, e.tsc);
-          const double dur = detail::us_of(d, c.tsc) - ts;
+      if (closes_ll || closes_sc) {
+        const TraceEvent*& slot = open[e.var][closes_sc];
+        if (slot) {
+          const double ts = us(slot->tsc);
           sep();
-          std::fprintf(
-              f,
-              "{\"ph\":\"X\",\"name\":\"%s(%s)\",\"cat\":\"mwllsc\","
-              "\"pid\":0,\"tid\":%zu,\"ts\":%.3f,\"dur\":%.3f,"
-              "\"args\":{\"k\":\"%s\",\"end\":\"%s\",\"retries\":%u,"
-              "\"fallback\":%u,\"var\":%u,\"tag\":%" PRIu64
-              ",\"arg\":%u}}",
-              is_ll ? "LL" : "SC",
-              ck == EventKind::kLlFast     ? "fast"
-              : ck == EventKind::kLlRescue ? "helped"
-              : ck == EventKind::kScCommit ? "commit"
-                                           : "fail",
-              pid, ts, dur < 0 ? 0.0 : dur, is_ll ? "ll" : "sc",
-              event_name(ck), retries, fallback ? 1u : 0u, e.var, c.tag,
-              c.arg);
-          continue;  // the close marker is skipped below
+          std::fprintf(f,
+                       "{\"ph\":\"X\",\"name\":\"%s(%s)\",\"cat\":\"mwllsc\","
+                       "\"pid\":0,\"tid\":%zu,\"ts\":%.3f,\"dur\":%.3f,"
+                       "\"args\":{\"var\":%u,\"tag\":%" PRIu64 ",\"arg\":%u}}",
+                       closes_ll ? "LL" : "SC", event_name(k), pid, ts,
+                       us(e.tsc) > ts ? us(e.tsc) - ts : 0.0, e.var, e.tag,
+                       e.arg);
+          slot = nullptr;
+          continue;
         }
-        // Unclosed window (end of ring): fall through as an instant.
+        // An orphan close from an evicted prefix stays an instant.
       }
-      if ((k == EventKind::kLlFast || k == EventKind::kLlRescue ||
-           k == EventKind::kScCommit || k == EventKind::kScFail)) {
-        // Close markers are folded into their X event; one that reaches
-        // here is an orphan from an evicted prefix — keep it as an
-        // instant so the loader round-trips it.
-        bool orphan = true;
-        for (std::size_t j = i; j-- > 0;) {
-          const auto kj = static_cast<EventKind>(stream[j].kind);
-          if (stream[j].var != e.var) continue;
-          if (kj == EventKind::kLlStart || kj == EventKind::kScAttempt) {
-            // A window opener earlier in the stream claimed this close iff
-            // no other close sits between them; the X scan above is
-            // exactly that, so mirror it cheaply: the opener scan stopped
-            // at the *first* close. Being the first close after an opener
-            // of the right kind means not orphan.
-            const bool opener_is_ll = kj == EventKind::kLlStart;
-            const bool close_is_ll = k == EventKind::kLlFast ||
-                                     k == EventKind::kLlRescue;
-            if (opener_is_ll == close_is_ll) orphan = false;
-            break;
-          }
-          if (kj == EventKind::kLlFast || kj == EventKind::kLlRescue ||
-              kj == EventKind::kScCommit || kj == EventKind::kScFail) {
-            break;  // another close intervenes: we're orphaned
-          }
-        }
-        if (!orphan) continue;
-      }
+      instant(pid, e);
 
-      // Instant event.
-      sep();
-      std::fprintf(f,
-                   "{\"ph\":\"i\",\"name\":\"%s\",\"cat\":\"mwllsc\","
-                   "\"s\":\"t\",\"pid\":0,\"tid\":%zu,\"ts\":%.3f,"
-                   "\"args\":{\"k\":\"%s\",\"var\":%u,\"tag\":%" PRIu64
-                   ",\"arg\":%u}}",
-                   event_name(k), pid, detail::us_of(d, e.tsc),
-                   event_name(k), e.var, e.tag, e.arg);
-
-      // A donation grows a flow arrow to the helpee's track.
+      // A consumed donation grows a flow arrow to the helpee's track.
       if (k == EventKind::kHelpInstall) {
-        const std::uint64_t id = detail::flow_id(e.var, e.arg, e.tag);
-        auto it = consume_tsc.find(id);
+        const std::uint64_t id = flow_id(e.var, e.arg, e.tag);
+        const auto it = consume_tsc.find(id);
         if (it != consume_tsc.end()) {
           sep();
           std::fprintf(f,
                        "{\"ph\":\"s\",\"name\":\"donation\",\"cat\":\"help\","
-                       "\"id\":%" PRIu64
-                       ",\"pid\":0,\"tid\":%zu,\"ts\":%.3f}",
-                       id, pid, detail::us_of(d, e.tsc));
+                       "\"id\":%" PRIu64 ",\"pid\":0,\"tid\":%zu,\"ts\":%.3f}",
+                       id, pid, us(e.tsc));
           sep();
           std::fprintf(f,
                        "{\"ph\":\"f\",\"bp\":\"e\",\"name\":\"donation\","
                        "\"cat\":\"help\",\"id\":%" PRIu64
                        ",\"pid\":0,\"tid\":%u,\"ts\":%.3f}",
-                       id, e.arg, detail::us_of(d, it->second));
+                       id, e.arg, us(it->second));
         }
+      }
+    }
+    for (const auto& [var, slots] : open) {
+      for (const TraceEvent* s : slots) {
+        if (s) instant(pid, *s);
       }
     }
   }
 
   std::fprintf(f, "\n],\n\"displayTimeUnit\": \"ms\",\n\"mwllsc\": {\n");
-  std::fprintf(f, "  \"schema_version\": %u,\n", kTraceSchemaVersion);
-  std::fprintf(f, "  \"sample_shift\": %u,\n", d.sample_shift);
+  std::fprintf(f, "  \"format_version\": %u,\n", kTraceFormatVersion);
   std::fprintf(f, "  \"dropped\": [");
   for (std::size_t p = 0; p < d.dropped.size(); ++p) {
     std::fprintf(f, "%s%" PRIu64, p ? ", " : "", d.dropped[p]);
@@ -504,174 +555,6 @@ inline bool write_chrome_trace(const std::string& path, const TraceData& d,
   }
   std::fprintf(f, "  ]\n}\n}\n");
   std::fclose(f);
-  return true;
-}
-
-// ------------------------------------------------------- chrome-trace load
-
-namespace detail {
-
-inline bool find_u64(const std::string& s, const char* key,
-                     std::uint64_t* out) {
-  const auto pos = s.find(key);
-  if (pos == std::string::npos) return false;
-  *out = std::strtoull(s.c_str() + pos + std::strlen(key), nullptr, 10);
-  return true;
-}
-
-inline bool find_str(const std::string& s, const char* key,
-                     std::string* out) {
-  const auto pos = s.find(key);
-  if (pos == std::string::npos) return false;
-  const auto start = pos + std::strlen(key);
-  const auto end = s.find('"', start);
-  if (end == std::string::npos) return false;
-  *out = s.substr(start, end - start);
-  return true;
-}
-
-}  // namespace detail
-
-/// Parses write_chrome_trace output (one traceEvents entry per line) back
-/// into a TraceData; "X" windows are expanded to their start/fallback/
-/// retry/close markers in place, so check_trace sees the same per-pid
-/// streams it would on live rings. Timestamps come back in nanoseconds
-/// (ns_per_tick = 1). Fails (false, *err set) on input that is not a
-/// complete export: empty, foreign bytes, or cut off before the trailing
-/// metadata block the writer emits last.
-inline bool load_chrome_trace(const std::string& path, TraceData* out,
-                              std::string* err = nullptr) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (!f) {
-    if (err) *err = "cannot open " + path;
-    return false;
-  }
-  *out = TraceData{};
-  out->ns_per_tick = 1.0;
-
-  auto kind_of = [](const std::string& name) -> int {
-    for (std::size_t k = 0; k < static_cast<std::size_t>(EventKind::kCount);
-         ++k) {
-      if (name == event_name(static_cast<EventKind>(k))) {
-        return static_cast<int>(k);
-      }
-    }
-    return -1;
-  };
-
-  char buf[2048];
-  bool in_vars = false;
-  bool saw_header = false, saw_schema = false, saw_vars_end = false;
-  while (std::fgets(buf, sizeof(buf), f)) {
-    std::string line(buf);
-
-    if (line.rfind("\"traceEvents\": [", 0) == 0) saw_header = true;
-    if (line.find("\"vars\"") != std::string::npos) in_vars = true;
-    if (in_vars && line.rfind("  ]", 0) == 0) {
-      in_vars = false;
-      saw_vars_end = true;
-      continue;
-    }
-    if (in_vars && line.find("\"id\"") != std::string::npos) {
-      TraceData::VarInfo v;
-      std::uint64_t u = 0;
-      if (detail::find_u64(line, "\"id\": ", &u)) {
-        v.id = static_cast<std::uint32_t>(u);
-      }
-      if (detail::find_u64(line, "\"words\": ", &u)) {
-        v.words = static_cast<std::uint32_t>(u);
-      }
-      detail::find_str(line, "\"label\": \"", &v.label);
-      out->vars.push_back(std::move(v));
-      continue;
-    }
-    std::uint64_t u = 0;
-    if (detail::find_u64(line, "\"schema_version\": ", &u)) {
-      saw_schema = true;
-      continue;
-    }
-    if (detail::find_u64(line, "\"sample_shift\": ", &u)) {
-      out->sample_shift = static_cast<std::uint32_t>(u);
-      continue;
-    }
-    if (line.find("\"dropped\": [") != std::string::npos) {
-      const char* p = std::strchr(line.c_str(), '[') + 1;
-      while (*p && *p != ']') {
-        char* next = nullptr;
-        out->dropped.push_back(std::strtoull(p, &next, 10));
-        if (next == p) break;
-        p = next;
-        while (*p == ',' || *p == ' ') ++p;
-      }
-      continue;
-    }
-
-    std::string ph;
-    if (!detail::find_str(line, "\"ph\":\"", &ph)) continue;
-    if (ph != "X" && ph != "i") continue;  // flows/metadata carry no state
-
-    std::uint64_t tid = 0, var = 0, tag = 0, arg = 0;
-    detail::find_u64(line, "\"tid\":", &tid);
-    detail::find_u64(line, "\"var\":", &var);
-    detail::find_u64(line, "\"tag\":", &tag);
-    detail::find_u64(line, "\"arg\":", &arg);
-    const auto ts_pos = line.find("\"ts\":");
-    const double ts_us =
-        ts_pos == std::string::npos
-            ? 0.0
-            : std::strtod(line.c_str() + ts_pos + 5, nullptr);
-
-    if (out->per_pid.size() <= tid) out->per_pid.resize(tid + 1);
-    auto& stream = out->per_pid[tid];
-    auto push = [&](EventKind k, double at_us) {
-      TraceEvent e;
-      e.tsc = static_cast<std::uint64_t>(at_us * 1000.0);
-      e.tag = tag;
-      e.var = static_cast<std::uint32_t>(var);
-      e.arg = static_cast<std::uint32_t>(arg);
-      e.kind = static_cast<std::uint16_t>(k);
-      e.pid = static_cast<std::uint16_t>(tid);
-      stream.push_back(e);
-    };
-
-    if (ph == "X") {
-      std::string end;
-      std::uint64_t retries = 0, fallback = 0;
-      detail::find_str(line, "\"end\":\"", &end);
-      detail::find_u64(line, "\"retries\":", &retries);
-      detail::find_u64(line, "\"fallback\":", &fallback);
-      const int close = kind_of(end);
-      if (close < 0) continue;
-      const bool is_ll = end == "ll_fast" || end == "ll_rescue";
-      const auto dur_pos = line.find("\"dur\":");
-      const double dur_us =
-          dur_pos == std::string::npos
-              ? 0.0
-              : std::strtod(line.c_str() + dur_pos + 6, nullptr);
-      push(is_ll ? EventKind::kLlStart : EventKind::kScAttempt, ts_us);
-      if (is_ll && fallback) push(EventKind::kLlFallback, ts_us);
-      for (std::uint64_t i = 0; i < retries; ++i) {
-        push(EventKind::kLlRetry, ts_us);
-      }
-      push(static_cast<EventKind>(close), ts_us + dur_us);
-    } else {
-      std::string name;
-      detail::find_str(line, "\"name\":\"", &name);
-      const int k = kind_of(name);
-      if (k >= 0) push(static_cast<EventKind>(k), ts_us);
-    }
-  }
-  std::fclose(f);
-  if (!saw_header || !saw_schema || !saw_vars_end) {
-    if (err) {
-      *err = !saw_header ? "not an mwllsc chrome-trace export"
-                         : "truncated: the trailing metadata block is missing";
-    }
-    return false;
-  }
-  if (out->dropped.size() < out->per_pid.size()) {
-    out->dropped.resize(out->per_pid.size(), 0);
-  }
   return true;
 }
 
@@ -732,7 +615,7 @@ inline bool write_metrics_json(const std::string& path,
     return false;
   }
   std::fprintf(f, "{\n  \"schema_version\": %u,\n  \"metrics\": [\n",
-               kTraceSchemaVersion);
+               kMetricsSchemaVersion);
   std::size_t i = 0;
   const auto& all = reg.metrics();
   for (const auto& [key, m] : all) {

@@ -9,8 +9,8 @@
 // The whole layer is compiled out unless MWLLSC_TRACE is defined: the
 // TraceHandle the instrumented classes embed becomes an empty struct and
 // every emit() call folds to nothing (tests static_assert the emptiness).
-// When compiled in, TraceConfig adds a run-time sampling knob (record every
-// 2^sample_shift-th event per ring) for runs too hot to trace exhaustively.
+// Every resident event is kept: newest-wins wrap is the only memory bound,
+// so a collected trace is always exact enough to prove things from.
 //
 // Timestamps are raw TSC ticks on x86-64 (one rdtsc, no serialization —
 // cheap and monotone enough for per-pid ordering; the rings themselves are
@@ -24,6 +24,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -52,8 +53,6 @@ enum class EventKind : std::uint16_t {
   kScFail,          ///< SC failed (semantic)
   kHelpInstall,     ///< SC donated a buffer pre-SC      (arg = helpee pid)
   kBankWrite,       ///< the one-per-SC retirement write (invariant I2)
-  kBufferRetire,    ///< retired kind, no longer emitted: kBankWrite
-                    ///< carries the same (tag, buffer) payload
   kAnnounce,        ///< apps: op published              (tag = op seq)
   kHelpAll,         ///< apps: help-all pass ran         (arg = ops applied)
   kApplyCommit,     ///< apps: apply finished            (arg = attempts)
@@ -69,7 +68,7 @@ inline const char* event_name(EventKind k) {
   static const char* names[] = {
       "ll_start",  "ll_fast",   "ll_helped",    "ll_rescue",     "ll_retry",
       "sc_attempt", "sc_commit", "sc_fail",     "help_install",  "bank_write",
-      "buffer_retire", "announce", "help_all",  "apply_commit",
+      "announce",  "help_all",  "apply_commit",
       "proc_join", "proc_retire", "proc_crash_reclaim", "ll_fallback"};
   const auto i = static_cast<std::size_t>(k);
   return i < static_cast<std::size_t>(EventKind::kCount) ? names[i] : "?";
@@ -87,7 +86,12 @@ struct TraceEvent {
   std::uint32_t pad = 0;
 };
 static_assert(sizeof(TraceEvent) == 32, "events are fixed-size records");
-static_assert(std::is_trivially_copyable_v<TraceEvent>, "POD events only");
+static_assert(std::has_unique_object_representations_v<TraceEvent>,
+              "POD events without padding: dumps and == use raw bytes");
+
+inline bool operator==(const TraceEvent& a, const TraceEvent& b) {
+  return std::memcmp(&a, &b, sizeof(TraceEvent)) == 0;
+}
 
 inline std::uint64_t trace_now() {
 #if defined(__x86_64__) || defined(_M_X64)
@@ -102,7 +106,6 @@ inline std::uint64_t trace_now() {
 
 struct TraceConfig {
   std::uint32_t capacity = 1u << 14;  ///< events per process (rounded pow2)
-  std::uint32_t sample_shift = 0;     ///< record every 2^shift-th event
 };
 
 /// Per-process event ring. Single-writer: only the owning process records;
@@ -112,17 +115,15 @@ struct TraceConfig {
 /// printer reading counts) is merely stale, never UB.
 class alignas(64) TraceRing {
  public:
-  void init(std::uint32_t capacity, std::uint32_t sample_shift) {
+  void init(std::uint32_t capacity) {
     cap_ = 1;
     while (cap_ < capacity) cap_ <<= 1;
     mask_ = cap_ - 1;
-    sample_mask_ = (std::uint64_t{1} << sample_shift) - 1;
     slots_.reset(new TraceEvent[cap_]);
   }
 
   void record(EventKind k, std::uint16_t pid, std::uint32_t var,
               std::uint64_t tag, std::uint32_t arg) {
-    if ((seen_++ & sample_mask_) != 0) return;  // sampling knob
     const std::uint64_t h = head_.load(std::memory_order_relaxed);
     TraceEvent& e = slots_[h & mask_];
     e.tsc = trace_now();
@@ -157,10 +158,8 @@ class alignas(64) TraceRing {
  private:
   std::unique_ptr<TraceEvent[]> slots_;
   std::atomic<std::uint64_t> head_{0};
-  std::uint64_t seen_ = 0;  // single-writer sampling counter
   std::uint64_t cap_ = 0;
   std::uint64_t mask_ = 0;
-  std::uint64_t sample_mask_ = 0;
 };
 
 /// Everything a trace consumer (exporter, checker, metrics) needs, pulled
@@ -170,14 +169,23 @@ struct TraceData {
     std::uint32_t id = 0;
     std::uint32_t words = 0;
     std::string label;  ///< substrate kind ("jp", "am", ...) or bench label
+
+    bool operator==(const VarInfo& o) const {
+      return id == o.id && words == o.words && label == o.label;
+    }
   };
 
   std::vector<VarInfo> vars;
   std::vector<std::vector<TraceEvent>> per_pid;  ///< per-pid, ring order
   std::vector<std::uint64_t> dropped;            ///< per-pid evicted counts
-  std::uint32_t sample_shift = 0;
   std::uint64_t tsc0 = 0;       ///< sink-construction timestamp (ticks)
   double ns_per_tick = 1.0;
+
+  /// Field by field and in order: what a dump round trip preserves.
+  bool operator==(const TraceData& o) const {
+    return vars == o.vars && per_pid == o.per_pid && dropped == o.dropped &&
+           tsc0 == o.tsc0 && ns_per_tick == o.ns_per_tick;
+  }
 
   const VarInfo* var_info(std::uint32_t id) const {
     for (const auto& v : vars) {
@@ -204,9 +212,9 @@ struct TraceData {
 class TraceSink {
  public:
   explicit TraceSink(std::uint32_t nprocs, TraceConfig cfg = {})
-      : n_(nprocs), cfg_(cfg), rings_(new TraceRing[nprocs]) {
+      : n_(nprocs), rings_(new TraceRing[nprocs]) {
     for (std::uint32_t p = 0; p < nprocs; ++p) {
-      rings_[p].init(cfg.capacity, cfg.sample_shift);
+      rings_[p].init(cfg.capacity);
     }
     tsc0_ = trace_now();
     ns0_ = wall_ns();
@@ -240,7 +248,6 @@ class TraceSink {
   }
 
   std::uint32_t procs() const { return n_; }
-  const TraceConfig& config() const { return cfg_; }
 
   /// Quiescent collection: call only after the traced threads joined (the
   /// join provides the happens-before for the plain event slots).
@@ -256,7 +263,6 @@ class TraceSink {
       d.per_pid[p] = rings_[p].snapshot();
       d.dropped[p] = rings_[p].dropped();
     }
-    d.sample_shift = cfg_.sample_shift;
     d.tsc0 = tsc0_;
     const std::uint64_t tsc1 = trace_now();
     const std::uint64_t ns1 = wall_ns();
@@ -275,7 +281,6 @@ class TraceSink {
   }
 
   const std::uint32_t n_;
-  const TraceConfig cfg_;
   std::unique_ptr<TraceRing[]> rings_;
   mutable std::mutex mu_;
   std::vector<TraceData::VarInfo> vars_;

@@ -1,19 +1,25 @@
 // obs/ layer tests, compiled WITH MWLLSC_TRACE (see tests/CMakeLists.txt;
 // test_obs_off covers the compiled-out configuration):
 //   * ring semantics — wraparound keeps the newest events, dropped counts
-//     the evicted prefix, sampling records every 2^shift-th event;
+//     the evicted prefix;
 //   * live tracing of the real protocol under threads, replayed through
-//     check_trace: the 3W+6 / 4W+12 bounds and I2 re-verified from events
-//     alone; a forced fallback + rescue costs exactly 3W+6 derived steps;
-//   * exporter round-trip — write_chrome_trace -> load_chrome_trace must
-//     hand the checker the same windows the live rings did;
-//   * truncated and sampled traces pass (prefix loss is not a violation);
+//     check_trace: the 3W+6 / 4W+12 bounds (core::MwLLSC's) and I2
+//     re-verified from events alone; a forced fallback + rescue costs
+//     exactly 3W+6 derived steps;
+//   * exact dump round trip — load_trace(write_trace(d)) == d for every
+//     trace collected here and for a hand-built stream whose inner events
+//     sit inside LL and SC windows;
+//   * truncated traces pass (prefix loss is not a violation);
 //   * the checker actually rejects bad traces (synthetic violations), and
-//     the loader rejects truncated files;
+//     the loader refuses a dump cut short anywhere;
+//   * the output-only Perfetto view: windows, donation flows, orphan
+//     closes and the metadata trailer;
 //   * apps-layer events and the <= 3-round apply bound;
 //   * MetricsRegistry absorption + Prometheus/JSON export.
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,6 +32,7 @@
 #include "test_check.hpp"
 
 using namespace mwllsc;
+using Jp = core::MwLLSC<llsc::Dw128LLSC>;  // the LL bounds' one definition
 
 #if !defined(MWLLSC_TRACE)
 #error "test_obs must be compiled with MWLLSC_TRACE (see tests/CMakeLists)"
@@ -33,15 +40,29 @@ using namespace mwllsc;
 
 namespace {
 
-std::string slurp(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  CHECK(f != nullptr);
-  std::string out;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out.append(buf, n);
-  std::fclose(f);
-  return out;
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  CHECK(in.good());
+  return {std::istreambuf_iterator<char>(in), {}};
+}
+
+/// load_trace(write_trace(d)) hands back d field by field and in order.
+void check_reloads(const obs::TraceData& d) {
+  const std::string path = "test_obs_roundtrip.trace";
+  obs::TraceData loaded;
+  std::string err;
+  CHECK(obs::write_trace(path, d, &err));
+  CHECK(obs::load_trace(path, &loaded, &err));
+  CHECK(loaded == d);
+  std::remove(path.c_str());
+}
+
+std::size_t count_of(const std::string& text, const std::string& needle) {
+  std::size_t n = 0;
+  for (auto at = text.find(needle); at != std::string::npos; ++n) {
+    at = text.find(needle, at + 1);
+  }
+  return n;
 }
 
 obs::TraceEvent ev(obs::EventKind k, std::uint16_t pid, std::uint32_t var,
@@ -59,7 +80,7 @@ obs::TraceEvent ev(obs::EventKind k, std::uint16_t pid, std::uint32_t var,
 
 void ring_wraparound() {
   obs::TraceRing ring;
-  ring.init(8, 0);
+  ring.init(8);
   for (std::uint32_t i = 0; i < 20; ++i) {
     ring.record(obs::EventKind::kLlStart, 0, 0, i, 0);
   }
@@ -70,19 +91,6 @@ void ring_wraparound() {
   // The newest events win: tags 12..19 in recording order.
   for (std::size_t i = 0; i < snap.size(); ++i) {
     CHECK_EQ(snap[i].tag, 12 + i);
-  }
-}
-
-void ring_sampling() {
-  obs::TraceRing ring;
-  ring.init(64, 2);  // record every 4th event
-  for (std::uint32_t i = 0; i < 40; ++i) {
-    ring.record(obs::EventKind::kScAttempt, 1, 0, i, 0);
-  }
-  const auto snap = ring.snapshot();
-  CHECK_EQ(snap.size(), 10u);
-  for (std::size_t i = 0; i < snap.size(); ++i) {
-    CHECK_EQ(snap[i].tag, 4 * i);
   }
 }
 
@@ -101,6 +109,7 @@ void handle_binding() {
   CHECK_EQ(d.per_pid[1][0].var, 7u);
   CHECK_EQ(d.per_pid[1][0].tag, 42u);
   CHECK_EQ(d.per_pid[1][0].arg, 3u);
+  check_reloads(d);
 }
 
 /// Traces the real protocol under contention and replays the rings through
@@ -143,12 +152,11 @@ obs::TraceData traced_protocol_mt() {
       std::fprintf(stderr, "  %s\n", v.c_str());
   }
   CHECK(r.ok());
-  CHECK(!r.sampled);
   CHECK(!r.truncated);
   CHECK_EQ(r.lls_checked, kThreads * kOps);
   CHECK(r.sc_commits > 0);
   CHECK_EQ(r.sc_commits, r.bank_writes);
-  CHECK(r.max_ll_steps <= obs::ll_impl_bound(kW));
+  CHECK(r.max_ll_steps <= Jp::ll_impl_bound(kW));
   CHECK(r.max_ll_steps >= kW + 3);  // every LL pays at least its first try
 
   // The counter snapshot and the trace must agree on the successful SCs.
@@ -158,39 +166,67 @@ obs::TraceData traced_protocol_mt() {
   return d;
 }
 
-void export_roundtrip(const obs::TraceData& d) {
-  const std::string path = "test_obs_trace.json";
-  std::string err;
-  CHECK(obs::write_chrome_trace(path, d, &err));
+/// Events inside a window (ll_helped and a fallback inside an LL,
+/// help_install inside an SC) keep their place, tags, args and tsc
+/// through the dump.
+void dump_keeps_stream_exact() {
+  using obs::EventKind;
+  obs::TraceData d;
+  d.vars.push_back({0, 4, "jp w=4"});
+  d.per_pid = {{ev(EventKind::kLlStart, 0, 0, 7),
+                ev(EventKind::kLlFallback, 0, 0, 7),
+                ev(EventKind::kLlHelped, 0, 0, 7, 3),
+                ev(EventKind::kLlFast, 0, 0, 42),
+                ev(EventKind::kScAttempt, 0, 0, 0, 1),
+                ev(EventKind::kHelpInstall, 0, 0, 9, 1),
+                ev(EventKind::kScCommit, 0, 0, 43),
+                ev(EventKind::kBankWrite, 0, 0, 43, 5)}};
+  d.dropped = {0};
+  d.tsc0 = 900;
+  d.ns_per_tick = 0.37;
+  CHECK(obs::check_trace(d).ok());
+  check_reloads(d);
+}
 
-  obs::TraceData loaded;
-  CHECK(obs::load_chrome_trace(path, &loaded, &err));
-  CHECK_EQ(loaded.vars.size(), d.vars.size());
-  CHECK_EQ(loaded.per_pid.size(), d.per_pid.size());
-  CHECK_EQ(loaded.sample_shift, d.sample_shift);
-  const obs::TraceData::VarInfo* info = loaded.var_info(0);
-  CHECK(info != nullptr);
-  CHECK_EQ(info->words, d.var_info(0)->words);
-  CHECK(info->label == d.var_info(0)->label);
+/// The Perfetto view is output only, so nothing round-trips it; check it
+/// directly on a hand-built two-pid stream.
+void chrome_view() {
+  using obs::EventKind;
+  obs::TraceData d;
+  d.vars.push_back({0, 2, "jp w=2"});
+  d.per_pid.resize(2);
+  d.dropped = {3, 0};  // pid 0's ring evicted a prefix
+  d.per_pid[0] = {ev(EventKind::kLlFast, 0, 0),  // orphan close
+                  ev(EventKind::kLlStart, 0, 0),
+                  ev(EventKind::kLlFast, 0, 0, 1),
+                  ev(EventKind::kScAttempt, 0, 0, 0, 1),
+                  ev(EventKind::kHelpInstall, 0, 0, 5, 1),  // consumed
+                  ev(EventKind::kScCommit, 0, 0, 2),
+                  ev(EventKind::kBankWrite, 0, 0, 2),
+                  ev(EventKind::kScAttempt, 0, 0, 0, 0),
+                  ev(EventKind::kHelpInstall, 0, 0, 6, 1),  // never consumed
+                  ev(EventKind::kScFail, 0, 0),
+                  ev(EventKind::kLlStart, 0, 0)};            // never closed
+  d.per_pid[1] = {ev(EventKind::kLlStart, 1, 0, 5),
+                  ev(EventKind::kLlFallback, 1, 0, 5),
+                  ev(EventKind::kLlRescue, 1, 0, 5)};
 
-  // The file is a third correctness oracle: the checker must reach the
-  // same verdict and the same window counts it reached on the live rings.
-  const auto live = obs::check_trace(d);
-  const auto file = obs::check_trace(loaded);
-  if (!file.ok()) {
-    for (const auto& v : file.violations)
-      std::fprintf(stderr, "  %s\n", v.c_str());
-  }
-  CHECK(file.ok());
-  CHECK_EQ(file.lls_checked, live.lls_checked);
-  CHECK_EQ(file.sc_commits, live.sc_commits);
-  CHECK_EQ(file.bank_writes, live.bank_writes);
-  CHECK_EQ(file.max_ll_steps, live.max_ll_steps);
-
-  const std::string text = slurp(path);
-  CHECK(text.find("\"schema_version\"") != std::string::npos);
-  CHECK(text.find("\"traceEvents\"") != std::string::npos);
+  const std::string path = "test_obs_view.json";
+  CHECK(obs::write_chrome_trace(path, d));
+  const std::string text = read_file(path);
   std::remove(path.c_str());
+  CHECK_EQ(count_of(text, "\"ph\":\"X\""), 4u);  // 2 LL + 2 SC windows
+  CHECK_EQ(count_of(text, "\"name\":\"SC(sc_fail)\""), 1u);
+  CHECK_EQ(count_of(text, "\"ph\":\"s\""), 1u);  // one consumed donation
+  CHECK_EQ(count_of(text, "\"ph\":\"f\""), 1u);
+  CHECK_EQ(count_of(text, "\"ph\":\"i\",\"name\":\"ll_fast\""), 1u);
+  CHECK_EQ(count_of(text, "\"ph\":\"i\",\"name\":\"ll_start\""), 1u);
+  CHECK_EQ(count_of(text, "\"ph\":\"i\",\"name\":\"ll_fallback\""), 1u);
+  CHECK_EQ(count_of(text, "\"ph\":\"i\",\"name\":\"help_install\""), 2u);
+  CHECK(text.find("\"traceEvents\"") != std::string::npos);
+  CHECK(text.find("\"mwllsc\": {") != std::string::npos);
+  CHECK(text.find("\"dropped\": [3, 0]") != std::string::npos);
+  CHECK(text.find("\"label\": \"jp w=2\"") != std::string::npos);
 }
 
 void truncation_tolerated() {
@@ -215,35 +251,7 @@ void truncation_tolerated() {
   CHECK(r.ok());
   CHECK(r.truncated);
 
-  // And the truncation survives the file round-trip.
-  const std::string path = "test_obs_trunc.json";
-  CHECK(obs::write_chrome_trace(path, d));
-  obs::TraceData loaded;
-  CHECK(obs::load_chrome_trace(path, &loaded));
-  CHECK(loaded.dropped.size() == 1 && loaded.dropped[0] > 0);
-  const auto r2 = obs::check_trace(loaded);
-  CHECK(r2.ok());
-  CHECK(r2.truncated);
-  std::remove(path.c_str());
-}
-
-void sampled_trace_skips_checks() {
-  obs::TraceConfig cfg;
-  cfg.sample_shift = 3;
-  obs::TraceSink sink(1, cfg);
-  core::MwLLSC<llsc::Dw128LLSC> obj(1, 2);
-  obj.set_trace(&sink, 0);
-  std::vector<std::uint64_t> buf(2);
-  for (int i = 0; i < 100; ++i) {
-    obj.ll(0, buf.data());
-    buf[0] += 1;
-    obj.sc(0, buf.data());
-  }
-  const obs::TraceData d = sink.collect();
-  CHECK(d.total_events() > 0);
-  const auto r = obs::check_trace(d);
-  CHECK(r.sampled);
-  CHECK(r.ok());  // a sampled stream proves nothing, violates nothing
+  check_reloads(d);  // the dropped count included
 }
 
 /// The checker must reject what it claims to reject: synthetic traces with
@@ -278,7 +286,7 @@ void checker_catches_violations() {
                     ev(obs::EventKind::kLlRescue, 0, 0)};
     const auto r = obs::check_trace(d);
     CHECK(r.ok());
-    CHECK_EQ(r.max_ll_steps, obs::ll_impl_bound(4));
+    CHECK_EQ(r.max_ll_steps, Jp::ll_impl_bound(4));
   }
   {  // a rescue with no fallback marker (a trace from before the markers)
      // is read conservatively as one announced round, not W+3
@@ -287,7 +295,7 @@ void checker_catches_violations() {
                     ev(obs::EventKind::kLlRescue, 0, 0)};
     const auto r = obs::check_trace(d);
     CHECK(r.ok());
-    CHECK_EQ(r.max_ll_steps, obs::ll_impl_bound(4));
+    CHECK_EQ(r.max_ll_steps, Jp::ll_impl_bound(4));
   }
   {  // the same retry on a retry-substrate variable is expected behavior
     obs::TraceData d = base();
@@ -296,17 +304,15 @@ void checker_catches_violations() {
                     ev(obs::EventKind::kLlFast, 0, 1)};
     CHECK(obs::check_trace(d).ok());
   }
-  {  // enough retries push a non-jp LL past 4W+12 — still no violation,
-     // but a jp LL with the same shape would trip the bound; craft it via
-     // a jp label and many retries... which already trips the retry rule,
-     // so instead check the derived step accounting directly.
+  {  // the derived step accounting against the bounds (a jp LL with more
+     // rounds already trips the retry rule above)
     CHECK_EQ(obs::ll_steps_of(4, 0, false), 7u);    // first try: W+3
     CHECK_EQ(obs::ll_steps_of(4, 1, false), 14u);   // W+2 then W+4
     CHECK_EQ(obs::ll_steps_of(4, 1, true), 18u);    // rescue adds W
-    CHECK_EQ(obs::ll_impl_bound(4), 18u);
-    CHECK_EQ(obs::ll_paper_bound(4), 28u);
-    CHECK(obs::ll_steps_of(4, 2, false) > obs::ll_impl_bound(4));
-    CHECK(obs::ll_steps_of(4, 3, false) > obs::ll_paper_bound(4));
+    CHECK_EQ(Jp::ll_impl_bound(4), 18u);
+    CHECK_EQ(Jp::ll_step_bound(4), 28u);
+    CHECK(obs::ll_steps_of(4, 2, false) > Jp::ll_impl_bound(4));
+    CHECK(obs::ll_steps_of(4, 3, false) > Jp::ll_step_bound(4));
   }
   {  // I2: two commits with no bank write between them
     obs::TraceData d = base();
@@ -400,31 +406,18 @@ void fallback_rescue_traced() {
   CHECK_EQ(fallbacks, 1u);
   const auto r = obs::check_trace(d);
   CHECK(r.ok());
-  CHECK_EQ(r.max_ll_steps, obs::ll_impl_bound(kW));
-
-  // The fallback marker survives the file round-trip (folded into the
-  // exported LL window), so the file yields the same derived steps.
-  const std::string path = "test_obs_fallback.json";
-  CHECK(obs::write_chrome_trace(path, d));
-  obs::TraceData loaded;
-  CHECK(obs::load_chrome_trace(path, &loaded));
-  const auto r2 = obs::check_trace(loaded);
-  CHECK(r2.ok());
-  CHECK(!r2.vacuous());
-  CHECK_EQ(r2.lls_checked, r.lls_checked);
-  CHECK_EQ(r2.max_ll_steps, r.max_ll_steps);
-  std::remove(path.c_str());
+  CHECK_EQ(r.max_ll_steps, Jp::ll_impl_bound(kW));
+  check_reloads(d);
 }
 
-/// An export cut off anywhere before its trailer must fail to load, not
-/// replay as a shorter clean trace (trace_check's fixtures cover empty,
-/// random-byte, LL-less and sampled input through the tool itself).
+/// A dump cut off anywhere must fail to load, not replay as a shorter
+/// clean trace.
 void loader_rejects_truncation(const obs::TraceData& good) {
-  const std::string path = "test_obs_cut.json";
+  const std::string path = "test_obs_cut.trace";
   obs::TraceData d;
   std::string err;
-  CHECK(obs::write_chrome_trace(path, good));
-  const std::string full = slurp(path);
+  CHECK(obs::write_trace(path, good));
+  const std::string full = read_file(path);
   for (const double frac : {0.1, 0.5, 0.99}) {
     std::FILE* f = std::fopen(path.c_str(), "wb");
     CHECK(f != nullptr);
@@ -432,7 +425,7 @@ void loader_rejects_truncation(const obs::TraceData& good) {
         static_cast<std::size_t>(frac * static_cast<double>(full.size()));
     CHECK_EQ(std::fwrite(full.data(), 1, cut, f), cut);
     std::fclose(f);
-    CHECK(!obs::load_chrome_trace(path, &d, &err));
+    CHECK(!obs::load_trace(path, &d, &err));
     CHECK(err.find("truncated") != std::string::npos);
   }
   std::remove(path.c_str());
@@ -477,16 +470,7 @@ void apps_trace() {
   CHECK_EQ(r.applies_checked, kThreads * kOps);
   CHECK(r.lls_checked > 0);  // substrate events share the rings
 
-  // Round-trip the apps trace too (announce/help_all/apply_commit are
-  // instants; the loader must restore them for applies_checked to match).
-  const std::string path = "test_obs_apps.json";
-  CHECK(obs::write_chrome_trace(path, d));
-  obs::TraceData loaded;
-  CHECK(obs::load_chrome_trace(path, &loaded));
-  const auto r2 = obs::check_trace(loaded);
-  CHECK(r2.ok());
-  CHECK_EQ(r2.applies_checked, r.applies_checked);
-  std::remove(path.c_str());
+  check_reloads(d);
 }
 
 void metrics_registry() {
@@ -530,7 +514,7 @@ void metrics_registry() {
   CHECK(obs::write_prometheus(prom, reg));
   CHECK(obs::write_metrics_json(json, reg));
 
-  const std::string ptext = slurp(prom);
+  const std::string ptext = read_file(prom);
   CHECK(ptext.find("# TYPE mwllsc_sc_success_ratio gauge") !=
         std::string::npos);
   CHECK(ptext.find("# TYPE mwllsc_sc_ops_total counter") !=
@@ -543,7 +527,7 @@ void metrics_registry() {
   CHECK(ptext.find("mwllsc_op_latency_ns_count{impl=\"jp\"} 1000") !=
         std::string::npos);
 
-  const std::string jtext = slurp(json);
+  const std::string jtext = read_file(json);
   CHECK(jtext.find("\"schema_version\"") != std::string::npos);
   CHECK(jtext.find("mwllsc_sc_success_ratio") != std::string::npos);
   CHECK(jtext.find("\"p99\"") != std::string::npos);
@@ -568,13 +552,13 @@ void trace_derived_metrics(const obs::TraceData& d) {
 
 int main() {
   ring_wraparound();
-  ring_sampling();
   handle_binding();
   const obs::TraceData d = traced_protocol_mt();
-  export_roundtrip(d);
+  check_reloads(d);
   trace_derived_metrics(d);
+  dump_keeps_stream_exact();
+  chrome_view();
   truncation_tolerated();
-  sampled_trace_skips_checks();
   checker_catches_violations();
   fallback_rescue_traced();
   loader_rejects_truncation(d);

@@ -60,7 +60,7 @@ int main() {
   // The cold half is always available: rings, checker, exporters.
   {
     obs::TraceRing ring;
-    ring.init(8, 0);
+    ring.init(8);
     ring.record(obs::EventKind::kScCommit, 0, 0, 1, 0);
     CHECK_EQ(ring.recorded(), 1u);
 

@@ -1,18 +1,17 @@
-// Offline trace checker: replays an exported Chrome-trace JSON (written by
-// any bench's --trace flag) and re-verifies the protocol's observable
+// Offline trace checker: loads trace dumps (write_trace, as written by any
+// bench's --trace PATH) and re-verifies the protocol's observable
 // guarantees from events alone — the LL step bounds (the paper's 4W+12 and
 // the implementation's 3W+6) and zero defensive retries for jp-labelled
-// variables, exactly one bank write per successful
-// SC (invariant I2), the <= 3-round bound of the apps-layer help-all
-// construction, and the membership lifecycle discipline (pid leases never
-// overlap, nobody retires mid-LL, retired/reclaimed pids stay silent until
-// rejoined). This makes a trace file a portable correctness artifact: the
-// same rules run on live rings (tests/test_obs) and on a file from another
-// machine or CI run.
+// variables, exactly one bank write per successful SC (invariant I2), the
+// <= 3-round bound of the apps-layer help-all construction, and the
+// membership lifecycle discipline (pid leases never overlap, nobody
+// retires mid-LL, retired/reclaimed pids stay silent until rejoined). A
+// dump reloads bit-identical, so the same rules see the same per-pid
+// streams on live rings (tests/test_obs) and on a file from elsewhere.
 //
-// A verdict cannot pass by accident: an empty, truncated or foreign file
-// fails to load, and a trace that verified nothing (sampled, or no
-// completed LL window) fails as vacuous.
+// A verdict cannot pass by accident: a file that is not one whole dump of
+// this format version fails to load, and a trace with no completed LL
+// window fails as vacuous. The PATH.json Perfetto view is never read.
 //
 // Usage: trace_check FILE...
 // Exit:  0 if every file loads, checks clean and is not vacuous; 1 otherwise.
@@ -32,7 +31,7 @@ int main(int argc, char** argv) {
     const std::string path = argv[i];
     mwllsc::obs::TraceData d;
     std::string err;
-    if (!mwllsc::obs::load_chrome_trace(path, &d, &err)) {
+    if (!mwllsc::obs::load_trace(path, &d, &err)) {
       std::fprintf(stderr, "%s: load failed: %s\n", path.c_str(),
                    err.c_str());
       all_ok = false;
@@ -42,13 +41,6 @@ int main(int argc, char** argv) {
     std::printf("%s: %" PRIu64 " events, %zu procs, %zu vars\n",
                 path.c_str(), d.total_events(), d.per_pid.size(),
                 d.vars.size());
-    if (r.sampled) {
-      std::printf("  VACUOUS: sampled trace (shift=%u), sequencing checks "
-                  "skipped\n",
-                  d.sample_shift);
-      all_ok = false;
-      continue;
-    }
     std::printf("  LLs checked:   %" PRIu64
                 "  (worst derived steps on jp vars: %" PRIu64 ")\n",
                 r.lls_checked, r.max_ll_steps);
