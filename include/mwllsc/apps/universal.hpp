@@ -12,6 +12,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <type_traits>
 
 #include "core/any.hpp"
@@ -50,13 +51,14 @@ class UniversalObject {
                   Substrate substrate = jp_substrate())
       : n_(nprocs), obj_(substrate(nprocs, kWords)), priv_(new Priv[nprocs]) {
     // Install the initial value; the constructor runs single-threaded, so
-    // the first SC cannot be interfered with.
+    // the first SC cannot be interfered with — unless the substrate breaks
+    // the LL/SC contract, which is refused in every build.
     Priv& p0 = priv_[0];
     obj_->ll(0, p0.scratch);
     std::memcpy(p0.scratch, &initial, sizeof(T));
-    const bool ok = obj_->sc(0, p0.scratch);
-    assert(ok);
-    (void)ok;
+    if (!obj_->sc(0, p0.scratch)) {
+      throw std::logic_error("UniversalObject: the initial SC failed");
+    }
   }
 
   /// Applies `mutate(state)` atomically. Lock-free: retries until this

@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <type_traits>
 #include <vector>
 
@@ -78,14 +79,15 @@ class WfUniversal {
     for (std::uint32_t p = 0; p < n_; ++p)
       priv_[p].scratch.assign(words_, 0);
     // Install the initial state single-threaded: T's bytes, every
-    // applied_seq and result zero.
+    // applied_seq and result zero. Only a substrate that breaks the LL/SC
+    // contract can fail this SC; that is refused in every build.
     std::uint64_t* buf = priv_[0].scratch.data();
     obj_->ll(0, buf);
     std::memset(buf, 0, static_cast<std::size_t>(words_) * 8);
     std::memcpy(buf, &initial, sizeof(T));
-    const bool ok = obj_->sc(0, buf);
-    assert(ok);
-    (void)ok;
+    if (!obj_->sc(0, buf)) {
+      throw std::logic_error("WfUniversal: the initial SC failed");
+    }
   }
 
   /// Applies Op with descriptor `d` atomically and returns its result.

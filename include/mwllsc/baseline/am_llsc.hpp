@@ -17,7 +17,9 @@
 
 #include "core/env.hpp"
 #include "core/llsc.hpp"
+#include "core/rows.hpp"
 #include "obs/trace.hpp"
+#include "util/checked.hpp"
 #include "util/stats.hpp"
 
 namespace mwllsc::baseline {
@@ -33,24 +35,20 @@ class AmLLSC {
     return (n + 3) * (w + 3) + 2 * w + 4;
   }
 
+  /// Throws std::invalid_argument, in every build and before anything is
+  /// allocated, unless 1 <= nprocs <= 2^14 and words >= 1.
   AmLLSC(std::uint32_t nprocs, std::uint32_t words)
-      : n_(nprocs),
-        w_(words),
-        nbufs_(nprocs + 1),
+      : n_(util::checked(nprocs, nprocs >= 1 && nprocs <= kMaxProcs,
+                         "AmLLSC: nprocs must be in [1, 2^14]")),
+        w_(util::checked(words, words >= 1, "AmLLSC: words must be >= 1")),
         x_(nprocs, pack_x(0, nprocs)),
-        buf_(new std::atomic<std::uint64_t>[static_cast<std::size_t>(
-            nprocs + 1) * words]),
+        rows_(nprocs + 1, words),  // line-padded, as in core
         handoff_(new std::uint64_t[static_cast<std::size_t>(nprocs) *
                                    nprocs * words]),
         announce_(new AnnounceSlot[nprocs]),
         priv_(new Priv[nprocs]),
         lastval_(new std::uint64_t[static_cast<std::size_t>(nprocs) * words]),
         stats_(nprocs) {
-    assert(nprocs >= 1 && nprocs <= kMaxProcs);
-    assert(words >= 1);
-    for (std::size_t i = 0; i < static_cast<std::size_t>(nbufs_) * w_; ++i) {
-      buf_[i].store(0, std::memory_order_relaxed);
-    }
     for (std::uint32_t p = 0; p < n_; ++p) {
       priv_[p].spare = p;
       announce_[p].a.store(pack_a(kIdle, 0, 0), std::memory_order_relaxed);
@@ -197,8 +195,8 @@ class AmLLSC {
   util::Footprint footprint() const {
     util::Footprint f;
     f.add("X descriptor (1-word LL/SC)", x_.shared_bytes());
-    f.add("value buffers ((N+1) x W words)",
-          static_cast<std::size_t>(nbufs_) * w_ * sizeof(std::uint64_t));
+    f.add("value buffers ((N+1) x W words, rows line-padded)",
+          rows_.bytes());
     f.add("handoff matrix (N^2 x W words)",
           static_cast<std::size_t>(n_) * n_ * w_ * sizeof(std::uint64_t));
     f.add("announce/help slots (N)", n_ * sizeof(AnnounceSlot));
@@ -254,8 +252,7 @@ class AmLLSC {
 
   void copy_from_bufs(std::uint32_t b, std::uint64_t* out,
                       std::uint32_t p) const {
-    const std::atomic<std::uint64_t>* row =
-        buf_.get() + static_cast<std::size_t>(b) * w_;
+    const std::atomic<std::uint64_t>* row = rows_.row(b);
     for (std::uint32_t i = 0; i < w_; ++i) {
       Env::at("ll:copy", p);
       out[i] = row[i].load(std::memory_order_relaxed);
@@ -264,8 +261,7 @@ class AmLLSC {
 
   void copy_to_bufs(std::uint32_t b, const std::uint64_t* v,
                     std::uint32_t p) {
-    std::atomic<std::uint64_t>* row =
-        buf_.get() + static_cast<std::size_t>(b) * w_;
+    std::atomic<std::uint64_t>* row = rows_.row(b);
     for (std::uint32_t i = 0; i < w_; ++i) {
       Env::at("sc:copy", p);
       row[i].store(v[i], std::memory_order_relaxed);
@@ -283,9 +279,8 @@ class AmLLSC {
 
   const std::uint32_t n_;
   const std::uint32_t w_;
-  const std::uint32_t nbufs_;
   LLSC x_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> buf_;
+  core::BufferRows rows_;  ///< the N+1 value buffers
   std::unique_ptr<std::uint64_t[]> handoff_;
   std::unique_ptr<AnnounceSlot[]> announce_;
   std::unique_ptr<Priv[]> priv_;

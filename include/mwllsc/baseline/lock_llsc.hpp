@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "obs/trace.hpp"
+#include "util/checked.hpp"
 #include "util/stats.hpp"
 #include "util/thread_safety.hpp"
 
@@ -18,14 +19,15 @@ namespace mwllsc::baseline {
 
 class LockLLSC {
  public:
+  /// Throws std::invalid_argument, in every build and before anything is
+  /// allocated, unless nprocs >= 1 and words >= 1.
   LockLLSC(std::uint32_t nprocs, std::uint32_t words)
-      : n_(nprocs),
-        w_(words),
+      : n_(util::checked(nprocs, nprocs >= 1,
+                         "LockLLSC: nprocs must be >= 1")),
+        w_(util::checked(words, words >= 1, "LockLLSC: words must be >= 1")),
         value_(words, 0),
         linked_(new Linked[nprocs]),
         stats_(nprocs) {
-    assert(nprocs >= 1);
-    assert(words >= 1);
     for (std::uint32_t p = 0; p < nprocs; ++p) {
       linked_[p].version = kUnlinked;
     }

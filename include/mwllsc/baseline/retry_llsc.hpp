@@ -15,7 +15,9 @@
 
 #include "core/env.hpp"
 #include "core/llsc.hpp"
+#include "core/rows.hpp"
 #include "obs/trace.hpp"
+#include "util/checked.hpp"
 #include "util/stats.hpp"
 
 namespace mwllsc::baseline {
@@ -23,20 +25,16 @@ namespace mwllsc::baseline {
 template <class LLSC, class Env = core::NoEnv>
 class RetryLLSC {
  public:
+  /// Throws std::invalid_argument, in every build and before anything is
+  /// allocated, unless 1 <= nprocs <= 2^14 and words >= 1.
   RetryLLSC(std::uint32_t nprocs, std::uint32_t words)
-      : n_(nprocs),
-        w_(words),
-        nbufs_(nprocs + 1),
+      : n_(util::checked(nprocs, nprocs >= 1 && nprocs <= kMaxProcs,
+                         "RetryLLSC: nprocs must be in [1, 2^14]")),
+        w_(util::checked(words, words >= 1, "RetryLLSC: words must be >= 1")),
         x_(nprocs, pack_x(0, nprocs)),
-        buf_(new std::atomic<std::uint64_t>[static_cast<std::size_t>(
-            nprocs + 1) * words]),
+        rows_(nprocs + 1, words),  // line-padded, as in core
         priv_(new Priv[nprocs]),
         stats_(nprocs) {
-    assert(nprocs >= 1 && nprocs <= kMaxProcs);
-    assert(words >= 1);
-    for (std::size_t i = 0; i < static_cast<std::size_t>(nbufs_) * w_; ++i) {
-      buf_[i].store(0, std::memory_order_relaxed);
-    }
     for (std::uint32_t p = 0; p < n_; ++p) priv_[p].spare = p;
   }
 
@@ -111,8 +109,8 @@ class RetryLLSC {
   util::Footprint footprint() const {
     util::Footprint f;
     f.add("X descriptor (1-word LL/SC)", x_.shared_bytes());
-    f.add("value buffers ((N+1) x W words)",
-          static_cast<std::size_t>(nbufs_) * w_ * sizeof(std::uint64_t));
+    f.add("value buffers ((N+1) x W words, rows line-padded)",
+          rows_.bytes());
     f.add("per-process state (private)",
           n_ * sizeof(Priv) + x_.private_bytes() + stats_.bytes(),
           util::Footprint::Ownership::kPerProcess);
@@ -140,8 +138,7 @@ class RetryLLSC {
   };
 
   void copy_out(std::uint32_t b, std::uint64_t* out, std::uint32_t p) const {
-    const std::atomic<std::uint64_t>* row =
-        buf_.get() + static_cast<std::size_t>(b) * w_;
+    const std::atomic<std::uint64_t>* row = rows_.row(b);
     for (std::uint32_t i = 0; i < w_; ++i) {
       Env::at("ll:copy", p);
       out[i] = row[i].load(std::memory_order_relaxed);
@@ -149,8 +146,7 @@ class RetryLLSC {
   }
 
   void copy_in(std::uint32_t b, const std::uint64_t* v, std::uint32_t p) {
-    std::atomic<std::uint64_t>* row =
-        buf_.get() + static_cast<std::size_t>(b) * w_;
+    std::atomic<std::uint64_t>* row = rows_.row(b);
     for (std::uint32_t i = 0; i < w_; ++i) {
       Env::at("sc:copy", p);
       row[i].store(v[i], std::memory_order_relaxed);
@@ -159,9 +155,8 @@ class RetryLLSC {
 
   const std::uint32_t n_;
   const std::uint32_t w_;
-  const std::uint32_t nbufs_;
   LLSC x_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> buf_;
+  core::BufferRows rows_;  ///< the N+1 value buffers
   std::unique_ptr<Priv[]> priv_;
   util::OpStatsArray stats_;
   obs::TraceHandle trace_;

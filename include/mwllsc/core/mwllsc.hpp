@@ -3,14 +3,15 @@
 // completes in at most 3W+6 memory accesses regardless of N, inside
 // Theorem 1's 4W+12 bound, SC in O(W), VL in O(1), with O(NW) shared space.
 //
-// Layout. The W-word value always lives in one of 2N+R+1 buffers, where
+// Layout. The W-word value always lives in one of N+R+1 buffers, where
 // R = max(2, P) and P is N rounded up to a power of two. Process p owns a
-// *spare* it writes its next SC value into and an *exchange* buffer it
-// offers through its announce slot (and reuses as help-copy scratch). R
-// buffers rest in the global *retirement ring*; the remaining buffer is
-// current. The 1-word LL/SC variable X holds the descriptor <pid, buf>;
-// its sequence tag is the abstract version: tag T's value is whatever the
-// T-th successful SC installed.
+// *spare*: it writes its next SC value into it, uses it as help-copy
+// scratch, and offers it through its announce slot while an LL is
+// announced (LL never writes the spare). R buffers rest in the global
+// *retirement ring*; the remaining buffer is current. The 1-word LL/SC
+// variable X holds the descriptor <pid, buf>; its sequence tag is the
+// abstract version: tag T's value is whatever the T-th successful SC
+// installed.
 //
 // LL, first attempt (announce-free). LL(p) links X (tag T, buffer b),
 // copies b, then re-reads X's tag: the snapshot is accepted if the tag
@@ -37,18 +38,22 @@
 // Help path, pre-SC. If the announced round's validation fails (drift >=
 // P+1), at least P successful SCs linked X *after* p's announce. The winner
 // installing tag U probes announce slot U mod P before its SC, so those P
-// consecutive winners sweep every slot including p's; a prober that finds
-// p WAITING copies the current buffer into its own exchange buffer,
-// re-validates its link (strict: the copy is untorn and the value is
-// current at an instant inside p's LL — the prober wins its SC, so its
-// link held throughout), and CASes A[p] from the exact WAITING word to
-// <HELPED, copy, seq>, taking p's offered exchange buffer in return.
-// Because the mark lands before the helper's SC installs, it is complete
-// before p's validation can fail — so a failed validation finds HELPED
-// already posted, and LL finishes by copying the donated buffer: announce
-// (1) + link (1) + copy (W) + validate (1) + check A[p] (1) + donated copy
-// (W) = 2W+4 accesses for the round, with no retry loop at all. (A
-// defensive retry remains for robustness; tests assert it never fires.)
+// consecutive winners sweep every slot including p's. A prober writes its
+// value into its spare and probes; if it finds p WAITING it copies the
+// current buffer into its spare over the value, re-validates its link
+// (strict: the copy is untorn and the value is current at an instant
+// inside p's LL — the prober wins its SC, so its link held throughout),
+// and CASes A[p] from the exact WAITING word to <HELPED, copy, seq>,
+// taking p's offered spare as its new spare. It then writes its value
+// again, into that (possibly new) spare, and SCs X: the help path costs
+// W extra steps, the undisturbed SC none. A failed re-validation means
+// its SC is already doomed, so it returns false at once. Because the mark
+// lands before the helper's SC installs, it is complete before p's
+// validation can fail — so a failed validation finds HELPED already
+// posted, and LL finishes by copying the donated buffer: announce (1) +
+// link (1) + copy (W) + validate (1) + check A[p] (1) + donated copy (W)
+// = 2W+4 accesses for the round, with no retry loop at all. (A defensive
+// retry remains for robustness; tests assert it never fires.)
 //
 // Reclaimed pids. reclaim_pid (membership layer) judges a process dead,
 // finishes a ring swap it left pending and settles its announce slot,
@@ -92,12 +97,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <stdexcept>
 #include <vector>
 
 #include "core/env.hpp"
 #include "core/llsc.hpp"
+#include "core/rows.hpp"
 #include "obs/trace.hpp"
+#include "util/checked.hpp"
 #include "util/stats.hpp"
 
 namespace mwllsc::core {
@@ -120,41 +126,30 @@ class MwLLSC {
   /// Throws std::invalid_argument, in every build and before anything is
   /// allocated, unless 1 <= nprocs <= 2^14 and words >= 1.
   MwLLSC(std::uint32_t nprocs, std::uint32_t words)
-      : n_(checked_nprocs(nprocs, words)),
-        w_(words),
+      : n_(util::checked(nprocs, nprocs >= 1 && nprocs <= kMaxProcs,
+                         "MwLLSC: nprocs must be in [1, 2^14]")),
+        w_(util::checked(words, words >= 1, "MwLLSC: words must be >= 1")),
         p2_(next_pow2(nprocs)),
         ring_size_(p2_ < 2 ? 2 : p2_),
-        nbufs_(2 * nprocs + ring_size_ + 1),
-        stride_((words + 7) & ~7u),
-        x_(nprocs, pack_x(0, 2 * nprocs + ring_size_)),
-        raw_buf_(new std::atomic<std::uint64_t>[
-            static_cast<std::size_t>(2 * nprocs + ring_size_ + 1) *
-                ((words + 7) & ~7u) + 7]),
+        x_(nprocs, pack_x(0, nprocs + ring_size_)),
+        // Line-padded rows isolate buffers from each other (the
+        // false-sharing fix E2/E3 measure).
+        rows_(nprocs + ring_size_ + 1, words),
         ring_(new RingCell[ring_size_]),
         announce_(new AnnounceSlot[nprocs]),
         priv_(new Priv[nprocs]),
         stats_(nprocs) {
-    // Align buffer row 0 to a cache line so the stride padding isolates
-    // rows from each other (the false-sharing fix E2/E3 measure).
-    auto addr = reinterpret_cast<std::uintptr_t>(raw_buf_.get());
-    buf0_ = raw_buf_.get() + ((64 - (addr & 63)) & 63) / sizeof(std::uint64_t);
-    for (std::size_t i = 0; i < static_cast<std::size_t>(nbufs_) * stride_;
-         ++i) {
-      buf0_[i].store(0, std::memory_order_relaxed);
-    }
-    // Buffer 2N+R is current (all-zero initial value); process p owns
-    // spare p and exchange buffer N+p; ring cell j seeds buffer 2N+j with
-    // tag j-R (mod 2^46), already "aged" for the first real lap.
+    // Buffer N+R is current (all-zero initial value); process p owns
+    // spare p; ring cell j seeds buffer N+j with tag j-R (mod 2^46),
+    // already "aged" for the first real lap.
     for (std::uint32_t p = 0; p < n_; ++p) {
       priv_[p].spare = p;
-      priv_[p].xbuf = n_ + p;
-      announce_[p].a.store(pack_a(kIdle, n_ + p, 0),
-                           std::memory_order_relaxed);
+      announce_[p].a.store(pack_a(kIdle, p, 0), std::memory_order_relaxed);
     }
     for (std::uint32_t j = 0; j < ring_size_; ++j) {
       const std::uint64_t seed_tag =
           (std::uint64_t{j} - ring_size_) & kRingTagMask;
-      ring_[j].w.store(pack_ring(2 * n_ + j, seed_tag),
+      ring_[j].w.store(pack_ring(n_ + j, seed_tag),
                        std::memory_order_relaxed);
     }
   }
@@ -192,12 +187,13 @@ class MwLLSC {
     // Drift > P: fall back to the announced protocol, which bounds the
     // rest of this LL at 2W+4 accesses through the helping guarantee.
     me.seq = (me.seq + 1) & kSeqMask;  // the announce word holds 44 bits
-    // Announce, offering our exchange buffer to a prospective helper.
+    // Announce, offering our spare to a prospective helper. LL never
+    // writes the spare, so a helper may take it the moment it is posted.
     Env::at("ll:announce", p);
     // mwllsc-ordering: seq_cst(this store and the winners' pre-SC probes
     // of A[(T+1) mod P] share one total order, so a winner that misses
     // the announce must have linked before it — bounding drift at P tags)
-    announce_[p].a.store(pack_a(kWaiting, me.xbuf, me.seq),
+    announce_[p].a.store(pack_a(kWaiting, me.spare, me.seq),
                          std::memory_order_seq_cst);
     me.announced = true;
     trace_.emit(obs::EventKind::kLlFallback, p, me.seq);
@@ -211,18 +207,18 @@ class MwLLSC {
         // linearized at the link. Withdraw the announce.
         // The withdraw races a winner's donation CAS on this slot; the
         // total order picks exactly one side of the ownership exchange.
-        std::uint64_t expect = pack_a(kWaiting, me.xbuf, me.seq);
+        std::uint64_t expect = pack_a(kWaiting, me.spare, me.seq);
         bool reclaimed = false;
         Env::at("ll:withdraw", p);
         // mwllsc-ordering: seq_cst(withdraw vs donation CAS, one winner)
         if (!announce_[p].a.compare_exchange_strong(
-                expect, pack_a(kIdle, me.xbuf, me.seq),
+                expect, pack_a(kIdle, me.spare, me.seq),
                 std::memory_order_seq_cst)) {
           if (state_of_a(expect) == kHelped && seq_of_a(expect) == me.seq) {
             // A donation raced in. Our own copy stands; adopt the
-            // donated buffer as our new exchange buffer — the donor took
-            // the one we offered.
-            me.xbuf = buf_of_a(expect);
+            // donated buffer as our new spare — the donor took the one
+            // we offered.
+            me.spare = buf_of_a(expect);
             c.bump(c.ll_helped);
             trace_.emit(obs::EventKind::kLlHelped, p, me.seq,
                         buf_of_a(expect));
@@ -230,9 +226,9 @@ class MwLLSC {
             // The word no longer carries our seq: a crash-stop reclaim
             // (reclaim_pid) judged this process dead and withdrew the
             // announce out from under it. The copy is still an untorn
-            // snapshot, but the slot — and the exchange buffer
-            // folded into its word — belong to the reclaimer now, so the
-            // only safe exit is to break the link and finish this op.
+            // snapshot, but the slot — and the spare it settled — belong
+            // to the reclaimer now, so the only safe exit is to break the
+            // link and finish this op.
             // Reached only when a reclaimed process is resurrected under
             // test control; a genuinely dead process never gets here.
             reclaimed = true;
@@ -258,7 +254,7 @@ class MwLLSC {
         // validation needed.
         const std::uint32_t d = buf_of_a(a);
         copy_out(d, out, p, "ll:copy_donated");
-        me.xbuf = d;
+        me.spare = d;  // the donor took the spare we offered
         me.announced = false;
         me.link_valid = false;  // a successful SC already intervened
         c.bump(c.ll_helped);
@@ -286,7 +282,10 @@ class MwLLSC {
       return false;
     }
     me.link_valid = false;             // the link is consumed either way
-    // Write the new value into our spare buffer.
+    // Write the new value into our spare buffer — before the probe, since
+    // probing first measured 4–5% slower on the contended workloads
+    // (DESIGN.md §2). The rare help path below overwrites the spare with
+    // its copy and writes the value again.
     copy_in(me.spare, v, p);
     std::atomic_thread_fence(std::memory_order_release);
     const std::uint64_t t = x_.linked_tag(p);
@@ -304,28 +303,36 @@ class MwLLSC {
           announce_[target].a.load(std::memory_order_seq_cst);
       if (state_of_a(seen) == kWaiting) {
         // Pre-SC help: copy the (still linked) current buffer into our
-        // exchange buffer, re-validate the link seqlock-style — if it
+        // spare over the value, re-validate the link seqlock-style — if it
         // holds, the copy is an untorn snapshot of version T taken after
         // the target announced — and donate it by marking A[target].
-        copy_buf(me.ll_buf, me.xbuf, p);
+        copy_buf(me.ll_buf, me.spare, p);
         std::atomic_thread_fence(std::memory_order_acquire);
         Env::at("sc:help_validate", p);
-        if (x_.vl(p)) {
-          // The donation must precede our SC of tag T+1 in the total
-          // order, and it races the owner's withdraw CAS on the same
-          // slot; exactly one wins.
-          Env::at("sc:help_mark", p);
-          // mwllsc-ordering: seq_cst(donation before SC; races withdraw)
-          std::uint64_t expect = seen;
-          if (announce_[target].a.compare_exchange_strong(
-                  expect, pack_a(kHelped, me.xbuf, seq_of_a(seen)),
-                  std::memory_order_seq_cst)) {
-            me.xbuf = buf_of_a(seen);  // ownership exchange, O(1)
-            c.bump(c.helps_given);
-            trace_.emit(obs::EventKind::kHelpInstall, p, seq_of_a(seen),
-                        target);
-          }
+        if (!x_.vl(p)) {
+          // A successful SC intervened, so ours is doomed: fail now,
+          // without rewriting a value nobody will install.
+          trace_.emit(obs::EventKind::kScFail, p, me.seq);
+          return false;
         }
+        // The donation must precede our SC of tag T+1 in the total
+        // order, and it races the owner's withdraw CAS on the same slot;
+        // exactly one wins.
+        Env::at("sc:help_mark", p);
+        // mwllsc-ordering: seq_cst(donation before SC; races withdraw)
+        std::uint64_t expect = seen;
+        if (announce_[target].a.compare_exchange_strong(
+                expect, pack_a(kHelped, me.spare, seq_of_a(seen)),
+                std::memory_order_seq_cst)) {
+          me.spare = buf_of_a(seen);  // take the offered spare, O(1)
+          c.bump(c.helps_given);
+          trace_.emit(obs::EventKind::kHelpInstall, p, seq_of_a(seen),
+                      target);
+        }
+        // Our spare — the one taken in the exchange, or our own if the
+        // withdraw won — no longer holds the value.
+        copy_in(me.spare, v, p);
+        std::atomic_thread_fence(std::memory_order_release);
       }
     }
     Env::at("sc:x", p);
@@ -360,10 +367,10 @@ class MwLLSC {
   /// (I2 stays exact: one bank write per successful SC). A posted WAITING
   /// announce is withdrawn (so future winners stop donating into a slot
   /// nobody will read) and an unconsumed donation — HELPED while the dead
-  /// process was still in its announced round — is adopted as its exchange
-  /// buffer: the donor took the offered one, so the ownership census stays
-  /// exact. A HELPED word from an earlier, consumed round is stale (its
-  /// buffer may since have been donated away) and adopts nothing. The
+  /// process was still in its announced round — is adopted as its spare:
+  /// the donor took the offered one, so the ownership census stays exact.
+  /// A HELPED word from an earlier, consumed round is stale (its buffer
+  /// has since rotated through X and the ring) and adopts nothing. The
   /// unconditional seq bump fences the slot against stale donation CASes
   /// keyed to the dead seq.
   /// Precondition: p takes no further steps (crash-stop); the pid is
@@ -381,15 +388,15 @@ class MwLLSC {
     // the single total order picks one side of the ownership exchange)
     std::uint64_t a = announce_[p].a.load(std::memory_order_seq_cst);
     for (;;) {
-      const std::uint32_t x =
-          announced && state_of_a(a) == kHelped ? buf_of_a(a) : me.xbuf;
+      const std::uint32_t s =
+          announced && state_of_a(a) == kHelped ? buf_of_a(a) : me.spare;
       const std::uint64_t next =
-          pack_a(kIdle, x, (seq_of_a(a) + 1) & kSeqMask);
+          pack_a(kIdle, s, (seq_of_a(a) + 1) & kSeqMask);
       // mwllsc-ordering: seq_cst(same handshake as the load above: one
       // winner between this withdraw-by-proxy and a racing donation)
       if (announce_[p].a.compare_exchange_weak(a, next,
                                                std::memory_order_seq_cst)) {
-        me.xbuf = x;
+        me.spare = s;
         break;
       }
       // Lost to a donation landing on the dead WAITING word; the reloaded
@@ -402,9 +409,9 @@ class MwLLSC {
   }
 
   /// Reissues pid p to a new owner after reclaim_pid or a graceful
-  /// retirement. The spare and exchange buffer stay the previous holder's
-  /// (reclaim_pid already settled them); the seq comes from the announce
-  /// word, which reclaim_pid bumped, and the link starts broken. Must not
+  /// retirement. The spare stays the previous holder's (reclaim_pid
+  /// already settled it); the seq comes from the announce word, which
+  /// reclaim_pid bumped, and the link starts broken. Must not
   /// run concurrently with any operation by a previous owner of p; the
   /// membership layer guarantees this by only reissuing slots whose holder
   /// retired or was reclaimed.
@@ -432,11 +439,10 @@ class MwLLSC {
   /// as the single-threaded simulator does between steps.
   struct Census {
     std::uint64_t version = 0;
-    std::uint32_t buffers = 0;  ///< 2N+R+1
+    std::uint32_t buffers = 0;  ///< N+R+1
     std::uint32_t current = 0;  ///< the buffer X names
-    std::vector<std::uint32_t> spare;     ///< per pid
-    std::vector<std::uint32_t> exchange;  ///< per pid: offered or donated
-    std::vector<std::uint32_t> ring;      ///< per ring cell
+    std::vector<std::uint32_t> spare;  ///< per pid: own, offered or donated
+    std::vector<std::uint32_t> ring;   ///< per ring cell
     std::vector<std::uint64_t> sc_success, bank_writes;  ///< per pid
   };
 
@@ -444,22 +450,20 @@ class MwLLSC {
   /// allocate after the first).
   void census(Census& out) const {
     out.version = x_.current_tag();
-    out.buffers = nbufs_;
+    out.buffers = n_ + ring_size_ + 1;
     out.current = buf_of_x(x_.peek());
     out.spare.resize(n_);
-    out.exchange.resize(n_);
     out.sc_success.resize(n_);
     out.bank_writes.resize(n_);
     for (std::uint32_t p = 0; p < n_; ++p) {
-      out.spare[p] = priv_[p].spare;
       // A donation not yet consumed — HELPED while the process is still in
-      // its announced round — is the process's exchange side (the donor
-      // took the offered buffer); otherwise the private one is.
+      // its announced round — is the process's spare (the donor took the
+      // offered one); otherwise the private one is, offered or not.
       // mwllsc-ordering: relaxed(debug view, no operation in flight)
       const std::uint64_t a = announce_[p].a.load(std::memory_order_relaxed);
-      out.exchange[p] = priv_[p].announced && state_of_a(a) == kHelped
-                            ? buf_of_a(a)
-                            : priv_[p].xbuf;
+      out.spare[p] = priv_[p].announced && state_of_a(a) == kHelped
+                         ? buf_of_a(a)
+                         : priv_[p].spare;
       out.sc_success[p] =
           stats_.at(p).sc_success.load(std::memory_order_relaxed);
       out.bank_writes[p] =
@@ -475,9 +479,8 @@ class MwLLSC {
   util::Footprint footprint() const {
     util::Footprint f;
     f.add("X descriptor (1-word LL/SC)", x_.shared_bytes());
-    f.add("value buffers ((2N+R+1) x W words, rows line-padded)",
-          static_cast<std::size_t>(nbufs_) * stride_ * sizeof(std::uint64_t) +
-              64);  // + alignment slack
+    f.add("value buffers ((N+R+1) x W words, rows line-padded)",
+          rows_.bytes());
     f.add("retirement ring (R cells)", ring_size_ * sizeof(RingCell));
     f.add("announce/help slots (N)", n_ * sizeof(AnnounceSlot));
     f.add("per-process state (private)",
@@ -502,10 +505,10 @@ class MwLLSC {
   static constexpr std::uint32_t kMaxProcs = 1u << kPidBits;
   static_assert(LLSC::kValueBits >= kBufBits + kPidBits,
                 "engine value too narrow for the <pid, buf> descriptor");
-  // 2N+R+1 buffers with N <= 2^14 and R = max(2, P) <= 2^14: every buffer
+  // N+R+1 buffers with N <= 2^14 and R = max(2, P) <= 2^14: every buffer
   // index fits the descriptor's, the announce word's and a ring cell's
   // buf field.
-  static_assert(3 * kMaxProcs + 1 <= (1u << kBufBits),
+  static_assert(2 * kMaxProcs + 1 <= (1u << kBufBits),
                 "buffer index wider than kBufBits");
 
   static std::uint64_t pack_x(std::uint32_t pid, std::uint32_t buf) {
@@ -548,19 +551,6 @@ class MwLLSC {
   /// Priv::retiring when no ring swap is pending (ring tags are 46-bit).
   static constexpr std::uint64_t kNoRetire = ~std::uint64_t{0};
 
-  // n_ is the first member initialized, so this runs before any
-  // allocation. Beyond 2^14 the pid no longer fits X's descriptor.
-  static std::uint32_t checked_nprocs(std::uint32_t nprocs,
-                                      std::uint32_t words) {
-    if (nprocs == 0 || nprocs > kMaxProcs) {
-      throw std::invalid_argument("MwLLSC: nprocs must be in [1, 2^14]");
-    }
-    if (words == 0) {
-      throw std::invalid_argument("MwLLSC: words must be >= 1");
-    }
-    return nprocs;
-  }
-
   static std::uint32_t next_pow2(std::uint32_t v) {
     std::uint32_t p = 1;
     while (p < v) p <<= 1;
@@ -576,8 +566,7 @@ class MwLLSC {
   };
 
   struct alignas(64) Priv {  // touched only by the owning process
-    std::uint32_t spare = 0;
-    std::uint32_t xbuf = 0;
+    std::uint32_t spare = 0;  ///< offered while announced (LL leaves it)
     std::uint32_t ll_buf = 0;
     std::uint64_t seq = 0;
     std::uint64_t retiring = kNoRetire;  ///< tag whose ring swap is pending
@@ -646,13 +635,9 @@ class MwLLSC {
     trace_.emit(obs::EventKind::kBankWrite, p, mytag, retired);
   }
 
-  std::atomic<std::uint64_t>* buf_row(std::uint32_t b) const {
-    return buf0_ + static_cast<std::size_t>(b) * stride_;
-  }
-
   void copy_out(std::uint32_t b, std::uint64_t* out, std::uint32_t p,
                 const char* point) const {
-    const std::atomic<std::uint64_t>* row = buf_row(b);
+    const std::atomic<std::uint64_t>* row = rows_.row(b);
     // Read-prefetch lines 1..ceil(W/8)-1 so a multi-line copy waits on its
     // line misses together instead of one after another (line 0 is
     // demanded by the loop at once). Rows are 64-byte aligned with a
@@ -670,7 +655,7 @@ class MwLLSC {
   }
 
   void copy_in(std::uint32_t b, const std::uint64_t* v, std::uint32_t p) {
-    std::atomic<std::uint64_t>* row = buf_row(b);
+    std::atomic<std::uint64_t>* row = rows_.row(b);
     for (std::uint32_t i = 0; i < w_; ++i) {
       Env::at("sc:copy", p);
       row[i].store(v[i], std::memory_order_relaxed);
@@ -678,10 +663,10 @@ class MwLLSC {
   }
 
   /// One step per word: the read is of the linked (validated) buffer, the
-  /// write goes to the copier's own exchange buffer, which nobody reads.
+  /// write goes to the copier's own spare, which nobody reads.
   void copy_buf(std::uint32_t from, std::uint32_t to, std::uint32_t p) {
-    const std::atomic<std::uint64_t>* src = buf_row(from);
-    std::atomic<std::uint64_t>* dst = buf_row(to);
+    const std::atomic<std::uint64_t>* src = rows_.row(from);
+    std::atomic<std::uint64_t>* dst = rows_.row(to);
     for (std::uint32_t i = 0; i < w_; ++i) {
       Env::at("sc:help_copy", p);
       dst[i].store(src[i].load(std::memory_order_relaxed),
@@ -693,11 +678,8 @@ class MwLLSC {
   const std::uint32_t w_;
   const std::uint32_t p2_;        ///< N rounded up to a power of two (P)
   const std::uint32_t ring_size_; ///< R = max(2, P), a power of two
-  const std::uint32_t nbufs_;
-  const std::uint32_t stride_;    ///< buffer row pitch, words (line-padded)
   LLSC x_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> raw_buf_;
-  std::atomic<std::uint64_t>* buf0_ = nullptr;  ///< 64B-aligned row 0
+  BufferRows rows_;  ///< the N+R+1 value buffers
   std::unique_ptr<RingCell[]> ring_;
   std::unique_ptr<AnnounceSlot[]> announce_;
   std::unique_ptr<Priv[]> priv_;

@@ -18,7 +18,6 @@
 #pragma once
 
 #include <atomic>
-#include <cassert>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -27,6 +26,7 @@
 #include "membership/registry.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/checked.hpp"
 #include "util/stats.hpp"
 #include "util/thread_safety.hpp"
 
@@ -77,12 +77,16 @@ class ManagedMwLLSC {
 
     bool valid() const { return parent_ != nullptr; }
     bool degraded() const { return degraded_; }
+    /// pid, ll, sc and vl throw std::logic_error, in every build, on a
+    /// retired or moved-from session: its pid may already be someone
+    /// else's.
     std::uint32_t pid() const {
+      require_valid();
       return degraded_ ? parent_->reserved_pid() : slot_.id();
     }
 
     void ll(std::uint64_t* out) MWLLSC_NO_TSA {
-      assert(valid());
+      require_valid();
       if (degraded_) {
         // The lock spans LL..SC so the reserved pid's link can't be
         // clobbered by another degraded session.
@@ -98,7 +102,7 @@ class ManagedMwLLSC {
     }
 
     bool sc(const std::uint64_t* in) MWLLSC_NO_TSA {
-      assert(valid());
+      require_valid();
       if (degraded_) {
         if (!lock_held_) return false;  // SC without a prior LL: no link
         const bool ok = parent_->impl_.sc(parent_->reserved_pid(), in);
@@ -111,7 +115,7 @@ class ManagedMwLLSC {
     }
 
     bool vl() {
-      assert(valid());
+      require_valid();
       if (degraded_) {
         return lock_held_ && parent_->impl_.vl(parent_->reserved_pid());
       }
@@ -132,10 +136,17 @@ class ManagedMwLLSC {
       ManagedMwLLSC* p = parent_;
       parent_ = nullptr;
       if (degraded_) {
-        if (!lock_held_) p->degraded_mu_.lock();
-        p->trace_.emit(obs::EventKind::kProcRetire, p->reserved_pid(), 0, 1);
-        p->degraded_mu_.unlock();
-        lock_held_ = false;
+        if (lock_held_) {
+          p->trace_.emit(obs::EventKind::kProcRetire, p->reserved_pid(), 0, 1);
+          p->degraded_mu_.unlock();
+          lock_held_ = false;
+        } else if (p->trace_.bound()) {
+          // The lock only serializes the emit on the reserved pid's
+          // single-writer trace stream; untraced, there is nothing to
+          // wait another session's LL..SC window out for.
+          util::MutexLock g(p->degraded_mu_);
+          p->trace_.emit(obs::EventKind::kProcRetire, p->reserved_pid(), 0, 1);
+        }
         p->c_.retires.fetch_add(1, std::memory_order_relaxed);
         return true;
       }
@@ -175,6 +186,13 @@ class ManagedMwLLSC {
     explicit Session(ManagedMwLLSC* parent)
         : parent_(parent), degraded_(true) {}
 
+    void require_valid() const {
+      if (!parent_) {
+        throw std::logic_error(
+            "Session: operation on a retired or moved-from session");
+      }
+    }
+
     ManagedMwLLSC* parent_ = nullptr;
     ProcessSlot slot_;
     bool degraded_ = false;
@@ -187,9 +205,8 @@ class ManagedMwLLSC {
   ManagedMwLLSC(std::uint32_t slots, std::uint32_t words,
                 std::uint32_t suspect_scans = 3,
                 std::uint32_t join_retries = 2)
-      : slots_(slots != 0 ? slots
-                          : throw std::invalid_argument(
-                                "ManagedMwLLSC: slots must be >= 1")),
+      : slots_(util::checked(slots, slots >= 1,
+                             "ManagedMwLLSC: slots must be >= 1")),
         join_retries_(join_retries),
         impl_(slots + 1, words),
         reg_(slots, suspect_scans) {}
@@ -217,9 +234,10 @@ class ManagedMwLLSC {
       reclaim_scan(/*include_stale=*/false);
     }
     c_.degraded_joins.fetch_add(1, std::memory_order_relaxed);
-    {
+    if (trace_.bound()) {
       // Serialize the emit: degraded sessions share the reserved pid's
-      // trace stream, which is single-writer by contract.
+      // trace stream, which is single-writer by contract. Untraced, the
+      // join must not wait out another degraded session's LL..SC window.
       util::MutexLock g(degraded_mu_);
       trace_.emit(obs::EventKind::kProcJoin, reserved_pid(), 0, 1);
     }

@@ -31,12 +31,12 @@
 #pragma once
 
 #include <atomic>
-#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
 
+#include "util/checked.hpp"
 #include "util/thread_safety.hpp"
 
 namespace mwllsc::membership {
@@ -50,13 +50,14 @@ class SlotRegistry {
   static constexpr std::uint64_t kOrphaned = 2;
   static constexpr std::uint64_t kReclaiming = 3;
 
+  /// Throws std::invalid_argument, in every build and before anything is
+  /// allocated, for capacity 0 (try_acquire divides by the capacity).
   explicit SlotRegistry(std::uint32_t capacity, std::uint32_t suspect_scans = 3)
-      : cap_(capacity),
+      : cap_(util::checked(capacity, capacity >= 1,
+                           "SlotRegistry: capacity must be >= 1")),
         suspect_scans_(suspect_scans < 1 ? 1 : suspect_scans),
         slots_(new Slot[capacity]),
-        seen_(capacity) {
-    assert(capacity >= 1);
-  }
+        seen_(capacity) {}
 
   std::uint32_t capacity() const { return cap_; }
 

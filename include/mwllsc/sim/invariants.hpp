@@ -19,8 +19,9 @@
 //           copy with drift in [1, P] and returns with its link broken is
 //           exactly what this permits: a successful SC did intervene.
 //   census  core::MwLLSC only:
-//     I1    every buffer has exactly one owner: the object (current), a
-//           process's spare, its exchange side, or a ring cell;
+//     I1    every buffer of the N+R+1 has exactly one owner: the object
+//           (current), a process's spare (offered or not; an unconsumed
+//           donation stands in for an offered one), or a ring cell;
 //     I2    one bank write per successful SC: the successful SCs sum to the
 //           version, and each process's successful SCs minus its bank
 //           writes is 1 exactly while it is parked between its X commit
@@ -97,6 +98,42 @@ inline bool is_point(const char* point, const char* name) {
 }
 
 }  // namespace detail
+
+/// I1 on one core::MwLLSC census: each of its N+R+1 buffers has exactly
+/// one owner — current, a process's spare, or a ring cell. Returns what is
+/// wrong, or "" if I1 holds. `owners` is scratch, reused so a per-step
+/// check does not allocate.
+template <class Census>
+std::string i1_error(const Census& c, std::vector<int>& owners) {
+  char buf[160];
+  owners.assign(c.buffers, 0);
+  constexpr std::uint32_t kInRange = ~0u;  // buffer indices are 18-bit
+  std::uint32_t bad = kInRange;  // first out-of-range index, if any
+  auto own = [&](std::uint32_t b) {
+    if (b < owners.size()) {
+      ++owners[b];
+    } else if (bad == kInRange) {
+      bad = b;
+    }
+  };
+  own(c.current);
+  for (std::uint32_t b : c.spare) own(b);
+  for (std::uint32_t b : c.ring) own(b);
+  if (bad != kInRange) {
+    std::snprintf(buf, sizeof(buf), "out-of-range buffer index %u", bad);
+    return buf;
+  }
+  for (std::uint32_t b = 0; b < c.buffers; ++b) {
+    if (owners[b] != 1) {
+      std::snprintf(buf, sizeof(buf),
+                    "buffer %u has %d owners (want exactly 1: current, a "
+                    "spare, or a ring cell)",
+                    b, owners[b]);
+      return buf;
+    }
+  }
+  return {};
+}
 
 template <class Impl>
 class InvariantChecker {
@@ -230,30 +267,8 @@ class InvariantChecker {
   }
 
   void check_i1() {
-    const auto& c = census_;
-    owners_.assign(c.buffers, 0);
-    bump_owner(c.current);
-    for (std::size_t p = 0; p < c.spare.size(); ++p) {
-      bump_owner(c.spare[p]);
-      bump_owner(c.exchange[p]);
-    }
-    for (std::uint32_t b : c.ring) bump_owner(b);
-    for (std::uint32_t b = 0; b < c.buffers; ++b) {
-      if (owners_[b] != 1) {
-        return fail("I1 violated at step %llu: buffer %u has %d owners "
-                    "(want exactly 1: current, a spare, an exchange side, "
-                    "or a ring cell)",
-                    ull(steps_), b, owners_[b]);
-      }
-    }
-  }
-
-  void bump_owner(std::uint32_t b) {
-    if (b < owners_.size()) {
-      ++owners_[b];
-    } else {
-      fail("I1 violated: out-of-range buffer index %u", b);
-    }
+    const std::string e = i1_error(census_, owners_);
+    if (!e.empty()) fail("I1 violated at step %llu: %s", ull(steps_), e.c_str());
   }
 
   void check_i2(const std::vector<const char*>& parked) {

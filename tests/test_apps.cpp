@@ -6,6 +6,8 @@
 //   * the help-all attempt bound holds: no apply ever took more than
 //     WfUniversal::kMaxAttempts LL/SC rounds;
 //   * UniversalObject (lock-free retry) loses no increments;
+//   * both constructions refuse, in every build, a substrate whose
+//     initial SC fails;
 //   * WfQueue sequential spec (FIFO, full, empty sentinel) and an MT
 //     producer/consumer checksum: every enqueued value is dequeued exactly
 //     once.
@@ -15,6 +17,8 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -210,12 +214,52 @@ void queue_mt_for(const core::MwLLSCFactory& f) {
   std::printf("  wf queue       %-5s  OK\n", f.name.c_str());
 }
 
+// A substrate that breaks the LL/SC contract: every SC fails. Both
+// universal constructions must refuse it at construction, in every build,
+// instead of starting from a state that was never installed.
+class FailingSc final : public core::IMwLLSC {
+ public:
+  explicit FailingSc(std::uint32_t w) : w_(w) {}
+  void ll(std::uint32_t, std::uint64_t* out) override {
+    std::fill(out, out + w_, 0);
+  }
+  bool sc(std::uint32_t, const std::uint64_t*) override { return false; }
+  bool vl(std::uint32_t) override { return false; }
+  std::uint32_t words() const override { return w_; }
+  core::OpStatsSnapshot stats() const override { return {}; }
+  util::Footprint footprint() const override { return {}; }
+
+ private:
+  std::uint32_t w_;
+};
+
+void initial_sc_checked() {
+  const apps::Substrate broken = [](std::uint32_t, std::uint32_t w) {
+    return std::unique_ptr<core::IMwLLSC>(new FailingSc(w));
+  };
+  bool wf = false, lf = false;
+  try {
+    WfCounter obj(2, Counter{0}, broken);
+  } catch (const std::logic_error&) {
+    wf = true;
+  }
+  try {
+    apps::UniversalObject<Counter> obj(2, Counter{0}, broken);
+  } catch (const std::logic_error&) {
+    lf = true;
+  }
+  CHECK(wf);
+  CHECK(lf);
+  std::printf("  initial SC checked          OK\n");
+}
+
 }  // namespace
 
 int main() {
   std::printf("test_apps:\n");
   deterministic_help_paths();
   queue_sequential_spec();
+  initial_sc_checked();
   for (const auto& f : bench::all_factories()) {
     wf_counter_for(f);
     lf_counter_for(f);

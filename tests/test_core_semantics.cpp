@@ -5,7 +5,8 @@
 // 74), and every word of every value is distinct from every other word and
 // from the same word of every other value, so a copy that drops, repeats or
 // shifts a word — or mixes two versions — at a line boundary fails.
-// Also: the constructor preconditions MwLLSC enforces in every build.
+// Also: the constructor preconditions every implementation enforces in
+// every build.
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
@@ -79,7 +80,7 @@ void semantics_for(const core::MwLLSCFactory& f, std::uint32_t w) {
   CHECK(a == b);
 
   // Enough successive versions to cycle every buffer row the object owns
-  // (jp: 2N+R+1 = 11 at N=3), each read back whole by another process.
+  // (jp: N+R+1 = 8 at N=3), each read back whole by another process.
   for (std::uint64_t salt = 5; salt < 5 + 24; ++salt) {
     const std::uint32_t p = static_cast<std::uint32_t>(salt % 3);
     obj->ll(p, b.data());
@@ -151,6 +152,17 @@ void preconditions() {
   // The bounds themselves are accepted.
   CHECK(!refuses([] { Jp obj(1, 1); }));
   CHECK(!refuses([] { Jp obj(1u << 14, 1); }));
+  // The baselines refuse the same way. LockLLSC packs no descriptor, so
+  // only the others cap nprocs; AmLLSC's cap is not probed here because
+  // its O(N^2 W) handoff matrix at 2^14 processes is gigabytes.
+  for (const auto& f : bench::all_factories()) {
+    CHECK(refuses([&] { f.make(0, 4); }));
+    CHECK(refuses([&] { f.make(2, 0); }));
+    CHECK(!refuses([&] { f.make(1, 1); }));
+  }
+  using Retry = baseline::RetryLLSC<llsc::Dw128LLSC>;
+  CHECK(refuses([] { Retry obj((1u << 14) + 1, 4); }));
+  CHECK(!refuses([] { Retry obj(1u << 14, 1); }));
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Space-complexity shape checks (Theorem 1 / experiment E1): the paper's
 // algorithm is O(NW) shared words while the Anderson–Moir-style baseline is
 // O(N^2 W), so doubling N should roughly double jp and roughly quadruple
-// am. Fitted log-log exponents make the asymptotics explicit.
+// am. Fitted log-log exponents make the asymptotics explicit. jp's shared
+// bytes are also pinned exactly, in closed form.
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -17,9 +18,32 @@ std::size_t shared_bytes(core::IMwLLSC& obj) {
   return obj.footprint().shared_bytes();
 }
 
+// jp allocates N+R+1 value rows (R = max(2, P), P = N rounded up to a
+// power of two), each W words rounded up to whole 64-byte lines, plus 64
+// bytes of alignment slack; X, the R ring cells and the N announce slots
+// take one line each. The census counts the rows the object actually
+// owns, so a smaller footprint must come from allocating fewer rows, not
+// from accounting for fewer.
+void jp_closed_form() {
+  using Jp = core::MwLLSC<llsc::Dw128LLSC>;
+  const std::uint32_t w = 12;  // two lines per row
+  for (std::uint32_t n : {1u, 2u, 3u, 4u, 5u, 8u}) {
+    std::uint32_t p2 = 1;
+    while (p2 < n) p2 <<= 1;
+    const std::uint32_t r = p2 < 2 ? 2 : p2;
+    Jp obj(n, w);
+    Jp::Census c;
+    obj.census(c);
+    CHECK_EQ(c.buffers, n + r + 1);
+    const std::size_t rows = std::size_t{n + r + 1} * 2 * 64 + 64;
+    CHECK_EQ(obj.footprint().shared_bytes(), 64 + rows + 64 * r + 64 * n);
+  }
+}
+
 }  // namespace
 
 int main() {
+  jp_closed_form();
   const std::uint32_t w = 16;
   const std::vector<std::uint32_t> ns = {4, 8, 16, 32, 64};
   std::vector<double> xs, jp, am, retry;
@@ -45,7 +69,7 @@ int main() {
   CHECK(am_exp > 1.6 && am_exp < 2.4);
 
   // At equal geometry am pays a factor ~Theta(N) more shared space than
-  // jp. The divisor absorbs jp's constant (2N+R+1 line-padded buffers plus
+  // jp. The divisor absorbs jp's constant (N+R+1 line-padded buffers plus
   // the ring); the fitted exponents above carry the asymptotic claim.
   const double ratio = am.back() / jp.back();
   CHECK(ratio > static_cast<double>(ns.back()) / 8);

@@ -24,12 +24,19 @@
 //            the donor's own LL read before its donating SC.
 //
 // In every case the object must stay fully functional afterwards: the
-// ownership exchanges preserved the buffer accounting.
+// ownership exchanges preserved the buffer accounting. After the rescue,
+// the consumed donation's HELPED word must go stale: the donated buffer
+// rotates through X and the ring, and a later reclaim of the reader's pid
+// must keep I1 exact.
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/mwllsc.hpp"
+#include "sim/invariants.hpp"
 #include "test_check.hpp"
 
 using namespace mwllsc;
@@ -49,6 +56,9 @@ struct HookState {
   bool forced = false;          // the first attempt was pushed past P
   bool fired = false;           // the announced round was stalled
   std::vector<std::uint64_t> before_donating_sc;  // value a rescue returns
+  std::uint32_t sc_steps = 0;           // pid 1's steps in its current SC
+  std::uint32_t donating_sc_steps = 0;  // ... in the SC that donated
+  std::uint32_t other_sc_steps = 0;     // ... in its worst other SC
 };
 
 // pid 1 runs `rounds` LL/SC pairs, writing base*round + i into word i.
@@ -59,14 +69,24 @@ void drive(HookState<Engine>* st, std::uint32_t rounds, std::uint64_t base) {
     st->obj->ll(1, v.data());
     if (st->obj->stats().helps_given == 0) st->before_donating_sc = v;
     for (std::uint32_t i = 0; i < kW; ++i) v[i] = base * round + i;
+    const std::uint64_t helps = st->obj->stats().helps_given;
+    st->sc_steps = 0;
     CHECK(st->obj->sc(1, v.data()));
+    if (st->obj->stats().helps_given > helps) {
+      st->donating_sc_steps = st->sc_steps;
+    } else if (st->sc_steps > st->other_sc_steps) {
+      st->other_sc_steps = st->sc_steps;
+    }
   }
 }
 
 template <class Engine>
 void interfere(void* ctx, const char* point, std::uint32_t pid) {
   auto* st = static_cast<HookState<Engine>*>(ctx);
-  if (pid != 0) return;  // no reentrant interference from pid 1's own ops
+  if (pid != 0) {  // no reentrant interference from pid 1's own ops
+    if (std::strncmp(point, "sc:", 3) == 0) ++st->sc_steps;
+    return;
+  }
   if (!st->forced && std::strcmp(point, "ll:copy") == 0) {
     st->forced = true;
     // The reader has not announced, so none of these winners can donate.
@@ -99,6 +119,19 @@ std::vector<std::uint64_t> stalled_ll(Hooked<Engine>& obj,
   return out;
 }
 
+// I1 on the object's census right now: each of the N+R+1 buffers has
+// one owner. Returns the census for further checks.
+template <class Engine>
+typename Hooked<Engine>::Census check_i1(const Hooked<Engine>& obj) {
+  typename Hooked<Engine>::Census c;
+  obj.census(c);
+  std::vector<int> owners;
+  const std::string e = sim::i1_error(c, owners);
+  if (!e.empty()) std::fprintf(stderr, "I1: %s\n", e.c_str());
+  CHECK(e.empty());
+  return c;
+}
+
 // The value the forced first attempt left current (tag 4).
 constexpr std::uint64_t kAfterForce = 10 * kForceFallback;
 
@@ -122,14 +155,22 @@ void rescue_path() {
   // — exactly what the donor's LL read before its donating SC.
   CHECK(out == st.before_donating_sc);
   CHECK_EQ(out[0], 100u);
+  // An SC that donates nothing makes exactly the accesses it made when
+  // every process kept an exchange buffer: value copy (W), probe, X, ring
+  // load, ring CAS. The donating SC adds the help copy (W), re-validation
+  // and mark, then writes its value again (W) into the spare it took.
+  CHECK_EQ(st.other_sc_steps, kW + 4);
+  CHECK_EQ(st.donating_sc_steps, 3 * kW + 6);
 
   // A helped LL's link is already broken: an SC succeeded meanwhile.
   std::vector<std::uint64_t> tmp = out;
   CHECK(!obj.vl(0));
   CHECK(!obj.sc(0, tmp.data()));
 
-  // The ownership exchanges must leave the buffer pool consistent: both
-  // processes keep operating and observe each other's updates.
+  // The ownership exchanges must leave the buffer pool consistent: I1
+  // holds, and both processes keep operating and observe each other's
+  // updates.
+  check_i1(obj);
   std::vector<std::uint64_t> v(kW);
   for (std::uint64_t i = 1; i <= 200; ++i) {
     const std::uint32_t p = i & 1;
@@ -160,6 +201,7 @@ void aged_pass_with_donation() {
   CHECK_EQ(s.ll_used_helped_value, 0u);
   CHECK_EQ(s.ll_retries, 0u);
   CHECK(!obj.vl(0));  // drift broke the link even though the value stands
+  check_i1(obj);     // the reader adopted the donation as its spare
 
   // Still fully functional.
   std::vector<std::uint64_t> v(kW);
@@ -183,6 +225,48 @@ void aged_pass_plain() {
   CHECK_EQ(s.ll_helped, 0u);
   CHECK_EQ(s.ll_retries, 0u);
   CHECK(!obj.vl(0));
+}
+
+// A consumed donation leaves A[0] reading HELPED with the donated buffer
+// until pid 0's next announce overwrites it. That buffer is pid 0's spare
+// only until its next SC installs it; from then on it rotates through X
+// and the ring like any other. So neither the census nor reclaim_pid may
+// read the stale word as a live donation once Priv::announced is clear:
+// either would give the buffer a second owner, which I1 catches here.
+template <class Engine>
+void consumed_donation_goes_stale() {
+  Hooked<Engine> obj(2, kW);
+  HookState<Engine> st;
+  stalled_ll(obj, st, 3);  // the rescue path: pid 0 consumes a donation
+  CHECK_EQ(obj.stats().ll_used_helped_value, 1u);
+  const std::uint32_t d = check_i1(obj).spare[0];
+
+  // Pid 0's next SC installs d; pid 1's SC after it retires d to the ring.
+  std::vector<std::uint64_t> v(kW);
+  obj.ll(0, v.data());
+  v[0] += 1;
+  CHECK(obj.sc(0, v.data()));
+  CHECK_EQ(check_i1(obj).current, d);
+  obj.ll(1, v.data());
+  v[0] += 1;
+  CHECK(obj.sc(1, v.data()));
+  const auto ring = check_i1(obj).ring;
+  CHECK(std::find(ring.begin(), ring.end(), d) != ring.end());
+
+  // Reclaim pid 0 with the stale HELPED word still in its slot.
+  obj.reclaim_pid(0);
+  obj.rebind_pid(0);
+  CHECK(check_i1(obj).spare[0] != d);
+
+  // The new holder of pid 0 works, and the pool stays exact.
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    const std::uint32_t p = i & 1;
+    obj.ll(p, v.data());
+    v[0] += 1;
+    CHECK(obj.sc(p, v.data()));
+    check_i1(obj);
+  }
+  CHECK_EQ(obj.stats().ll_retries, 0u);
 }
 
 // Counts the steps that open each LL phase.
@@ -239,6 +323,7 @@ void help_path_for() {
   rescue_path<Engine>();
   aged_pass_with_donation<Engine>();
   aged_pass_plain<Engine>();
+  consumed_donation_goes_stale<Engine>();
   undisturbed_ll_never_announces<Engine>();
 }
 

@@ -5,9 +5,11 @@
 // the offline checker, and a multithreaded churn run (threads > slots)
 // with cooperative crashes and a maintenance reclaimer.
 // Compiled with MWLLSC_TRACE so the lifecycle events are observable.
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <future>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -133,6 +135,47 @@ void managed_preconditions() {
   CHECK(refuses(2, 0));
   CHECK(refuses(1u << 14, 4));  // slots + 1 pids, one past the limit
   CHECK(!refuses(1, 1));
+  // The registry on its own refuses an empty pool (try_acquire would
+  // divide by its capacity).
+  bool refused = false;
+  try {
+    SlotRegistry reg(0);
+  } catch (const std::invalid_argument&) {
+    refused = true;
+  }
+  CHECK(refused);
+}
+
+// A retired or moved-from session no longer owns a pid: pid, ll, sc and
+// vl on it throw std::logic_error in every build instead of running on a
+// pid that may be someone else's.
+void dead_session_ops_throw() {
+  Managed m(2, 2);
+  std::vector<std::uint64_t> v(2);
+  const auto throws = [&](Managed::Session& s) {
+    int n = 0;
+    try { s.ll(v.data()); } catch (const std::logic_error&) { ++n; }
+    try { s.sc(v.data()); } catch (const std::logic_error&) { ++n; }
+    try { s.vl(); } catch (const std::logic_error&) { ++n; }
+    try { s.pid(); } catch (const std::logic_error&) { ++n; }
+    return n == 4;
+  };
+  auto a = m.join();
+  CHECK(a.retire());
+  CHECK(throws(a));
+  auto d1 = m.join();
+  auto d2 = m.join();
+  auto d3 = m.join();  // both slots held: degraded
+  CHECK(d3.degraded());
+  CHECK(d3.retire());
+  CHECK(throws(d3));
+  CHECK(d1.retire());
+  CHECK(d2.retire());
+  auto b = m.join();
+  auto c = std::move(b);
+  CHECK(throws(b));
+  c.ll(v.data());  // the session it moved into is live
+  CHECK(c.vl());
 }
 
 void managed_basic() {
@@ -223,6 +266,35 @@ void degraded_path() {
   CHECK(a.retire());
   auto back = m.join();
   CHECK(!back.degraded());
+}
+
+// Untraced, a degraded join() and the retire() of a degraded session that
+// holds no LL..SC window take no lock: neither waits for another degraded
+// session's window to close. The waits are bounded so a regression fails
+// here instead of hanging.
+void degraded_join_does_not_wait() {
+  Managed m(1, 2);
+  auto a = m.join();
+  auto holder = m.join();
+  CHECK(holder.degraded());
+  std::vector<std::uint64_t> v(2);
+  holder.ll(v.data());  // holds the degraded lock until its SC
+
+  auto joined = std::async(std::launch::async, [&] { return m.join(); });
+  CHECK(joined.wait_for(std::chrono::seconds(10)) ==
+        std::future_status::ready);
+  auto d = joined.get();
+  CHECK(d.degraded());
+  auto retired =
+      std::async(std::launch::async, [&] { return d.retire(); });
+  CHECK(retired.wait_for(std::chrono::seconds(10)) ==
+        std::future_status::ready);
+  CHECK(retired.get());
+
+  v[0] = 5;
+  CHECK(holder.sc(v.data()));
+  CHECK(holder.retire());
+  CHECK_EQ(m.membership().degraded_joins, 2u);
 }
 
 void orphan_reclaim_on_join() {
@@ -527,6 +599,8 @@ int main() {
   managed_preconditions();
   managed_basic();
   degraded_path();
+  degraded_join_does_not_wait();
+  dead_session_ops_throw();
   orphan_reclaim_on_join();
   withdraw_reclaim_race("ll:copy");
   withdraw_reclaim_race("ll:relink");

@@ -14,6 +14,10 @@
 //       long the adversary runs — and the adversary does reach it: the
 //       victim's first attempt falls back and its announced round is
 //       rescued, exactly 3W+6 steps.
+//   (c) directed help-path choreographies — a donor that gives its spare
+//       away and then loses its own SC, an owner whose withdraw beats the
+//       donation CAS, and a donor whose help re-validation fails and so
+//       fails its SC at once.
 // The checker additionally enforces, on every jp run here, that no LL
 // exceeds 3W+6 steps and that the defensive retry never fires; the oracle
 // runs on all three classes.
@@ -21,10 +25,12 @@
 #include <cstdio>
 
 #include "sim/harness.hpp"
+#include "sim_choreo.hpp"
 #include "test_check.hpp"
 
 using namespace mwllsc;
 using namespace mwllsc::sim;
+using namespace mwllsc::sim::choreo;
 
 namespace {
 
@@ -168,6 +174,95 @@ void adversary_separation() {
   CHECK(rt_long.steps_in_flight > rt_short.steps_in_flight);
 }
 
+// (c) Directed help-path choreographies at N=2, W=2, every step under the
+// full checker. The victim (pid 0) is forced into its announced round,
+// offering its spare; the helper (pid 1) then links tag 3, so its SC for
+// tag 4 probes slot 0 and finds it WAITING.
+constexpr std::uint32_t kVictim = 0, kHelper = 1;
+
+WorkloadConfig choreo_cfg() {
+  WorkloadConfig cfg;
+  cfg.ops_per_proc = 6;
+  cfg.vl_percent = 0;
+  return cfg;
+}
+
+// The helper donates its spare, then loses its own SC. The victim's
+// withdraw finds the donation; with drift 0 its own copy stands and its
+// link holds, so it adopts the donated buffer as its spare and commits
+// tag 4 first. The helper writes its value into the spare it took and
+// fails at X.
+void donor_loses_its_sc() {
+  Wl wl(2, 2, choreo_cfg());
+  CHECK(force_fallback(wl, kVictim, kHelper));
+  wl.step(kVictim);  // the announce
+  CHECK(step_until(wl, kHelper, [&] {
+    return wl.object().stats().helps_given == 1;
+  }));
+  CHECK(parked_at(wl, kHelper, "sc:copy"));
+  const std::uint64_t v = wl.version();
+  CHECK(step_until(wl, kVictim, [&] { return wl.version() == v + 1; }));
+  CHECK_EQ(wl.object().stats().ll_helped, 1u);
+  CHECK_EQ(wl.object().stats().ll_used_helped_value, 0u);
+  const std::uint64_t commits = wl.object().stats().sc_success;
+  CHECK(step_until(wl, kHelper, [&] {
+    return parked_at(wl, kHelper, "ll:link");
+  }));
+  CHECK_EQ(wl.object().stats().sc_success, commits);  // the helper lost
+  CHECK_EQ(wl.version(), v + 1);
+  drain(wl);
+  report(wl);
+  CHECK(wl.ok());
+  CHECK_EQ(wl.object().stats().ll_retries, 0u);
+}
+
+// The withdraw wins the race for the victim's slot: the helper has copied
+// and re-validated, but its donation CAS finds the word IDLE again. It
+// keeps its spare, writes its value there and commits.
+void withdraw_beats_donation() {
+  Wl wl(2, 2, choreo_cfg());
+  CHECK(force_fallback(wl, kVictim, kHelper));
+  wl.step(kVictim);  // the announce
+  CHECK(step_until(wl, kHelper, [&] {
+    return parked_at(wl, kHelper, "sc:help_mark");
+  }));
+  const std::uint64_t lls = wl.completed_lls();
+  CHECK(step_until(wl, kVictim, [&] { return wl.completed_lls() > lls; }));
+  wl.step(kHelper);  // the donation CAS fails
+  CHECK(parked_at(wl, kHelper, "sc:copy"));
+  CHECK_EQ(wl.object().stats().helps_given, 0u);
+  CHECK_EQ(wl.object().stats().ll_helped, 0u);
+  const std::uint64_t v = wl.version();
+  CHECK(step_until(wl, kHelper, [&] { return wl.version() == v + 1; }));
+  drain(wl);
+  report(wl);
+  CHECK(wl.ok());
+}
+
+// The victim finishes its LL (clean withdraw) and commits tag 4 while the
+// helper is parked at its help re-validation. The re-validation fails, so
+// the helper's SC is doomed: it returns false at once, donating nothing,
+// rewriting no value and skipping X — its next access is its next LL's
+// link.
+void doomed_donor_fails_at_once() {
+  Wl wl(2, 2, choreo_cfg());
+  CHECK(force_fallback(wl, kVictim, kHelper));
+  wl.step(kVictim);  // the announce
+  CHECK(step_until(wl, kHelper, [&] {
+    return parked_at(wl, kHelper, "sc:help_validate");
+  }));
+  const std::uint64_t v = wl.version();
+  CHECK(step_until(wl, kVictim, [&] { return wl.version() == v + 1; }));
+  const std::uint64_t commits = wl.object().stats().sc_success;
+  wl.step(kHelper);  // the failed re-validation
+  CHECK(parked_at(wl, kHelper, "ll:link"));
+  CHECK_EQ(wl.object().stats().sc_success, commits);
+  CHECK_EQ(wl.object().stats().helps_given, 0u);
+  drain(wl);
+  report(wl);
+  CHECK(wl.ok());
+}
+
 }  // namespace
 
 int main() {
@@ -176,6 +271,9 @@ int main() {
   exhaustive_reaches_rescue();
   random_oracle_sweep();
   adversary_separation();
+  donor_loses_its_sc();
+  withdraw_beats_donation();
+  doomed_donor_fails_at_once();
   std::printf("test_sim: OK\n");
   return 0;
 }

@@ -7,13 +7,13 @@
 //       paper's 4W+12) and the sequential-spec oracle green for the live
 //       processes;
 //   (b) directed choreographies for the nastiest crash points — a helper
-//       dying right after its donation, a victim dying between announce
-//       and withdraw, and a committer dying between its X commit and its
-//       ring swap — asserting that reclamation (reclaim_pid + rebind_pid)
-//       restores the exact buffer-ownership census (I1), finishes the dead
-//       process's pending bank write (I2), and that no reader ever sees a
-//       value the reclaimed pid's next holder writes into a buffer that is
-//       still in use;
+//       dying between its donation CAS and its SC, a victim dying between
+//       announce and withdraw, and a committer dying between its X commit
+//       and its ring swap — asserting that reclamation (reclaim_pid +
+//       rebind_pid) restores the exact buffer-ownership census (I1),
+//       finishes the dead process's pending bank write (I2), and that no
+//       reader ever sees a value the reclaimed pid's next holder writes
+//       into a buffer that is still in use;
 //   (c) replay round-trip — a recorded crash-churn schedule re-executes
 //       token-for-token to the same step count;
 //   (d) every invariant-violation message embeds the scheduler seed and
@@ -23,18 +23,17 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "sim/harness.hpp"
+#include "sim_choreo.hpp"
 #include "test_check.hpp"
 
 using namespace mwllsc;
 using namespace mwllsc::sim;
+using namespace mwllsc::sim::choreo;
 
 namespace {
-
-using Wl = SimWorkload<SimJp>;
 
 // (a) Exhaustive small configurations with a crash budget. The enumerator
 // exploits that a crash changes no shared word, so injecting the crash
@@ -84,62 +83,12 @@ void exhaustive_with_crashes() {
   CHECK(crashy.schedules_explored > base.schedules_explored);
 }
 
-// Steps p until `cond` holds, with a hard step budget. Returns false if
-// the budget ran out (callers CHECK it).
-template <class Cond>
-bool step_until(Wl& wl, std::uint32_t p, Cond cond,
-                std::uint32_t budget = 5000) {
-  while (budget--) {
-    if (cond()) return true;
-    if (wl.proc_done(p)) return false;
-    wl.step(p);
-    if (!wl.ok()) return false;
-  }
-  return false;
-}
-
-bool parked_at(const Wl& wl, std::uint32_t p, const char* point) {
-  return wl.parked_at(p) && std::strcmp(wl.parked_at(p), point) == 0;
-}
-
-void report(const Wl& wl) {
-  if (!wl.ok()) std::fprintf(stderr, "checker: %s\n", wl.error().c_str());
-}
-
-// An LL announces only once its announce-free first attempt saw drift > P.
-// Runs `victim` to the brink of that re-check, lands P+1 = 3 commits from
-// `other`, then lets the victim re-check and fall back: its next access is
-// the announce.
-bool force_fallback(Wl& wl, std::uint32_t victim, std::uint32_t other) {
-  if (!step_until(wl, victim, [&] { return wl.at_validation(victim); })) {
-    return false;
-  }
-  const std::uint64_t v0 = wl.version();
-  if (!step_until(wl, other, [&] { return wl.version() - v0 >= 3; })) {
-    return false;
-  }
-  wl.step(victim);
-  return wl.ok() && parked_at(wl, victim, "ll:announce");
-}
-
-// Runs every runnable process round-robin to completion.
-void drain(Wl& wl) {
-  std::uint32_t guard = 200000;
-  while (!wl.done() && wl.ok() && guard--) {
-    for (std::uint32_t p = 0; p < wl.n(); ++p) {
-      if (!wl.proc_done(p)) {
-        wl.step(p);
-        break;
-      }
-    }
-  }
-  CHECK(wl.done());
-}
-
-// (b1) Helper dies right after its donation CAS, before its X commit. The
-// victim must adopt the orphaned donation and finish inside 3W+6; the
-// reclaimer then recycles the corpse and I1's census must come back exact
-// — the checker re-verifies it at the reclaim.
+// (b1) Helper dies right after its donation CAS, before its X commit: its
+// next access is the first word of its own value, written into the spare
+// it just took from the victim. The victim must adopt the orphaned
+// donation as its spare and finish inside 3W+6; the reclaimer then
+// recycles the corpse and I1's census must come back exact — the checker
+// re-verifies it at the reclaim.
 void crash_helper_after_donation() {
   WorkloadConfig cfg;
   cfg.ops_per_proc = 6;
@@ -156,8 +105,8 @@ void crash_helper_after_donation() {
   CHECK(step_until(wl, helper, [&] {
     return wl.object().stats().helps_given > helps;
   }));
-  CHECK(parked_at(wl, helper, "sc:x"));
-  // The helper now dies with its SC unfinished.
+  CHECK(parked_at(wl, helper, "sc:copy"));
+  // The helper now dies between its donation and its SC.
   wl.crash(helper);
 
   // The victim's withdraw finds HELPED and adopts the corpse's donation.
