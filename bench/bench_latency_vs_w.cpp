@@ -70,7 +70,6 @@ void BM_VL(benchmark::State& state) {
 }
 
 using JP128 = core::MwLLSC<llsc::Dw128LLSC>;
-using JP64 = core::MwLLSC<llsc::Packed64LLSC>;
 using AM128 = baseline::AmLLSC<llsc::Dw128LLSC>;
 using Lock = baseline::LockLLSC;
 
@@ -84,9 +83,6 @@ BENCHMARK_TEMPLATE(BM_LL, AM128)->RangeMultiplier(4)->Range(kMinW, kMaxW);
 BENCHMARK_TEMPLATE(BM_LL, Lock)->RangeMultiplier(4)->Range(kMinW, kMaxW);
 
 BENCHMARK_TEMPLATE(BM_LLSC_Pair, JP128)
-    ->RangeMultiplier(4)
-    ->Range(kMinW, kMaxW);
-BENCHMARK_TEMPLATE(BM_LLSC_Pair, JP64)
     ->RangeMultiplier(4)
     ->Range(kMinW, kMaxW);
 BENCHMARK_TEMPLATE(BM_LLSC_Pair, AM128)

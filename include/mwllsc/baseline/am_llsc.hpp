@@ -38,10 +38,10 @@ class AmLLSC {
   /// Throws std::invalid_argument, in every build and before anything is
   /// allocated, unless 1 <= nprocs <= 2^14 and words >= 1.
   AmLLSC(std::uint32_t nprocs, std::uint32_t words)
-      : n_(util::checked(nprocs, nprocs >= 1 && nprocs <= kMaxProcs,
+      : n_(util::checked(nprocs, nprocs >= 1 && nprocs <= core::kMaxProcs,
                          "AmLLSC: nprocs must be in [1, 2^14]")),
         w_(util::checked(words, words >= 1, "AmLLSC: words must be >= 1")),
-        x_(nprocs, pack_x(0, nprocs)),
+        x_(nprocs, nprocs),
         rows_(nprocs + 1, words),  // line-padded, as in core
         handoff_(new std::uint64_t[static_cast<std::size_t>(nprocs) *
                                    nprocs * words]),
@@ -68,9 +68,8 @@ class AmLLSC {
     trace_.emit(obs::EventKind::kLlStart, p, me.seq);
     for (;;) {
       Env::at("ll:link", p);
-      const std::uint64_t x = x_.ll(p);
-      const std::uint32_t b = buf_of_x(x);
-      copy_from_bufs(b, out, p);
+      const std::uint32_t b = core::buf_field(x_.ll(p));
+      rows_.read<Env>(b, out, p, "ll:copy");
       std::atomic_thread_fence(std::memory_order_acquire);
       Env::at("ll:validate", p);
       if (x_.vl(p)) {
@@ -89,7 +88,7 @@ class AmLLSC {
         me.ll_buf = b;
         me.link_valid = true;
         stats_.at(p).bump(stats_.at(p).ll_ops);
-        trace_.emit(obs::EventKind::kLlFast, p, me.seq, b);
+        trace_.emit(obs::EventKind::kLlFast, p, x_.linked_tag(p), b);
         return;
       }
       Env::at("ll:check_slot", p);
@@ -130,7 +129,7 @@ class AmLLSC {
       return false;
     }
     me.link_valid = false;
-    copy_to_bufs(me.spare, v, p);
+    rows_.write<Env>(me.spare, v, p);
     std::atomic_thread_fence(std::memory_order_release);
     const std::uint64_t t = x_.linked_tag(p);
     const std::uint32_t target = static_cast<std::uint32_t>((t + 1) % n_);
@@ -139,7 +138,7 @@ class AmLLSC {
     // store: a probe after the announce cannot miss kWaiting)
     std::uint64_t seen = announce_[target].a.load(std::memory_order_seq_cst);
     Env::at("sc:x", p);
-    if (!x_.sc(p, pack_x(p, me.spare))) {
+    if (!x_.sc(p, me.spare)) {
       trace_.emit(obs::EventKind::kScFail, p, me.seq);
       return false;
     }
@@ -209,19 +208,7 @@ class AmLLSC {
   }
 
  private:
-  static constexpr std::uint32_t kBufBits = 18;
-  static constexpr std::uint32_t kPidBits = 14;
-  static constexpr std::uint32_t kMaxProcs = 1u << kPidBits;
-  static_assert(LLSC::kValueBits >= kBufBits + kPidBits,
-                "engine value too narrow for the <pid, buf> descriptor");
-
-  static std::uint64_t pack_x(std::uint32_t pid, std::uint32_t buf) {
-    return (static_cast<std::uint64_t>(pid) << kBufBits) | buf;
-  }
-  static std::uint32_t buf_of_x(std::uint64_t x) {
-    return static_cast<std::uint32_t>(x & ((1u << kBufBits) - 1));
-  }
-
+  // X holds the current buffer's bare index (core/rows.hpp).
   // Announce word: state(2) | donor pid(18) | seq(44).
   static constexpr std::uint64_t kIdle = 0;
   static constexpr std::uint64_t kWaiting = 1;
@@ -235,7 +222,7 @@ class AmLLSC {
   }
   static std::uint64_t state_of_a(std::uint64_t a) { return a & 3; }
   static std::uint32_t donor_of_a(std::uint64_t a) {
-    return static_cast<std::uint32_t>((a >> 2) & ((1u << kBufBits) - 1));
+    return core::buf_field(a >> 2);
   }
   static std::uint64_t seq_of_a(std::uint64_t a) { return a >> 20; }
 
@@ -249,24 +236,6 @@ class AmLLSC {
     std::uint64_t seq = 0;
     bool link_valid = false;
   };
-
-  void copy_from_bufs(std::uint32_t b, std::uint64_t* out,
-                      std::uint32_t p) const {
-    const std::atomic<std::uint64_t>* row = rows_.row(b);
-    for (std::uint32_t i = 0; i < w_; ++i) {
-      Env::at("ll:copy", p);
-      out[i] = row[i].load(std::memory_order_relaxed);
-    }
-  }
-
-  void copy_to_bufs(std::uint32_t b, const std::uint64_t* v,
-                    std::uint32_t p) {
-    std::atomic<std::uint64_t>* row = rows_.row(b);
-    for (std::uint32_t i = 0; i < w_; ++i) {
-      Env::at("sc:copy", p);
-      row[i].store(v[i], std::memory_order_relaxed);
-    }
-  }
 
   std::uint64_t* handoff_row(std::uint32_t helper, std::uint32_t helpee) {
     return handoff_.get() +

@@ -28,10 +28,10 @@ class RetryLLSC {
   /// Throws std::invalid_argument, in every build and before anything is
   /// allocated, unless 1 <= nprocs <= 2^14 and words >= 1.
   RetryLLSC(std::uint32_t nprocs, std::uint32_t words)
-      : n_(util::checked(nprocs, nprocs >= 1 && nprocs <= kMaxProcs,
+      : n_(util::checked(nprocs, nprocs >= 1 && nprocs <= core::kMaxProcs,
                          "RetryLLSC: nprocs must be in [1, 2^14]")),
         w_(util::checked(words, words >= 1, "RetryLLSC: words must be >= 1")),
-        x_(nprocs, pack_x(0, nprocs)),
+        x_(nprocs, nprocs),
         rows_(nprocs + 1, words),  // line-padded, as in core
         priv_(new Priv[nprocs]),
         stats_(nprocs) {
@@ -44,16 +44,15 @@ class RetryLLSC {
     trace_.emit(obs::EventKind::kLlStart, p);
     for (;;) {  // unbounded: lock-free, not wait-free
       Env::at("ll:link", p);
-      const std::uint64_t x = x_.ll(p);
-      const std::uint32_t b = buf_of_x(x);
-      copy_out(b, out, p);
+      const std::uint32_t b = core::buf_field(x_.ll(p));
+      rows_.read<Env>(b, out, p, "ll:copy");
       std::atomic_thread_fence(std::memory_order_acquire);
       Env::at("ll:validate", p);
       if (x_.vl(p)) {
         me.ll_buf = b;
         me.link_valid = true;
         stats_.at(p).bump(stats_.at(p).ll_ops);
-        trace_.emit(obs::EventKind::kLlFast, p, 0, b);
+        trace_.emit(obs::EventKind::kLlFast, p, x_.linked_tag(p), b);
         return;
       }
       trace_.emit(obs::EventKind::kLlRetry, p);
@@ -71,15 +70,16 @@ class RetryLLSC {
       return false;
     }
     me.link_valid = false;
-    copy_in(me.spare, v, p);
+    rows_.write<Env>(me.spare, v, p);
     std::atomic_thread_fence(std::memory_order_release);
+    const std::uint64_t t = x_.linked_tag(p);
     Env::at("sc:x", p);
-    if (!x_.sc(p, pack_x(p, me.spare))) {
+    if (!x_.sc(p, me.spare)) {
       trace_.emit(obs::EventKind::kScFail, p);
       return false;
     }
     c.bump(c.sc_success);
-    trace_.emit(obs::EventKind::kScCommit, p);
+    trace_.emit(obs::EventKind::kScCommit, p, t + 1);
     me.spare = me.ll_buf;
     trace_.emit(obs::EventKind::kBankWrite, p, 0, me.spare);
     return true;
@@ -118,40 +118,12 @@ class RetryLLSC {
   }
 
  private:
-  static constexpr std::uint32_t kBufBits = 18;
-  static constexpr std::uint32_t kPidBits = 14;
-  static constexpr std::uint32_t kMaxProcs = 1u << kPidBits;
-  static_assert(LLSC::kValueBits >= kBufBits + kPidBits,
-                "engine value too narrow for the <pid, buf> descriptor");
-
-  static std::uint64_t pack_x(std::uint32_t pid, std::uint32_t buf) {
-    return (static_cast<std::uint64_t>(pid) << kBufBits) | buf;
-  }
-  static std::uint32_t buf_of_x(std::uint64_t x) {
-    return static_cast<std::uint32_t>(x & ((1u << kBufBits) - 1));
-  }
-
+  // X holds the current buffer's bare index (core/rows.hpp).
   struct alignas(64) Priv {
     std::uint32_t spare = 0;
     std::uint32_t ll_buf = 0;
     bool link_valid = false;
   };
-
-  void copy_out(std::uint32_t b, std::uint64_t* out, std::uint32_t p) const {
-    const std::atomic<std::uint64_t>* row = rows_.row(b);
-    for (std::uint32_t i = 0; i < w_; ++i) {
-      Env::at("ll:copy", p);
-      out[i] = row[i].load(std::memory_order_relaxed);
-    }
-  }
-
-  void copy_in(std::uint32_t b, const std::uint64_t* v, std::uint32_t p) {
-    std::atomic<std::uint64_t>* row = rows_.row(b);
-    for (std::uint32_t i = 0; i < w_; ++i) {
-      Env::at("sc:copy", p);
-      row[i].store(v[i], std::memory_order_relaxed);
-    }
-  }
 
   const std::uint32_t n_;
   const std::uint32_t w_;

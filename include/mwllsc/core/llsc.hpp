@@ -1,33 +1,12 @@
-// Single-word LL/SC building blocks ("the hardware primitive").
+// The single-word LL/SC building block ("the hardware primitive").
 //
-// Real hardware LL/SC is not exposed portably, so both engines emulate an
-// N-process single-word LL/SC variable with CAS on a (value, sequence-tag)
-// pair; the tag advances on every successful SC, which makes SC failures
-// semantic (an SC fails iff another SC succeeded since the caller's LL) and
-// defeats ABA up to tag wrap-around:
-//
-//   * Dw128LLSC   — 128-bit CAS (x86 cmpxchg16b via libatomic): full 64-bit
-//                   values and a 64-bit tag, i.e. no practical ABA bound.
-//   * Packed64LLSC — single 64-bit CAS holding a 32-bit value and a 32-bit
-//                   tag: cheaper hardware op, wraps after 2^32 SCs. The
-//                   ablation engine.
-//
-// Operating envelope (tag wrap). The ABA guarantee holds for at most
-// kMaxTag = 2^kTagBits - 1 successful SCs per variable; past that the tag
-// wraps to 0 and a process parked across the full wrap cycle could see a
-// stale link validate ("spurious" SC/VL success). For Dw128LLSC that is
-// 2^64 SCs — over 580 years at 10^9 SCs/s, no practical bound. For
-// Packed64LLSC it is 2^32 SCs — minutes under saturation — so Packed64 is
-// an ablation/short-run engine: long-running deployments must either use
-// Dw128LLSC or retire/reconstruct the variable (epoch reset) before the
-// tag budget is spent. One word inside the envelope is also reserved: the
-// all-ones (value == kValueMask, tag == kMaxTag) packed word is the
-// kUnlinked sentinel, and installing it would make the next LL silently
-// drop its link (spurious SC/VL failure). Debug builds assert on both the
-// wrap and the sentinel; release builds degrade silently (tag arithmetic
-// is masked to kTagBits, so behavior stays defined — only the LL/SC
-// guarantees lapse). The `initial_tag` constructor parameter exists so
-// tests can exercise the boundary without 2^32 warm-up SCs.
+// Real hardware LL/SC is not exposed portably, so Dw128LLSC emulates an
+// N-process single-word LL/SC variable with one 128-bit CAS (x86
+// cmpxchg16b via libatomic) on a (64-bit value, 64-bit sequence tag)
+// pair. The tag advances on every successful SC, which makes SC failures
+// semantic (an SC fails iff another SC succeeded since the caller's LL)
+// and defeats ABA: a stale link could only validate again after the tag
+// wrapped, i.e. after 2^64 successful SCs — over 580 years at 10^9 SCs/s.
 //
 // Per-process link state (the word observed at the last LL) is private to
 // the linking process and padded to its own cache line.
@@ -41,32 +20,12 @@
 
 namespace mwllsc::llsc {
 
-namespace detail {
-
-/// Shared implementation: Word is the CAS granule, split into the low
-/// kValueBits of value and the remaining high bits of sequence tag.
-template <typename Word, unsigned kValueBitsParam>
-class SeqTagLLSC {
+class Dw128LLSC {
  public:
-  static constexpr unsigned kValueBits = kValueBitsParam;
-  static constexpr unsigned kTagBits = sizeof(Word) * 8 - kValueBitsParam;
-  /// Largest tag value: the engine's ABA budget is kMaxTag successful SCs
-  /// (see the operating-envelope note in the header comment).
-  static constexpr std::uint64_t kMaxTag =
-      kTagBits >= 64 ? ~std::uint64_t{0}
-                     : (std::uint64_t{1} << kTagBits) - 1;
-
-  /// `initial_tag` pre-ages the variable for wrap-boundary tests; normal
-  /// construction starts the tag at 0.
-  explicit SeqTagLLSC(std::uint32_t nprocs, std::uint64_t initial = 0,
-                      std::uint64_t initial_tag = 0)
+  explicit Dw128LLSC(std::uint32_t nprocs, std::uint64_t initial = 0)
       : links_(new Link[nprocs]), n_(nprocs) {
     assert(nprocs >= 1);
-    assert(initial_tag <= kMaxTag);
-    // All-ones is the kUnlinked sentinel; starting there is pathological
-    // (it needs both the maximum tag and the maximum value).
-    assert(pack(initial, initial_tag) != kUnlinked);
-    cell_.w.store(pack(initial, initial_tag), std::memory_order_relaxed);
+    cell_.w.store(pack(initial, 0), std::memory_order_relaxed);
     for (std::uint32_t p = 0; p < nprocs; ++p) {
       links_[p].seen = kUnlinked;
     }
@@ -86,23 +45,11 @@ class SeqTagLLSC {
     Word expected = links_[p].seen;
     links_[p].seen = kUnlinked;  // the link is consumed either way
     if (expected == kUnlinked) return false;
-    // Wrap detection: installing past kMaxTag re-enables ABA (operating
-    // envelope in the header comment). Masked so release builds stay
-    // defined; debug builds refuse to cross silently.
-    const std::uint64_t next_tag = (tag_of(expected) + 1) & kMaxTag;
-    assert(next_tag != 0 &&
-           "SeqTagLLSC tag wrapped: ABA budget exhausted — use Dw128LLSC "
-           "or epoch-reset the variable (see llsc.hpp operating envelope)");
-    const Word desired = pack(v, next_tag);
-    // The all-ones word is the kUnlinked sentinel: installing it would
-    // make the next LL record "no link" and fail spuriously.
-    assert(desired != kUnlinked &&
-           "SeqTagLLSC would install the kUnlinked sentinel (all-ones "
-           "value at the maximum tag — see llsc.hpp operating envelope)");
     // mwllsc-ordering: seq_cst(the SC CAS is the protocol's linearization
     // point: every successful SC is globally ordered, which the announce
     // sweep and the tag arithmetic in core/mwllsc.hpp both assume)
-    return cell_.w.compare_exchange_strong(expected, desired,
+    return cell_.w.compare_exchange_strong(expected,
+                                           pack(v, tag_of(expected) + 1),
                                            std::memory_order_seq_cst,
                                            std::memory_order_relaxed);
   }
@@ -132,24 +79,18 @@ class SeqTagLLSC {
   std::size_t private_bytes() const { return n_ * sizeof(Link); }
 
  private:
-  static constexpr Word kValueMask =
-      kValueBitsParam == sizeof(Word) * 8
-          ? static_cast<Word>(~Word{0})
-          : (Word{1} << kValueBitsParam) - 1;
-  // All-ones is unreachable: the tag would have to hit its maximum, which
-  // takes 2^kTagBits successful SCs.
-  static constexpr Word kUnlinked = static_cast<Word>(~Word{0});
+  using Word = unsigned __int128;  ///< tag in the high 64 bits
+  // All-ones needs tag 2^64 - 1, i.e. 2^64 - 1 successful SCs.
+  static constexpr Word kUnlinked = ~Word{0};
 
   static Word pack(std::uint64_t v, std::uint64_t tag) {
-    assert((static_cast<Word>(v) & ~kValueMask) == 0);
-    return (static_cast<Word>(tag) << kValueBitsParam) |
-           (static_cast<Word>(v) & kValueMask);
+    return (static_cast<Word>(tag) << 64) | v;
   }
   static std::uint64_t value_of(Word w) {
-    return static_cast<std::uint64_t>(w & kValueMask);
+    return static_cast<std::uint64_t>(w);
   }
   static std::uint64_t tag_of(Word w) {
-    return static_cast<std::uint64_t>(w >> kValueBitsParam);
+    return static_cast<std::uint64_t>(w >> 64);
   }
 
   // A full line to itself: the CAS-hot variable must not share a cache
@@ -165,10 +106,5 @@ class SeqTagLLSC {
   std::unique_ptr<Link[]> links_;
   std::uint32_t n_;
 };
-
-}  // namespace detail
-
-using Dw128LLSC = detail::SeqTagLLSC<unsigned __int128, 64>;
-using Packed64LLSC = detail::SeqTagLLSC<std::uint64_t, 32>;
 
 }  // namespace mwllsc::llsc

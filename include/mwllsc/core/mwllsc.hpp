@@ -9,8 +9,8 @@
 // scratch, and offers it through its announce slot while an LL is
 // announced (LL never writes the spare). R buffers rest in the global
 // *retirement ring*; the remaining buffer is current. The 1-word LL/SC
-// variable X holds the descriptor <pid, buf>; its sequence tag is the
-// abstract version: tag T's value is whatever the T-th successful SC
+// variable X holds the current buffer's bare index; its sequence tag is
+// the abstract version: tag T's value is whatever the T-th successful SC
 // installed.
 //
 // LL, first attempt (announce-free). LL(p) links X (tag T, buffer b),
@@ -131,7 +131,7 @@ class MwLLSC {
         w_(util::checked(words, words >= 1, "MwLLSC: words must be >= 1")),
         p2_(next_pow2(nprocs)),
         ring_size_(p2_ < 2 ? 2 : p2_),
-        x_(nprocs, pack_x(0, nprocs + ring_size_)),
+        x_(nprocs, nprocs + ring_size_),
         // Line-padded rows isolate buffers from each other (the
         // false-sharing fix E2/E3 measure).
         rows_(nprocs + ring_size_ + 1, words),
@@ -253,7 +253,7 @@ class MwLLSC {
         // Return the donated snapshot. We own the buffer now; no
         // validation needed.
         const std::uint32_t d = buf_of_a(a);
-        copy_out(d, out, p, "ll:copy_donated");
+        rows_.read<Env>(d, out, p, "ll:copy_donated");
         me.spare = d;  // the donor took the spare we offered
         me.announced = false;
         me.link_valid = false;  // a successful SC already intervened
@@ -286,7 +286,7 @@ class MwLLSC {
     // probing first measured 4–5% slower on the contended workloads
     // (DESIGN.md §2). The rare help path below overwrites the spare with
     // its copy and writes the value again.
-    copy_in(me.spare, v, p);
+    rows_.write<Env>(me.spare, v, p);
     std::atomic_thread_fence(std::memory_order_release);
     const std::uint64_t t = x_.linked_tag(p);
     // Probe the help schedule *before* the SC: the winner of tag T+1
@@ -331,17 +331,17 @@ class MwLLSC {
         }
         // Our spare — the one taken in the exchange, or our own if the
         // withdraw won — no longer holds the value.
-        copy_in(me.spare, v, p);
+        rows_.write<Env>(me.spare, v, p);
         std::atomic_thread_fence(std::memory_order_release);
       }
     }
     Env::at("sc:x", p);
-    if (!x_.sc(p, pack_x(p, me.spare))) {
+    if (!x_.sc(p, me.spare)) {
       trace_.emit(obs::EventKind::kScFail, p, me.seq);
       return false;
     }
     c.bump(c.sc_success);
-    trace_.emit(obs::EventKind::kScCommit, p, (t + 1) & kRingTagMask);
+    trace_.emit(obs::EventKind::kScCommit, p, t + 1);
     // The previously-current buffer is ours from the commit on: it is the
     // provisional spare until the ring swap trades it for an aged one.
     me.spare = me.ll_buf;
@@ -451,7 +451,7 @@ class MwLLSC {
   void census(Census& out) const {
     out.version = x_.current_tag();
     out.buffers = n_ + ring_size_ + 1;
-    out.current = buf_of_x(x_.peek());
+    out.current = buf_field(x_.peek());
     out.spare.resize(n_);
     out.sc_success.resize(n_);
     out.bank_writes.resize(n_);
@@ -498,27 +498,8 @@ class MwLLSC {
   }
 
  private:
-  // X packs <pid, buf> into the engine's value bits: buf in the low 18,
-  // pid in the next 14 — fits the 32-bit value of the packed64 engine.
-  static constexpr std::uint32_t kBufBits = 18;
-  static constexpr std::uint32_t kPidBits = 14;
-  static constexpr std::uint32_t kMaxProcs = 1u << kPidBits;
-  static_assert(LLSC::kValueBits >= kBufBits + kPidBits,
-                "engine value too narrow for the <pid, buf> descriptor");
-  // N+R+1 buffers with N <= 2^14 and R = max(2, P) <= 2^14: every buffer
-  // index fits the descriptor's, the announce word's and a ring cell's
-  // buf field.
-  static_assert(2 * kMaxProcs + 1 <= (1u << kBufBits),
-                "buffer index wider than kBufBits");
-
-  static std::uint64_t pack_x(std::uint32_t pid, std::uint32_t buf) {
-    return (static_cast<std::uint64_t>(pid) << kBufBits) | buf;
-  }
-  static std::uint32_t buf_of_x(std::uint64_t x) {
-    return static_cast<std::uint32_t>(x & ((1u << kBufBits) - 1));
-  }
-
-  // Announce slot word: state(2) | buf(18) | seq(44).
+  // Announce slot word: state(2) | buf(18) | seq(44). Buffer fields are
+  // kBufBits wide (core/rows.hpp), as is X's bare index.
   static constexpr std::uint64_t kIdle = 0;
   static constexpr std::uint64_t kWaiting = 1;
   static constexpr std::uint64_t kHelped = 2;
@@ -530,9 +511,7 @@ class MwLLSC {
     return (seq << 20) | (static_cast<std::uint64_t>(buf) << 2) | state;
   }
   static std::uint64_t state_of_a(std::uint64_t a) { return a & 3; }
-  static std::uint32_t buf_of_a(std::uint64_t a) {
-    return static_cast<std::uint32_t>((a >> 2) & ((1u << kBufBits) - 1));
-  }
+  static std::uint32_t buf_of_a(std::uint64_t a) { return buf_field(a >> 2); }
   static std::uint64_t seq_of_a(std::uint64_t a) { return a >> 20; }
 
   // Ring cell word: buf(18) | tag(46). The tag's 2^46 envelope bounds ABA
@@ -544,9 +523,7 @@ class MwLLSC {
   static std::uint64_t pack_ring(std::uint32_t buf, std::uint64_t tag) {
     return (tag << kBufBits) | buf;
   }
-  static std::uint32_t ring_buf_of(std::uint64_t r) {
-    return static_cast<std::uint32_t>(r & ((1u << kBufBits) - 1));
-  }
+  static std::uint32_t ring_buf_of(std::uint64_t r) { return buf_field(r); }
   static std::uint64_t ring_tag_of(std::uint64_t r) { return r >> kBufBits; }
   /// Priv::retiring when no ring swap is pending (ring tags are 46-bit).
   static constexpr std::uint64_t kNoRetire = ~std::uint64_t{0};
@@ -583,9 +560,9 @@ class MwLLSC {
                               std::uint64_t* out, std::uint64_t& t0,
                               std::uint32_t& b) {
     Env::at(announced ? "ll:relink" : "ll:link", p);
-    b = buf_of_x(x_.ll(p));
+    b = buf_field(x_.ll(p));
     t0 = x_.linked_tag(p);
-    copy_out(b, out, p, announced ? "ll:recopy" : "ll:copy");
+    rows_.read<Env>(b, out, p, announced ? "ll:recopy" : "ll:copy");
     std::atomic_thread_fence(std::memory_order_acquire);
     Env::at(announced ? "ll:revalidate" : "ll:validate", p);
     return x_.current_tag() - t0;
@@ -633,33 +610,6 @@ class MwLLSC {
     auto& c = stats_.at(p);
     c.bump(c.bank_writes);
     trace_.emit(obs::EventKind::kBankWrite, p, mytag, retired);
-  }
-
-  void copy_out(std::uint32_t b, std::uint64_t* out, std::uint32_t p,
-                const char* point) const {
-    const std::atomic<std::uint64_t>* row = rows_.row(b);
-    // Read-prefetch lines 1..ceil(W/8)-1 so a multi-line copy waits on its
-    // line misses together instead of one after another (line 0 is
-    // demanded by the loop at once). Rows are 64-byte aligned with a
-    // stride of whole lines, so line k starts at word 8k. A prefetch is a
-    // hint, not a shared access: it is outside the step count and the
-    // memory-ordering discipline, and the copy is validated exactly as
-    // before (DESIGN.md §2).
-    for (std::uint32_t i = 8; i < w_; i += 8) {
-      __builtin_prefetch(row + i, 0, 3);
-    }
-    for (std::uint32_t i = 0; i < w_; ++i) {
-      Env::at(point, p);
-      out[i] = row[i].load(std::memory_order_relaxed);
-    }
-  }
-
-  void copy_in(std::uint32_t b, const std::uint64_t* v, std::uint32_t p) {
-    std::atomic<std::uint64_t>* row = rows_.row(b);
-    for (std::uint32_t i = 0; i < w_; ++i) {
-      Env::at("sc:copy", p);
-      row[i].store(v[i], std::memory_order_relaxed);
-    }
   }
 
   /// One step per word: the read is of the linked (validated) buffer, the

@@ -90,7 +90,6 @@ inline std::uint64_t ll_steps_of(std::uint32_t w, std::uint32_t rounds,
 }
 
 inline TraceCheckResult check_trace(const TraceData& d) {
-  // The bounds do not depend on the engine; any instantiation states them.
   using Jp = core::MwLLSC<llsc::Dw128LLSC>;
   TraceCheckResult r;
 

@@ -41,7 +41,9 @@ namespace mwllsc::obs {
 /// Protocol event taxonomy. The core/baseline events follow the paper's
 /// LL/SC pseudocode (see OpStatsSnapshot's doc comment for the line
 /// mapping); announce/help_all/apply_commit are the apps-layer help-all
-/// universal construction.
+/// universal construction. On every substrate ll_fast carries the version
+/// the LL linked and sc_commit the version the SC installed (test_obs
+/// pins both).
 enum class EventKind : std::uint16_t {
   kLlStart = 0,     ///< LL entered                      (tag = announce seq)
   kLlFast,          ///< LL fast path returned           (tag = linked tag)

@@ -131,8 +131,8 @@ void degenerate_for(const core::MwLLSCFactory& f) {
 }
 
 // Constructor preconditions hold in Release too: each is refused with
-// std::invalid_argument instead of building an object that overflows the
-// <pid, buf> descriptor or copies zero words.
+// std::invalid_argument instead of building an object whose buffer
+// indices overflow their 18-bit fields or that copies zero words.
 template <class Make>
 bool refuses(Make make) {
   try {
@@ -145,24 +145,28 @@ bool refuses(Make make) {
 
 void preconditions() {
   using Jp = core::MwLLSC<llsc::Dw128LLSC>;
+  constexpr std::uint32_t kMax = core::kMaxProcs;
   CHECK(refuses([] { Jp obj(0, 4); }));
-  CHECK(refuses([] { Jp obj((1u << 14) + 1, 4); }));
+  CHECK(refuses([] { Jp obj(kMax + 1, 4); }));
   CHECK(refuses([] { Jp obj(~0u, 4); }));
   CHECK(refuses([] { Jp obj(2, 0); }));
   // The bounds themselves are accepted.
   CHECK(!refuses([] { Jp obj(1, 1); }));
-  CHECK(!refuses([] { Jp obj(1u << 14, 1); }));
-  // The baselines refuse the same way. LockLLSC packs no descriptor, so
-  // only the others cap nprocs; AmLLSC's cap is not probed here because
-  // its O(N^2 W) handoff matrix at 2^14 processes is gigabytes.
+  CHECK(!refuses([] { Jp obj(kMax, 1); }));
+  // The baselines refuse the same way. LockLLSC swings no buffer index,
+  // so only the others cap nprocs. AmLLSC's accepted cap is not built
+  // here: its O(N^2 W) handoff matrix at 2^14 processes is gigabytes; the
+  // refusal throws before any member allocates.
   for (const auto& f : bench::all_factories()) {
     CHECK(refuses([&] { f.make(0, 4); }));
     CHECK(refuses([&] { f.make(2, 0); }));
     CHECK(!refuses([&] { f.make(1, 1); }));
   }
   using Retry = baseline::RetryLLSC<llsc::Dw128LLSC>;
-  CHECK(refuses([] { Retry obj((1u << 14) + 1, 4); }));
-  CHECK(!refuses([] { Retry obj(1u << 14, 1); }));
+  CHECK(refuses([] { Retry obj(kMax + 1, 4); }));
+  CHECK(!refuses([] { Retry obj(kMax, 1); }));
+  using Am = baseline::AmLLSC<llsc::Dw128LLSC>;
+  CHECK(refuses([] { Am obj(kMax + 1, 4); }));
 }
 
 }  // namespace

@@ -46,12 +46,10 @@ namespace {
 constexpr std::uint32_t kW = 4;
 constexpr std::uint32_t kForceFallback = 4;  // SCs after the first link, > P
 
-template <class Engine>
-using Hooked = core::MwLLSC<Engine, core::HookEnv>;
+using Hooked = core::MwLLSC<llsc::Dw128LLSC, core::HookEnv>;
 
-template <class Engine>
 struct HookState {
-  Hooked<Engine>* obj = nullptr;
+  Hooked* obj = nullptr;
   std::uint32_t sc_rounds = 0;  // successful SCs after the announced link
   bool forced = false;          // the first attempt was pushed past P
   bool fired = false;           // the announced round was stalled
@@ -62,8 +60,7 @@ struct HookState {
 };
 
 // pid 1 runs `rounds` LL/SC pairs, writing base*round + i into word i.
-template <class Engine>
-void drive(HookState<Engine>* st, std::uint32_t rounds, std::uint64_t base) {
+void drive(HookState* st, std::uint32_t rounds, std::uint64_t base) {
   std::vector<std::uint64_t> v(kW);
   for (std::uint64_t round = 1; round <= rounds; ++round) {
     st->obj->ll(1, v.data());
@@ -80,9 +77,8 @@ void drive(HookState<Engine>* st, std::uint32_t rounds, std::uint64_t base) {
   }
 }
 
-template <class Engine>
 void interfere(void* ctx, const char* point, std::uint32_t pid) {
-  auto* st = static_cast<HookState<Engine>*>(ctx);
+  auto* st = static_cast<HookState*>(ctx);
   if (pid != 0) {  // no reentrant interference from pid 1's own ops
     if (std::strncmp(point, "sc:", 3) == 0) ++st->sc_steps;
     return;
@@ -104,13 +100,12 @@ void interfere(void* ctx, const char* point, std::uint32_t pid) {
 /// Runs LL(0) with its first attempt forced past P, then `sc_rounds`
 /// successful SCs injected after its announced-round X link; returns the
 /// value the LL produced.
-template <class Engine>
-std::vector<std::uint64_t> stalled_ll(Hooked<Engine>& obj,
-                                      HookState<Engine>& st,
+std::vector<std::uint64_t> stalled_ll(Hooked& obj,
+                                      HookState& st,
                                       std::uint32_t sc_rounds) {
   st.obj = &obj;
   st.sc_rounds = sc_rounds;
-  core::HookEnv::install(&interfere<Engine>, &st);
+  core::HookEnv::install(&interfere, &st);
   std::vector<std::uint64_t> out(kW);
   obj.ll(0, out.data());
   core::HookEnv::install(nullptr, nullptr);
@@ -121,9 +116,8 @@ std::vector<std::uint64_t> stalled_ll(Hooked<Engine>& obj,
 
 // I1 on the object's census right now: each of the N+R+1 buffers has
 // one owner. Returns the census for further checks.
-template <class Engine>
-typename Hooked<Engine>::Census check_i1(const Hooked<Engine>& obj) {
-  typename Hooked<Engine>::Census c;
+Hooked::Census check_i1(const Hooked& obj) {
+  Hooked::Census c;
   obj.census(c);
   std::vector<int> owners;
   const std::string e = sim::i1_error(c, owners);
@@ -138,10 +132,9 @@ constexpr std::uint64_t kAfterForce = 10 * kForceFallback;
 // Drift 3 > P: the rescue path. The reader must return the donated
 // snapshot with the helped/rescue/help-install counters firing exactly
 // once, and the defensive retry arm must never run.
-template <class Engine>
 void rescue_path() {
-  Hooked<Engine> obj(2, kW);
-  HookState<Engine> st;
+  Hooked obj(2, kW);
+  HookState st;
   const auto out = stalled_ll(obj, st, 3);
 
   const auto s = obj.stats();
@@ -187,10 +180,9 @@ void rescue_path() {
 // Drift 2 = P: aged validation still passes — the linked buffer sat in
 // the ring, unrecycled — but a donation raced in, so the withdraw CAS
 // fails and the reader adopts the donated buffer without using its value.
-template <class Engine>
 void aged_pass_with_donation() {
-  Hooked<Engine> obj(2, kW);
-  HookState<Engine> st;
+  Hooked obj(2, kW);
+  HookState st;
   const auto out = stalled_ll(obj, st, 2);
 
   // The snapshot the announced round linked: tag 4's value.
@@ -213,10 +205,9 @@ void aged_pass_with_donation() {
 
 // Drift 1 < P with no donation (tag 5's winner probes its own slot): the
 // plain aged-validation pass, clean withdraw.
-template <class Engine>
 void aged_pass_plain() {
-  Hooked<Engine> obj(2, kW);
-  HookState<Engine> st;
+  Hooked obj(2, kW);
+  HookState st;
   const auto out = stalled_ll(obj, st, 1);
 
   for (std::uint32_t i = 0; i < kW; ++i) CHECK_EQ(out[i], kAfterForce + i);
@@ -233,10 +224,9 @@ void aged_pass_plain() {
 // and the ring like any other. So neither the census nor reclaim_pid may
 // read the stale word as a live donation once Priv::announced is clear:
 // either would give the buffer a second owner, which I1 catches here.
-template <class Engine>
 void consumed_donation_goes_stale() {
-  Hooked<Engine> obj(2, kW);
-  HookState<Engine> st;
+  Hooked obj(2, kW);
+  HookState st;
   stalled_ll(obj, st, 3);  // the rescue path: pid 0 consumes a donation
   CHECK_EQ(obj.stats().ll_used_helped_value, 1u);
   const std::uint32_t d = check_i1(obj).spare[0];
@@ -289,9 +279,8 @@ void count_points(void* ctx, const char* point, std::uint32_t pid) {
 // which never runs — so the word keeps its seq and state.
 // The winners that probe slot 0 afterwards find it IDLE and help nobody,
 // and the link stays valid.
-template <class Engine>
 void undisturbed_ll_never_announces() {
-  Hooked<Engine> obj(2, kW);
+  Hooked obj(2, kW);
   PointCounts pc;
   core::HookEnv::install(&count_points, &pc);
   std::vector<std::uint64_t> v(kW);
@@ -318,20 +307,14 @@ void undisturbed_ll_never_announces() {
   CHECK(!obj.vl(0));  // pid 1's commits broke pid 0's open link
 }
 
-template <class Engine>
-void help_path_for() {
-  rescue_path<Engine>();
-  aged_pass_with_donation<Engine>();
-  aged_pass_plain<Engine>();
-  consumed_donation_goes_stale<Engine>();
-  undisturbed_ll_never_announces<Engine>();
-}
-
 }  // namespace
 
 int main() {
-  help_path_for<llsc::Dw128LLSC>();
-  help_path_for<llsc::Packed64LLSC>();
+  rescue_path();
+  aged_pass_with_donation();
+  aged_pass_plain();
+  consumed_donation_goes_stale();
+  undisturbed_ll_never_announces();
   std::printf("test_help_path: OK\n");
   return 0;
 }

@@ -1,6 +1,6 @@
 // Single-word LL/SC engine semantics: round-trips, semantic SC failure
-// (fails iff a successful SC intervened), VL, link consumption, and the
-// value-width contract of both engines.
+// (fails iff a successful SC intervened), VL, link consumption, ABA, the
+// per-SC tag count, and full 64-bit values.
 #include <cstdint>
 
 #include "core/llsc.hpp"
@@ -10,13 +10,14 @@ using namespace mwllsc;
 
 namespace {
 
-template <class Engine>
-void engine_semantics(std::uint64_t value_mask) {
-  Engine x(3, 7 & value_mask);
-  CHECK_EQ(x.peek(), 7 & value_mask);
+using Engine = llsc::Dw128LLSC;
+
+void engine_semantics() {
+  Engine x(3, 7);
+  CHECK_EQ(x.peek(), 7u);
 
   // Round trip: LL then SC with no interference succeeds.
-  CHECK_EQ(x.ll(0), 7 & value_mask);
+  CHECK_EQ(x.ll(0), 7u);
   CHECK(x.vl(0));
   CHECK(x.sc(0, 11));
   CHECK_EQ(x.peek(), 11u);
@@ -56,7 +57,7 @@ void engine_semantics(std::uint64_t value_mask) {
   for (std::uint64_t i = 1; i <= 10; ++i) {
     z.ll(0);
     CHECK_EQ(z.linked_tag(0), i - 1);
-    CHECK(z.sc(0, i & value_mask));
+    CHECK(z.sc(0, i));
     CHECK_EQ(z.current_tag(), i);
   }
 
@@ -65,68 +66,29 @@ void engine_semantics(std::uint64_t value_mask) {
   CHECK(x.private_bytes() > 0);
 }
 
-// Tag arithmetic near the wrap boundary (the Packed64 operating envelope,
-// see llsc.hpp): semantics must stay exact right up to kMaxTag, and the
-// masked wrap in release builds must keep the engine functional — only the
-// ABA guarantee lapses (debug builds assert instead of crossing).
-void tag_wrap_envelope() {
-  using Engine = llsc::Packed64LLSC;
-  constexpr std::uint64_t kMax = Engine::kMaxTag;
-  static_assert(kMax == (std::uint64_t{1} << 32) - 1);
-
-  // Pre-age the variable to three SCs before the boundary.
-  Engine x(2, 7, kMax - 3);
-  CHECK_EQ(x.current_tag(), kMax - 3);
-  CHECK_EQ(x.ll(0), 7u);
-  CHECK(x.sc(0, 8));
-  CHECK_EQ(x.current_tag(), kMax - 2);
-
-  // Semantic failure still exact two SCs before the boundary.
-  CHECK_EQ(x.ll(0), 8u);
-  CHECK_EQ(x.ll(1), 8u);
-  CHECK(x.sc(1, 9));
-  CHECK_EQ(x.current_tag(), kMax - 1);
-  CHECK(!x.vl(0));
-  CHECK(!x.sc(0, 10));
-  CHECK_EQ(x.peek(), 9u);
-
-  // Installing the maximum tag itself is inside the envelope — except for
-  // the reserved all-ones word (value kValueMask at tag kMaxTag, the
-  // kUnlinked sentinel), which debug builds refuse to install.
-  CHECK_EQ(x.ll(0), 9u);
-  CHECK(x.sc(0, 11));
-  CHECK_EQ(x.current_tag(), kMax);
-  CHECK_EQ(x.ll(1), 11u);
-  CHECK(x.vl(1));
-
-#ifdef NDEBUG
-  // Crossing the boundary: release builds wrap the tag to 0 (debug builds
-  // assert in sc). The engine keeps functioning; only ABA protection has
-  // been exhausted.
-  CHECK(x.sc(1, 12));
-  CHECK_EQ(x.current_tag(), 0u);
-  CHECK_EQ(x.peek(), 12u);
-  CHECK_EQ(x.ll(0), 12u);
-  CHECK(x.sc(0, 13));
-  CHECK_EQ(x.current_tag(), 1u);
-#endif
-
-  // The 64-bit-tag engine accepts pre-aging too (no practical boundary).
-  llsc::Dw128LLSC y(1, 5, 1000);
-  CHECK_EQ(y.current_tag(), 1000u);
-  CHECK_EQ(y.ll(0), 5u);
-  CHECK(y.sc(0, 6));
-  CHECK_EQ(y.current_tag(), 1001u);
+// Every 64-bit value round-trips through ll/sc/peek; the tag lives in the
+// other half of the CAS word and never bleeds into the value.
+void full_width_values() {
+  const std::uint64_t values[] = {std::uint64_t{1} << 63, ~std::uint64_t{0} - 1,
+                                  ~std::uint64_t{0}, 0};
+  Engine x(2, values[0]);
+  CHECK_EQ(x.peek(), values[0]);
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    const std::uint64_t next = values[(i + 1) % 4];
+    CHECK_EQ(x.ll(0), values[i]);
+    CHECK(x.sc(0, next));
+    CHECK_EQ(x.peek(), next);
+    CHECK_EQ(x.ll(1), next);
+    CHECK(x.vl(1));
+    CHECK_EQ(x.current_tag(), i + 1);
+  }
 }
 
 }  // namespace
 
 int main() {
-  engine_semantics<llsc::Dw128LLSC>(~std::uint64_t{0});
-  engine_semantics<llsc::Packed64LLSC>((std::uint64_t{1} << 32) - 1);
-  tag_wrap_envelope();
-  static_assert(llsc::Dw128LLSC::kValueBits == 64);
-  static_assert(llsc::Packed64LLSC::kValueBits == 32);
+  engine_semantics();
+  full_width_values();
   std::printf("test_llsc_engine: OK\n");
   return 0;
 }

@@ -133,7 +133,7 @@ void managed_preconditions() {
   };
   CHECK(refuses(0, 4));
   CHECK(refuses(2, 0));
-  CHECK(refuses(1u << 14, 4));  // slots + 1 pids, one past the limit
+  CHECK(refuses(core::kMaxProcs, 4));  // slots + 1 pids, one past the limit
   CHECK(!refuses(1, 1));
   // The registry on its own refuses an empty pool (try_acquire would
   // divide by its capacity).

@@ -15,6 +15,8 @@
 //   * the output-only Perfetto view: windows, donation flows, orphan
 //     closes and the metadata trailer;
 //   * apps-layer events and the <= 3-round apply bound;
+//   * the tag contract on every substrate: ll_fast carries the linked
+//     tag, sc_commit the version it installed;
 //   * MetricsRegistry absorption + Prometheus/JSON export.
 #include <cstdio>
 #include <cstring>
@@ -25,6 +27,7 @@
 #include <vector>
 
 #include "apps/wf_universal.hpp"
+#include "bench_common.hpp"
 #include "core/mwllsc.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
@@ -410,6 +413,50 @@ void fallback_rescue_traced() {
   check_reloads(d);
 }
 
+/// k single-thread LL/SC pairs on every substrate: the i-th LL links
+/// version i (its ll_fast tag) and the i-th SC installs version i+1 (its
+/// sc_commit tag) — the tag witness the offline checker reads.
+void tags_follow_versions() {
+  constexpr std::uint64_t kPairs = 20;
+  for (const auto& f : bench::all_factories()) {
+    obs::TraceSink sink(1);
+    auto obj = f.make(1, 3);
+    obj->set_trace(&sink, 0);
+    std::vector<std::uint64_t> v(3);
+    for (std::uint64_t i = 0; i < kPairs; ++i) {
+      obj->ll(0, v.data());
+      v[0] += 1;
+      CHECK(obj->sc(0, v.data()));
+    }
+    const obs::TraceData d = sink.collect();
+    std::vector<std::uint64_t> lls, commits;
+    for (const auto& e : d.per_pid[0]) {
+      if (e.kind == static_cast<std::uint16_t>(obs::EventKind::kLlFast)) {
+        lls.push_back(e.tag);
+      } else if (e.kind ==
+                 static_cast<std::uint16_t>(obs::EventKind::kScCommit)) {
+        commits.push_back(e.tag);
+      }
+    }
+    if (lls.size() != kPairs || commits.size() != kPairs) {
+      std::fprintf(stderr, "  %s: %zu ll_fast, %zu sc_commit\n",
+                   f.name.c_str(), lls.size(), commits.size());
+    }
+    CHECK_EQ(lls.size(), kPairs);
+    CHECK_EQ(commits.size(), kPairs);
+    for (std::uint64_t i = 0; i < kPairs; ++i) {
+      if (lls[i] != i || commits[i] != i + 1) {
+        std::fprintf(stderr, "  %s pair %llu: ll_fast %llu, sc_commit %llu\n",
+                     f.name.c_str(), static_cast<unsigned long long>(i),
+                     static_cast<unsigned long long>(lls[i]),
+                     static_cast<unsigned long long>(commits[i]));
+      }
+      CHECK_EQ(lls[i], i);
+      CHECK_EQ(commits[i], i + 1);
+    }
+  }
+}
+
 /// A dump cut off anywhere must fail to load, not replay as a shorter
 /// clean trace.
 void loader_rejects_truncation(const obs::TraceData& good) {
@@ -563,6 +610,7 @@ int main() {
   fallback_rescue_traced();
   loader_rejects_truncation(d);
   apps_trace();
+  tags_follow_versions();
   metrics_registry();
   std::printf("test_obs: OK\n");
   return 0;

@@ -13,13 +13,16 @@
 //       rebind_pid) restores the exact buffer-ownership census (I1),
 //       finishes the dead process's pending bank write (I2), and that no
 //       reader ever sees a value the reclaimed pid's next holder writes
-//       into a buffer that is still in use;
+//       into a buffer that is still in use; and, after a rescued LL, a
+//       crash at every step of the victim's next rounds, reclaimed once
+//       the consumed donation has rotated through X and the ring;
 //   (c) replay round-trip — a recorded crash-churn schedule re-executes
 //       token-for-token to the same step count;
 //   (d) every invariant-violation message embeds the scheduler seed and
 //       schedule prefix needed to reproduce it (--seed / --replay).
 // Set MWLLSC_SIM_SOAK=1 for a longer churn soak (the CI fault-injection
 // job does, under ASan and TSan).
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -34,6 +37,11 @@ using namespace mwllsc::sim;
 using namespace mwllsc::sim::choreo;
 
 namespace {
+
+bool soak() {
+  const char* e = std::getenv("MWLLSC_SIM_SOAK");
+  return e && e[0] == '1';
+}
 
 // (a) Exhaustive small configurations with a crash budget. The enumerator
 // exploits that a crash changes no shared word, so injecting the crash
@@ -207,6 +215,98 @@ void crash_committer_before_ring_swap() {
   CHECK(wl.ok());
 }
 
+// The rescue prefix shared by every placement below: the victim's first
+// attempt falls back, its announced round sees P+1 = 3 commits after its
+// link (the helper's SC for a tag that probes slot 0 donates), and its
+// validation fails, so it returns the donated snapshot. Its slot keeps the
+// consumed HELPED word until it next announces. Returns the donated buffer.
+std::uint32_t rescue_victim(Wl& wl, std::uint32_t victim,
+                            std::uint32_t helper) {
+  CHECK(force_fallback(wl, victim, helper));
+  wl.step(victim);  // the announce
+  CHECK(step_until(wl, victim, [&] { return wl.at_validation(victim); }));
+  const std::uint64_t v0 = wl.version();
+  CHECK(step_until(wl, helper, [&] { return wl.version() - v0 >= 3; }));
+  const std::uint64_t lls = wl.completed_lls();
+  CHECK(step_until(wl, victim, [&] { return wl.completed_lls() > lls; }));
+  CHECK_EQ(wl.object().stats().ll_used_helped_value, 1u);
+  SimJp::Census c;
+  wl.object().census(c);
+  return c.spare[victim];
+}
+
+// The helper runs to its next commit and through its ring swap: it stops
+// parked at its next LL's link (or done).
+void helper_round(Wl& wl, std::uint32_t helper) {
+  const std::uint64_t v = wl.version();
+  CHECK(step_until(wl, helper, [&] {
+    return wl.version() > v && parked_at(wl, helper, "ll:link");
+  }) || wl.proc_done(helper));
+}
+
+// (b4) Reclaim after a consumed rescue. After the rescue the victim's
+// rescued SC fails at once, its next LL is announce-free, and its SC after
+// that installs the donated buffer d; the helper's next SC retires d to the
+// ring. All the while the victim's slot still reads HELPED with d. The
+// schedule after the rescue is fixed — the victim to its next commit, one
+// helper round, the victim to the end of its script — and the victim
+// crashes before each of its steps in turn; one more helper round follows
+// the crash, then the reclaim. A reclaim that adopted the stale HELPED
+// word would give d a second owner, which I1 catches at the reclaim.
+void reclaim_after_consumed_rescue(std::uint32_t w) {
+  WorkloadConfig cfg;
+  cfg.ops_per_proc = 8;
+  cfg.vl_percent = 0;
+  cfg.seed = 4;
+  const std::uint32_t victim = 0, helper = 1;
+  std::uint32_t placements = 0, rotated = 0;
+  for (std::uint32_t k = 0;; ++k) {
+    Wl wl(2, w, cfg);
+    const std::uint32_t d = rescue_victim(wl, victim, helper);
+    // The fixed schedule, cut at the victim's k-th step.
+    std::uint32_t steps = 0;
+    bool crashed = false;
+    auto victim_until = [&](auto cond) {
+      while (!wl.proc_done(victim) && !cond()) {
+        if (steps++ == k) {
+          wl.crash(victim);
+          crashed = true;
+          return;
+        }
+        wl.step(victim);
+        CHECK(wl.ok());
+      }
+    };
+    const std::uint64_t v1 = wl.version();
+    victim_until([&] { return wl.version() > v1; });
+    if (!crashed) {
+      CHECK_EQ(wl.version(), v1 + 1);
+      SimJp::Census c;
+      wl.object().census(c);
+      CHECK_EQ(c.current, d);  // the victim installed the donated buffer
+      helper_round(wl, helper);
+      victim_until([] { return false; });
+    }
+    if (!crashed) break;  // k ran past the victim's script
+    ++placements;
+    helper_round(wl, helper);
+    SimJp::Census c;
+    wl.object().census(c);
+    if (std::find(c.ring.begin(), c.ring.end(), d) != c.ring.end()) {
+      ++rotated;
+    }
+    wl.reclaim(victim);
+    report(wl);
+    CHECK(wl.ok());
+    drain(wl);
+    report(wl);
+    CHECK(wl.ok());
+    CHECK_EQ(wl.object().stats().ll_retries, 0u);
+  }
+  CHECK(placements > 2 * w + 7);  // at least the victim's next two rounds
+  CHECK(rotated > 0);
+}
+
 // (c) A recorded crash-churn schedule replays token-for-token.
 void replay_roundtrip() {
   WorkloadConfig cfg;
@@ -280,12 +380,8 @@ void violations_carry_repro() {
 // Churn soak: randomized crash/reclaim cycling with the full checker.
 // MWLLSC_SIM_SOAK=1 (the CI fault-injection job) widens it.
 void churn_soak() {
-  const bool soak = []() {
-    const char* e = std::getenv("MWLLSC_SIM_SOAK");
-    return e && e[0] == '1';
-  }();
-  const std::uint64_t seeds = soak ? 12 : 3;
-  const std::uint32_t ops = soak ? 3000 : 400;
+  const std::uint64_t seeds = soak() ? 12 : 3;
+  const std::uint32_t ops = soak() ? 3000 : 400;
   for (std::uint64_t s = 1; s <= seeds; ++s) {
     WorkloadConfig cfg;
     cfg.ops_per_proc = ops;
@@ -317,6 +413,11 @@ int main() {
   crash_helper_after_donation();
   crash_victim_mid_announce();
   crash_committer_before_ring_swap();
+  reclaim_after_consumed_rescue(2);
+  if (soak()) {
+    reclaim_after_consumed_rescue(1);
+    reclaim_after_consumed_rescue(3);
+  }
   replay_roundtrip();
   violations_carry_repro();
   churn_soak();
