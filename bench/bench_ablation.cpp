@@ -46,8 +46,8 @@ void BM_ContendedRmw(benchmark::State& state) {
   if (state.thread_index() == 0) {
     obj = new Impl(static_cast<std::uint32_t>(state.threads()), w);
     if (g_obs) {
-      g_obs->bind_obj(*obj, std::string(impl_label<Impl>()) + " ablation n=" +
-                                std::to_string(state.threads()));
+      g_obs->bind(*obj, std::string(impl_label<Impl>()) + " ablation n=" +
+                            std::to_string(state.threads()));
     }
   }
   std::vector<std::uint64_t> value(w);

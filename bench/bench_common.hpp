@@ -259,23 +259,13 @@ class ObsSession {
   obs::TraceSink* sink() { return sink_.get(); }
   obs::MetricsRegistry& registry() { return registry_; }
 
-  /// Binds a facade object under a fresh variable id; `label` should start
-  /// with the substrate name ("jp w=4 n=8") so the offline checker's
-  /// prefix rules apply (the object self-describes first; this richer
-  /// label overwrites it).
-  std::uint32_t bind(core::IMwLLSC& obj, const std::string& label) {
-    const std::uint32_t id = next_var_++;
-    if (sink_) {
-      obj.set_trace(sink_.get(), id);
-      sink_->describe_var(id, obj.words(), label);
-    }
-    return id;
-  }
-
-  /// Binds any object exposing set_trace(TraceSink*, var) + words() —
-  /// the apps-layer constructions.
+  /// Binds any object exposing set_trace(TraceSink*, var) + words() — an
+  /// IMwLLSC facade or an apps-layer construction — under a fresh variable
+  /// id; `label` should start with the substrate name ("jp w=4 n=8") so
+  /// the offline checker's prefix rules apply (the object self-describes
+  /// first; this richer label overwrites it).
   template <class T>
-  std::uint32_t bind_obj(T& obj, const std::string& label) {
+  std::uint32_t bind(T& obj, const std::string& label) {
     const std::uint32_t id = next_var_++;
     if (sink_) {
       obj.set_trace(sink_.get(), id);

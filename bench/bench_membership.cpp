@@ -8,9 +8,9 @@
 //   churn   threads == 2x slots with cooperative crashes: every A-th
 //           session abandon()s its slot mid-lease (the crash seam the
 //           fault-injection tests drive) while a reaper thread runs
-//           orphan-only reclaim_scan()s. Joins race retirements,
-//           reclamations, and each other; exhausted joins retry and then
-//           fall over to the degraded lock-serialized pid. Measures
+//           reclaim_scan()s. Joins race retirements, reclamations, and
+//           each other; exhausted joins retry and then fall over to the
+//           degraded lock-serialized pid. Measures
 //           throughput under realistic membership pressure and reports the
 //           degraded fraction so regressions in the recycling path (more
 //           degradation = slower recycling) show up in the trajectory.
@@ -64,7 +64,6 @@ void worker(Managed& m, std::uint64_t sessions, std::uint64_t ops,
         buf[0] += 1;
         if (sess.sc(buf.data())) break;
       }
-      sess.beat();
     }
     if (abandon_every != 0 && !sess.degraded() &&
         (s + thread_seed) % abandon_every == 0) {
@@ -79,11 +78,10 @@ ChurnResult run_scenario(Managed& m, unsigned threads,
                          std::uint64_t ops_per_session,
                          std::uint64_t abandon_every) {
   std::atomic<bool> done{false};
-  // Orphan-only sweeps while the workers churn: recycles abandoned slots
-  // without heartbeat condemnation (every worker is genuinely live).
+  // Sweeps while the workers churn: recycles abandoned slots.
   std::thread reaper([&] {
     while (!done.load(std::memory_order_acquire)) {
-      m.reclaim_scan(/*include_stale=*/false);
+      m.reclaim_scan();
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
   });
@@ -98,7 +96,7 @@ ChurnResult run_scenario(Managed& m, unsigned threads,
   const auto t1 = std::chrono::steady_clock::now();
   done.store(true, std::memory_order_release);
   reaper.join();
-  m.reclaim_scan(/*include_stale=*/false);  // settle the last abandons
+  m.reclaim_scan();  // settle the last abandons
 
   ChurnResult r;
   r.seconds = std::chrono::duration<double>(t1 - t0).count();
@@ -144,8 +142,8 @@ int main(int argc, char** argv) {
   bool ok = true;
   for (const auto& sc : scenarios) {
     Managed m(slots, kWords);
-    obs.bind_obj(m, "jp managed w=" + std::to_string(kWords) + " slots=" +
-                        std::to_string(slots) + " " + sc.name);
+    obs.bind(m, "jp managed w=" + std::to_string(kWords) + " slots=" +
+                    std::to_string(slots) + " " + sc.name);
     const ChurnResult r =
         run_scenario(m, sc.threads, sessions, ops, sc.abandon_every);
 

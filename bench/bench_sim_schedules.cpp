@@ -69,7 +69,7 @@ template <class Impl>
 void trace_run(SimWorkload<Impl>& wl, const std::string& label) {
   if constexpr (std::is_same_v<Impl, SimJp>) {
     if (!g_obs->tracing()) return;
-    const std::uint32_t var = g_obs->bind_obj(wl.object(), label);
+    const std::uint32_t var = g_obs->bind(wl.object(), label);
     wl.trace(g_obs->sink(), var);
     g_obs->sink()->describe_var(var, wl.w(), label);  // the object said "jp"
   }

@@ -37,6 +37,7 @@
 
 #include "apps/universal.hpp"
 #include "core/any.hpp"
+#include "core/env.hpp"
 #include "obs/trace.hpp"
 
 namespace mwllsc::apps {
@@ -52,7 +53,12 @@ struct OpDesc {
 /// Wait-free lifting of sequential object T with operation functor Op
 /// (`std::uint64_t Op::operator()(T&, const OpDesc&) const`, a pure
 /// function of its arguments — every helper must compute the same result).
-template <class T, class Op>
+/// Env is the step seam of core/env.hpp: Env::at is called at
+/// "apps:announced" (op published, before the first LL), "apps:linked"
+/// (snapshot taken, before help-all + SC) and "apps:sc_failed", so a test
+/// can park a process at an exact protocol point and drive the help-all
+/// path deterministically. NoEnv compiles the calls away.
+template <class T, class Op, class Env = core::NoEnv>
 class WfUniversal {
   static_assert(std::is_trivially_copyable_v<T>,
                 "state is stored bytewise in the LL/SC variable");
@@ -60,13 +66,6 @@ class WfUniversal {
  public:
   /// Per-apply bound on { LL; help-all; SC } rounds (see file comment).
   static constexpr std::uint64_t kMaxAttempts = 3;
-
-  /// Test seam: called at "announced" (op published, before the first
-  /// LL), "linked" (snapshot taken, before help-all + SC) and "sc_failed".
-  /// Lets a test park a process at an exact protocol point and drive the
-  /// help-all path deterministically. (The substrate's own steps are
-  /// reachable the same way through its Env parameter, core/env.hpp.)
-  using StepHook = void (*)(void* ctx, const char* point, std::uint32_t pid);
 
   WfUniversal(std::uint32_t nprocs, const T& initial,
               Substrate substrate = jp_substrate())
@@ -106,7 +105,7 @@ class WfUniversal {
     // this store in real time is guaranteed to observe the seq, which is
     // what makes help_all exhaustive and apply() wait-free)
     a.seq.store(seq, std::memory_order_seq_cst);
-    hook("announced", p);
+    Env::at("apps:announced", p);
     trace_.emit(obs::EventKind::kAnnounce, p, seq, static_cast<std::uint32_t>(d.kind));
     std::uint64_t* buf = me.scratch.data();
     std::uint64_t attempts = 0;
@@ -114,11 +113,11 @@ class WfUniversal {
       ++attempts;
       obj_->ll(p, buf);
       if (buf[applied_ix(p)] == seq) break;  // a winner applied us
-      hook("linked", p);
+      Env::at("apps:linked", p);
       const std::uint32_t applied = help_all(buf);
       trace_.emit(obs::EventKind::kHelpAll, p, seq, applied);
       if (obj_->sc(p, buf)) break;  // we won; our own op was in help_all
-      hook("sc_failed", p);
+      Env::at("apps:sc_failed", p);
       assert(attempts < kMaxAttempts && "help-all attempt bound violated");
     }
     trace_.emit(obs::EventKind::kApplyCommit, p, seq,
@@ -160,11 +159,6 @@ class WfUniversal {
   core::IMwLLSC& substrate() { return *obj_; }
   std::uint32_t procs() const { return n_; }
   std::uint32_t words() const { return words_; }
-
-  void set_step_hook(StepHook h, void* ctx) {
-    hook_ = h;
-    hook_ctx_ = ctx;
-  }
 
   /// Binds both the construction and its substrate to the sink under one
   /// variable id: apps events (announce/help_all/apply_commit) interleave
@@ -224,10 +218,6 @@ class WfUniversal {
     return applied;
   }
 
-  void hook(const char* point, std::uint32_t pid) {
-    if (hook_) hook_(hook_ctx_, point, pid);
-  }
-
   std::uint32_t n_;
   std::uint32_t payload_words_;
   std::uint32_t words_;
@@ -235,8 +225,6 @@ class WfUniversal {
   std::unique_ptr<Slot[]> slots_;
   std::unique_ptr<Priv[]> priv_;
   obs::TraceHandle trace_;
-  StepHook hook_ = nullptr;
-  void* hook_ctx_ = nullptr;
   const Op op_{};
 };
 

@@ -2,9 +2,11 @@
 // (DESIGN.md §10). Threads join() to obtain a Session — an RAII pid lease
 // drawn from a SlotRegistry — and call ll/sc/vl through it; retire (or
 // crash) returns the pid to the pool. The managed object owns the
-// crash-reclaim policy: reclaim_scan() recycles dead holders' slots and
-// settles their announce-slot help obligations (core reclaim_pid) so the
-// survivors' 4W+12 step bound is unaffected by the corpse.
+// crash-reclaim policy: reclaim_scan() recycles abandoned holders' slots
+// and settles their announce-slot help obligations (core reclaim_pid) so
+// the survivors' 4W+12 step bound is unaffected by the corpse. Only a
+// session's own retire() or abandon() gives its pid up, so no sweep can
+// hand a pid to a second holder while the first still drives it.
 //
 // Graceful degradation: when every slot is held, join() runs a bounded
 // number of orphan-recycling retries and then falls over to a *degraded*
@@ -52,9 +54,11 @@ struct MembershipSnapshot {
 template <class Impl>
 class ManagedMwLLSC {
  public:
-  /// RAII pid lease. Move-only; destruction retires. ll/sc/vl mirror the
-  /// protocol's contract. abandon() is the crash-stop seam: the session
-  /// walks away without cleanup and the slot waits for reclaim_scan().
+  /// RAII pid lease: holds its registry slot id and generation.
+  /// Move-only; destruction retires, and a moved-from session's destructor
+  /// does nothing. ll/sc/vl mirror the protocol's contract. abandon() is
+  /// the crash-stop seam: the session walks away without cleanup and the
+  /// slot stays ORPHANED until reclaim_scan().
   class Session {
    public:
     Session() = default;
@@ -63,7 +67,8 @@ class ManagedMwLLSC {
       if (this != &o) {
         retire();
         parent_ = o.parent_;
-        slot_ = std::move(o.slot_);
+        slot_ = o.slot_;
+        gen_ = o.gen_;
         degraded_ = o.degraded_;
         lock_held_ = o.lock_held_;
         o.parent_ = nullptr;
@@ -82,7 +87,7 @@ class ManagedMwLLSC {
     /// else's.
     std::uint32_t pid() const {
       require_valid();
-      return degraded_ ? parent_->reserved_pid() : slot_.id();
+      return degraded_ ? parent_->reserved_pid() : slot_;
     }
 
     void ll(std::uint64_t* out) MWLLSC_NO_TSA {
@@ -97,8 +102,7 @@ class ManagedMwLLSC {
         parent_->impl_.ll(parent_->reserved_pid(), out);
         return;
       }
-      slot_.beat();
-      parent_->impl_.ll(slot_.id(), out);
+      parent_->impl_.ll(slot_, out);
     }
 
     bool sc(const std::uint64_t* in) MWLLSC_NO_TSA {
@@ -110,8 +114,7 @@ class ManagedMwLLSC {
         parent_->degraded_mu_.unlock();
         return ok;
       }
-      slot_.beat();
-      return parent_->impl_.sc(slot_.id(), in);
+      return parent_->impl_.sc(slot_, in);
     }
 
     bool vl() {
@@ -119,18 +122,12 @@ class ManagedMwLLSC {
       if (degraded_) {
         return lock_held_ && parent_->impl_.vl(parent_->reserved_pid());
       }
-      slot_.beat();
-      return parent_->impl_.vl(slot_.id());
+      return parent_->impl_.vl(slot_);
     }
 
-    /// Liveness signal for long idle stretches (ll/sc/vl already beat).
-    void beat() {
-      if (parent_ && !degraded_) slot_.beat();
-    }
-
-    /// Clean retirement. Returns false if the slot had been reclaimed out
-    /// from under this session (heartbeat false positive — the pid already
-    /// belongs to someone else and this session's link is gone).
+    /// Clean retirement. Returns the release CAS's result, which is true
+    /// for every live session: nothing but this session moves its slot
+    /// out of ACTIVE. A retired or moved-from session returns true.
     bool retire() MWLLSC_NO_TSA {
       if (!parent_) return true;
       ManagedMwLLSC* p = parent_;
@@ -150,12 +147,10 @@ class ManagedMwLLSC {
         p->c_.retires.fetch_add(1, std::memory_order_relaxed);
         return true;
       }
-      const std::uint32_t id = slot_.id();
-      const std::uint64_t gen = slot_.generation();
       // Emit before release: after the release CAS the pid may instantly
       // be claimed by another thread, and pid streams are single-writer.
-      p->trace_.emit(obs::EventKind::kProcRetire, id, gen);
-      const bool ok = slot_.release();
+      p->trace_.emit(obs::EventKind::kProcRetire, slot_, gen_);
+      const bool ok = p->reg_.release(slot_, gen_);
       p->c_.retires.fetch_add(1, std::memory_order_relaxed);
       return ok;
     }
@@ -176,13 +171,13 @@ class ManagedMwLLSC {
         }
         return;
       }
-      slot_.abandon();
+      p->reg_.abandon(slot_, gen_);
     }
 
    private:
     friend class ManagedMwLLSC;
-    Session(ManagedMwLLSC* parent, ProcessSlot slot)
-        : parent_(parent), slot_(std::move(slot)) {}
+    Session(ManagedMwLLSC* parent, std::uint32_t slot, std::uint64_t gen)
+        : parent_(parent), slot_(slot), gen_(gen) {}
     explicit Session(ManagedMwLLSC* parent)
         : parent_(parent), degraded_(true) {}
 
@@ -194,29 +189,28 @@ class ManagedMwLLSC {
     }
 
     ManagedMwLLSC* parent_ = nullptr;
-    ProcessSlot slot_;
+    std::uint32_t slot_ = SlotRegistry::kNone;
+    std::uint64_t gen_ = 0;
     bool degraded_ = false;
     bool lock_held_ = false;
   };
 
+  /// Orphan-recycling sweeps an exhausted join() runs before it degrades.
+  static constexpr std::uint32_t kJoinRetries = 2;
+
   /// Throws std::invalid_argument, in every build and before anything is
   /// allocated, for slots == 0; Impl's constructor refuses the rest
   /// (words == 0, slots + 1 past its process limit).
-  ManagedMwLLSC(std::uint32_t slots, std::uint32_t words,
-                std::uint32_t suspect_scans = 3,
-                std::uint32_t join_retries = 2)
+  ManagedMwLLSC(std::uint32_t slots, std::uint32_t words)
       : slots_(util::checked(slots, slots >= 1,
                              "ManagedMwLLSC: slots must be >= 1")),
-        join_retries_(join_retries),
         impl_(slots + 1, words),
-        reg_(slots, suspect_scans) {}
+        reg_(slots) {}
 
   /// Acquires a session. Wait-free while slots are available (one bounded
-  /// claim pass). Under exhaustion: up to `join_retries` rounds of
-  /// orphan-recycling scans (cooperatively-crashed holders are swept;
-  /// heartbeat-stale ones are NOT — condemning a live-but-quiet holder
-  /// takes deliberately spaced reclaim_scan() calls, never a join burst),
-  /// then the degraded lock-serialized session. Never fails, never blocks.
+  /// claim pass). Under exhaustion: up to kJoinRetries orphan-recycling
+  /// sweeps, then the degraded lock-serialized session. Never fails,
+  /// never blocks.
   Session join() {
     for (std::uint32_t attempt = 0;; ++attempt) {
       const std::uint32_t s = reg_.try_acquire();
@@ -224,14 +218,14 @@ class ManagedMwLLSC {
         // Sync the pid's private protocol state with however the previous
         // incarnation left the announce word (retired or reclaimed).
         impl_.rebind_pid(s);
-        reg_.beat(s);
+        const std::uint64_t gen = reg_.generation(s);
         c_.joins.fetch_add(1, std::memory_order_relaxed);
-        trace_.emit(obs::EventKind::kProcJoin, s, reg_.generation(s), 0);
-        return Session(this, ProcessSlot(&reg_, s));
+        trace_.emit(obs::EventKind::kProcJoin, s, gen, 0);
+        return Session(this, s, gen);
       }
-      if (attempt >= join_retries_) break;
+      if (attempt >= kJoinRetries) break;
       c_.join_retries.fetch_add(1, std::memory_order_relaxed);
-      reclaim_scan(/*include_stale=*/false);
+      reclaim_scan();
     }
     c_.degraded_joins.fetch_add(1, std::memory_order_relaxed);
     if (trace_.bound()) {
@@ -244,25 +238,26 @@ class ManagedMwLLSC {
     return Session(this);
   }
 
-  /// Reclaim sweep (see SlotRegistry::scan). For every dead holder this
+  /// Reclaim sweep over abandoned slots (see SlotRegistry::scan); safe
+  /// to call at any rate from any thread. For every abandoned holder this
   /// settles the pid's announce-slot obligations — completing a posted
   /// donation's adoption or withdrawing a dangling announce — before the
   /// slot can be re-claimed, so a new holder inherits a quiescent pid and
-  /// survivors' help bookkeeping stays exact. Call it from a maintenance
-  /// thread with spacing >> one op (heartbeat staleness is judged across
-  /// `suspect_scans` consecutive calls), or with include_stale=false for
-  /// an always-safe orphan-only sweep.
-  std::uint32_t reclaim_scan(bool include_stale = true) {
+  /// survivors' help bookkeeping stays exact. The flag is kept only so
+  /// existing `reclaim_scan(false)` callers compile: no sweep takes a live
+  /// holder's slot, so `true` throws std::invalid_argument in every build.
+  std::uint32_t reclaim_scan(bool include_stale = false) {
+    util::checked(include_stale, !include_stale,
+                  "ManagedMwLLSC::reclaim_scan: only abandoned slots are "
+                  "reclaimed; a live holder's pid is never taken");
     c_.scans.fetch_add(1, std::memory_order_relaxed);
-    return reg_.scan(
-        [this](std::uint32_t s) {
-          // Safe to touch pid s here: the slot is RECLAIMING, so the dead
-          // holder is gone and no new holder can claim it until the scan
-          // frees it — the pid stream stays single-writer.
-          impl_.reclaim_pid(s);
-          c_.crash_reclaims.fetch_add(1, std::memory_order_relaxed);
-        },
-        include_stale);
+    return reg_.scan([this](std::uint32_t s) {
+      // Safe to touch pid s here: the slot is RECLAIMING, so the holder
+      // has abandoned it and no new holder can claim it until the scan
+      // frees it — the pid stream stays single-writer.
+      impl_.reclaim_pid(s);
+      c_.crash_reclaims.fetch_add(1, std::memory_order_relaxed);
+    });
   }
 
   std::uint32_t words() const { return impl_.words(); }
@@ -344,7 +339,6 @@ class ManagedMwLLSC {
   };
 
   const std::uint32_t slots_;
-  const std::uint32_t join_retries_;
   Impl impl_;
   SlotRegistry reg_;
   util::Mutex degraded_mu_;  ///< spans a degraded session's LL..SC window

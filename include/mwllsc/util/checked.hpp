@@ -1,7 +1,7 @@
-// Constructor preconditions that hold in every build. Release builds
+// Argument preconditions that hold in every build. Release builds
 // compile `assert` out, so a class that must refuse bad arguments there
-// routes them through checked() in its first member initializer: the
-// constructor throws before any member allocates.
+// routes them through checked(); a constructor does it in its first
+// member initializer, so it throws before any member allocates.
 #pragma once
 
 #include <stdexcept>

@@ -57,10 +57,10 @@ namespace mwllsc::util {
 /// serializes degraded sessions on the reserved pid under its lock — the
 /// next holder, ordered after the previous one by the slot hand-off. So a
 /// bump is a relaxed load plus a relaxed store, not a locked RMW; readers
-/// (snapshot) may run concurrently and see a slightly stale count. A
-/// holder wrongly reclaimed while still running (a heartbeat false
-/// positive) can race its successor and lose counts, never corrupt them.
-/// Padding keeps cells on distinct lines.
+/// (snapshot) may run concurrently and see a slightly stale count. A pid
+/// is reissued only after its holder retired or abandoned it, so two
+/// holders never bump one cell at once. Padding keeps cells on distinct
+/// lines.
 struct alignas(64) OpStatsCell {
   std::atomic<std::uint64_t> ll_ops{0};
   std::atomic<std::uint64_t> sc_ops{0};

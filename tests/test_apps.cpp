@@ -26,6 +26,7 @@
 #include "apps/wf_queue.hpp"
 #include "apps/wf_universal.hpp"
 #include "bench_common.hpp"
+#include "core/env.hpp"
 #include "test_check.hpp"
 
 using namespace mwllsc;
@@ -102,13 +103,16 @@ void lf_counter_for(const core::MwLLSCFactory& f) {
                   static_cast<double>(kThreads * kOpsPerThread));
 }
 
-// Deterministic help-all exercise via the step hook (the MT stress above
+// Deterministic help-all exercise via the step seam (the MT stress above
 // relies on the OS preempting inside an LL..SC window, which a single-core
 // machine may never do): park p0 at an exact protocol point and reentrantly
-// drive p1's apply from the hook, exactly like test_help_path does for the
-// core protocol.
+// drive p1's apply from the HookEnv hook, exactly like test_help_path does
+// for the core protocol. The jp substrate runs on NoEnv, so only the
+// construction's own "apps:" points reach the hook.
+using HookedWfCounter = apps::WfUniversal<Counter, FetchInc, core::HookEnv>;
+
 struct DetHook {
-  WfCounter* obj;
+  HookedWfCounter* obj;
   const char* stall_point;
   bool fired = false;
   std::uint64_t p1_result = 0;
@@ -127,11 +131,11 @@ void deterministic_help_paths() {
   // op, so p0 returns straight from its snapshot — no SC at all. Help
   // order (pid-ascending) gives p0 the earlier fetch&inc value.
   {
-    WfCounter obj(2, Counter{0});
-    DetHook st{&obj, "announced", false, 0};
-    obj.set_step_hook(&det_interfere, &st);
+    HookedWfCounter obj(2, Counter{0});
+    DetHook st{&obj, "apps:announced", false, 0};
+    core::HookEnv::install(&det_interfere, &st);
     const std::uint64_t r0 = obj.apply(0, apps::OpDesc{});
-    obj.set_step_hook(nullptr, nullptr);
+    core::HookEnv::install(nullptr, nullptr);
     CHECK(st.fired);
     CHECK_EQ(r0, 0u);
     CHECK_EQ(st.p1_result, 1u);
@@ -142,11 +146,11 @@ void deterministic_help_paths() {
   // the same SC). p0's SC fails semantically; its second LL finds the op
   // applied and returns the result from that snapshot.
   {
-    WfCounter obj(2, Counter{0});
-    DetHook st{&obj, "linked", false, 0};
-    obj.set_step_hook(&det_interfere, &st);
+    HookedWfCounter obj(2, Counter{0});
+    DetHook st{&obj, "apps:linked", false, 0};
+    core::HookEnv::install(&det_interfere, &st);
     const std::uint64_t r0 = obj.apply(0, apps::OpDesc{});
-    obj.set_step_hook(nullptr, nullptr);
+    core::HookEnv::install(nullptr, nullptr);
     CHECK(st.fired);
     CHECK_EQ(r0, 0u);
     CHECK_EQ(st.p1_result, 1u);

@@ -3,8 +3,9 @@
 //   1. the fixture corpus under tests/lint_fixtures/ — each bad_*.hpp
 //      seeds exactly one violation of one rule, suppressed.hpp exercises
 //      the suppression annotation;
-//   2. the clean gate — the real include/ tree at HEAD must produce zero
-//      findings, so every seq_cst site keeps its contract forever;
+//   2. the clean gate — the real include/, bench/ and tools/ trees (.hpp
+//      and .cpp, as CI's static-analysis gate lints them) must produce
+//      zero findings, so every seq_cst site keeps its contract forever;
 //   3. the --json report — emit and re-load round-trip, including escape
 //      handling, plus annotation-window edge cases fed via scan_source.
 #include <cstdio>
@@ -26,8 +27,8 @@ namespace {
 #ifndef MWLLSC_LINT_FIXTURE_DIR
 #error "tests/CMakeLists.txt must define MWLLSC_LINT_FIXTURE_DIR"
 #endif
-#ifndef MWLLSC_LINT_INCLUDE_DIR
-#error "tests/CMakeLists.txt must define MWLLSC_LINT_INCLUDE_DIR"
+#ifndef MWLLSC_LINT_REPO_DIR
+#error "tests/CMakeLists.txt must define MWLLSC_LINT_REPO_DIR"
 #endif
 
 LintResult lint_path(const std::string& path) {
@@ -75,19 +76,25 @@ void test_fixture_corpus() {
   CHECK_EQ(r.suppressed, 1);
 }
 
-// The whole point of the gate: the shipped headers stay clean, so any new
+// The whole point of the gate: the shipped sources stay clean, so any new
 // unargued seq_cst (or unpadded shared atomic, or defaulted order) fails
-// ctest, not just CI.
-void test_include_tree_clean() {
+// ctest, not just CI. It walks the same trees and extensions as CI's
+// `mwllsc_lint include bench tools`.
+void test_source_trees_clean() {
   std::vector<std::string> files;
-  for (fs::recursive_directory_iterator it(MWLLSC_LINT_INCLUDE_DIR), end;
-       it != end; ++it) {
-    if (it->is_regular_file() &&
-        it->path().extension().string() == ".hpp") {
-      files.push_back(it->path().generic_string());
+  for (const char* tree : {"include", "bench", "tools"}) {
+    const std::string root = std::string(MWLLSC_LINT_REPO_DIR) + "/" + tree;
+    std::size_t found = 0;
+    for (fs::recursive_directory_iterator it(root), end; it != end; ++it) {
+      const std::string ext = it->path().extension().string();
+      if (it->is_regular_file() && (ext == ".hpp" || ext == ".cpp")) {
+        files.push_back(it->path().generic_string());
+        ++found;
+      }
     }
+    CHECK(found >= 2);  // the tree is really there
   }
-  CHECK(files.size() >= 20);  // the tree is really there
+  CHECK(files.size() >= 40);
 
   LintResult all;
   for (const std::string& f : files) {
@@ -97,7 +104,7 @@ void test_include_tree_clean() {
     run_rules(m, &all);
   }
   if (!all.findings.empty()) {
-    std::fprintf(stderr, "include/ must lint clean at HEAD:\n");
+    std::fprintf(stderr, "include/ bench/ tools/ must lint clean at HEAD:\n");
     print_findings(all, stderr);
     std::abort();
   }
@@ -213,7 +220,7 @@ void test_json_round_trip() {
 
 int main() {
   test_fixture_corpus();
-  test_include_tree_clean();
+  test_source_trees_clean();
   test_annotation_window();
   test_suppress_multiple_rules();
   test_json_round_trip();

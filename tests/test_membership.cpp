@@ -1,6 +1,7 @@
 // The process lifecycle layer (DESIGN.md §10): SlotRegistry state machine,
-// ProcessSlot RAII, ManagedMwLLSC join/retire/crash-reclaim over the real
-// protocol object, graceful degradation under slot exhaustion, the
+// the Session RAII lease, ManagedMwLLSC join/retire/crash-reclaim over the
+// real protocol object, the rule that only a pid's holder gives it up,
+// graceful degradation under slot exhaustion, the
 // withdraw-vs-reclaim race in core ll(), lifecycle trace events through
 // the offline checker, and a multithreaded churn run (threads > slots)
 // with cooperative crashes and a maintenance reclaimer.
@@ -25,7 +26,6 @@
 
 using namespace mwllsc;
 using membership::ManagedMwLLSC;
-using membership::ProcessSlot;
 using membership::SlotRegistry;
 
 namespace {
@@ -36,7 +36,7 @@ using Managed = ManagedMwLLSC<Jp>;
 // ---------------------------------------------------------- slot registry
 
 void registry_state_machine() {
-  SlotRegistry reg(2, /*suspect_scans=*/2);
+  SlotRegistry reg(2);
   CHECK_EQ(reg.capacity(), 2u);
   CHECK_EQ(reg.active(), 0u);
 
@@ -63,61 +63,49 @@ void registry_state_machine() {
   CHECK(reg.abandon(b, reg.generation(b)));
   CHECK_EQ(reg.state(b), SlotRegistry::kOrphaned);
   std::vector<std::uint32_t> dead;
-  CHECK_EQ(reg.scan([&](std::uint32_t s) { dead.push_back(s); },
-                    /*include_stale=*/false),
-           1u);
+  CHECK_EQ(reg.scan([&](std::uint32_t s) { dead.push_back(s); }), 1u);
   CHECK_EQ(dead.size(), std::size_t{1});
   CHECK_EQ(dead[0], b);
   CHECK_EQ(reg.state(b), SlotRegistry::kFree);
 }
 
-void registry_heartbeat_reclaim() {
-  SlotRegistry reg(1, /*suspect_scans=*/2);
-  const std::uint32_t s = reg.try_acquire();
-  CHECK(s != SlotRegistry::kNone);
-  const std::uint64_t gen = reg.generation(s);
-
-  std::uint32_t reclaimed = 0;
-  auto on_dead = [&](std::uint32_t) { ++reclaimed; };
-  // Scan 1 records the baseline; a beat resets the suspicion.
-  CHECK_EQ(reg.scan(on_dead), 0u);
-  reg.beat(s);
-  CHECK_EQ(reg.scan(on_dead), 0u);  // hb moved: baseline re-recorded
-  CHECK_EQ(reg.scan(on_dead), 0u);  // stale 1 < suspect_scans
-  CHECK_EQ(reg.scan(on_dead), 1u);  // stale 2: condemned
-  CHECK_EQ(reclaimed, 1u);
-  // The holder comes back: its release must fail — it was presumed dead.
-  CHECK(!reg.release(s, gen));
-  // Orphan-only scans never condemn by staleness.
-  const std::uint32_t s2 = reg.try_acquire();
-  CHECK(s2 != SlotRegistry::kNone);
-  for (int i = 0; i < 10; ++i) {
-    CHECK_EQ(reg.scan(on_dead, /*include_stale=*/false), 0u);
-  }
-  CHECK_EQ(reg.state(s2), SlotRegistry::kActive);
-}
-
-void raii_guard() {
-  SlotRegistry reg(1);
-  {
-    const std::uint32_t s = reg.try_acquire();
-    ProcessSlot guard(&reg, s);
-    CHECK(guard.valid());
-    CHECK_EQ(guard.id(), s);
-    ProcessSlot moved(std::move(guard));
-    CHECK(!guard.valid());
-    CHECK(moved.valid());
-  }  // moved's dtor released
-  CHECK_EQ(reg.active(), 0u);
-  const std::uint32_t again = reg.try_acquire();
-  CHECK(again != SlotRegistry::kNone);
-  ProcessSlot guard(&reg, again);
-  guard.abandon();
-  CHECK(!guard.valid());
-  CHECK_EQ(reg.state(again), SlotRegistry::kOrphaned);
-}
-
 // ------------------------------------------------------- managed sessions
+
+// Session is the RAII lease: scope exit releases the slot exactly once,
+// a moved-from session's destructor does nothing, and abandon() leaves
+// the slot ORPHANED until a sweep recycles it.
+void session_raii() {
+  Managed m(1, 2);
+  SlotRegistry& reg = m.registry();
+  std::uint32_t pid = 0;
+  {
+    auto a = m.join();
+    CHECK(!a.degraded());
+    pid = a.pid();
+    auto moved = std::move(a);
+    CHECK(!a.valid());
+    CHECK(moved.valid());
+    CHECK_EQ(moved.pid(), pid);
+    CHECK_EQ(reg.active(), 1u);
+  }  // a's destructor does nothing; moved's releases
+  CHECK_EQ(reg.state(pid), SlotRegistry::kFree);
+  CHECK_EQ(reg.generation(pid), 2u);  // one claim, one release
+  CHECK_EQ(m.membership().retires, 1u);
+
+  {
+    auto b = m.join();
+    CHECK(!b.degraded());
+    CHECK_EQ(b.pid(), pid);
+    b.abandon();
+    CHECK(!b.valid());
+  }  // an abandoned session's destructor does nothing either
+  CHECK_EQ(reg.state(pid), SlotRegistry::kOrphaned);
+  CHECK_EQ(reg.active(), 1u);
+  CHECK_EQ(m.membership().retires, 1u);
+  CHECK_EQ(m.reclaim_scan(), 1u);
+  CHECK_EQ(reg.state(pid), SlotRegistry::kFree);
+  CHECK_EQ(m.membership().crash_reclaims, 1u);
+}
 
 // Construction preconditions hold in Release: slots == 0 is refused by the
 // managed object, words == 0 and a pid count past 2^14 by the protocol
@@ -295,6 +283,43 @@ void degraded_join_does_not_wait() {
   CHECK(holder.sc(v.data()));
   CHECK(holder.retire());
   CHECK_EQ(m.membership().degraded_joins, 2u);
+}
+
+// Only the holder gives its pid up. A holder that goes quiet inside its
+// LL..SC window keeps the pid through any number of sweeps: asking a sweep
+// to take live slots is refused, so the next joiner degrades instead of
+// sharing the pid, and the quiet holder's SC fails only because a real
+// commit intervened.
+void quiet_holder_keeps_its_pid() {
+  Managed m(1, 2);
+  auto a = m.join();
+  std::vector<std::uint64_t> v(2);
+  a.ll(v.data());
+  int refused = 0;
+  for (int i = 0; i < 8; ++i) {
+    try {
+      m.reclaim_scan(true);
+    } catch (const std::invalid_argument&) {
+      ++refused;
+    }
+  }
+  CHECK_EQ(refused, 8);
+  for (int i = 0; i < 8; ++i) CHECK_EQ(m.reclaim_scan(false), 0u);
+  CHECK_EQ(m.registry().state(a.pid()), SlotRegistry::kActive);
+
+  auto b = m.join();
+  CHECK(b.degraded());
+  std::vector<std::uint64_t> w(2);
+  b.ll(w.data());
+  w[0] = 1;
+  CHECK(b.sc(w.data()));
+  v[0] += 10;
+  CHECK(!a.sc(v.data()));
+  a.ll(v.data());
+  CHECK_EQ(v[0], 1u);
+  CHECK(a.retire());
+  CHECK(b.retire());
+  CHECK_EQ(m.membership().crash_reclaims, 0u);
 }
 
 void orphan_reclaim_on_join() {
@@ -509,19 +534,19 @@ void mt_churn() {
   constexpr unsigned kSessions = 60;
   constexpr unsigned kOpsPerSession = 25;
 
-  Managed m(kSlots, 2, /*suspect_scans=*/1000000);  // staleness disarmed
+  Managed m(kSlots, 2);
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> abandons{0};
 
-  // Maintenance reclaimer: orphan-only sweeps (heartbeat condemnation is
-  // deliberately disarmed — threads here can be descheduled arbitrarily,
-  // exactly the false-positive scenario the policy knob exists for).
+  // Maintenance reclaimer. Its sweeps race the join-path sweeps of
+  // exhausted joiners with no lock between them: the RECLAIMING CAS gives
+  // each orphan to exactly one sweep (crash_reclaims == abandons below).
   std::thread reaper([&] {
     while (!stop.load(std::memory_order_acquire)) {
-      m.reclaim_scan(/*include_stale=*/false);
+      m.reclaim_scan();
       std::this_thread::yield();
     }
-    m.reclaim_scan(/*include_stale=*/false);
+    m.reclaim_scan();
   });
 
   std::vector<std::thread> pool;
@@ -594,13 +619,13 @@ void mt_churn() {
 
 int main() {
   registry_state_machine();
-  registry_heartbeat_reclaim();
-  raii_guard();
+  session_raii();
   managed_preconditions();
   managed_basic();
   degraded_path();
   degraded_join_does_not_wait();
   dead_session_ops_throw();
+  quiet_holder_keeps_its_pid();
   orphan_reclaim_on_join();
   withdraw_reclaim_race("ll:copy");
   withdraw_reclaim_race("ll:relink");
