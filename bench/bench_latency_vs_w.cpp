@@ -142,9 +142,9 @@ void json_sweep_impl(bench::JsonEmitter& out, const std::string& impl,
     out.field("w", std::uint64_t{w});
     out.field("ns_per_op", ns);
   }
-  // The jp protocol must never take its defensive retry arm.
+  // The jp protocol must never break its help guarantee.
   if (impl == "jp" && s.ll_retries != 0) {
-    std::fprintf(stderr, "jp took %llu defensive LL retries at W=%u\n",
+    std::fprintf(stderr, "jp counted %llu LL retries at W=%u\n",
                  static_cast<unsigned long long>(s.ll_retries), w);
     std::exit(1);
   }

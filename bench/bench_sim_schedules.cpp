@@ -8,7 +8,7 @@
 // steps any single LL took. jp implements the paper's full protocol behind
 // an announce-free first attempt: its worst LL must stay within the
 // implementation's 3W+6 (inside Theorem 1's 4W+12), independent of N, with
-// zero defensive retries (the simulator's checker fails any run where one
+// zero LL retries (the simulator's checker fails any run where one
 // fires); at least one cell must reach 2W+6, proving the
 // adversary drives LLs through the announced fallback. am stays under its
 // O(N·W) announce/help bound; retry's worst LL

@@ -5,9 +5,12 @@
 //   * measured shared-memory words for JP / AM / Retry / Lock,
 //   * the AM/JP ratio (the paper predicts ~N),
 //   * fitted exponents of N (JP ~ N^1, AM ~ N^2),
-//   * the per-component breakdown of the JP object at a reference point.
+//   * the per-component breakdown of the JP and AM objects at a reference
+//     point (jp packs its ring and announce words eight to a line; am
+//     keeps a line per announce slot, DESIGN.md §3).
 //
 // Run: ./bench_space_table [--metrics PATH]
+//      (CI writes the shared-words gauges to BENCH_space.prom)
 //      (no threads run here, so --trace produces an empty trace)
 #include <cstdio>
 #include <string>

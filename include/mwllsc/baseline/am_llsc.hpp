@@ -7,6 +7,11 @@
 // read (so a later successful SC can donate it), and every help is an O(W)
 // copy instead of an O(1) exchange. Env::at marks each shared access, as
 // in core (core/env.hpp).
+//
+// Unlike core, which packs its announce words eight to a line, am keeps
+// one 64-byte line per announce slot: every LL writes A[p] twice (announce
+// and withdraw), so packed slots would false-share on every operation.
+// E1's am/jp ratio includes that padding (DESIGN.md §3).
 #pragma once
 
 #include <atomic>
@@ -198,7 +203,7 @@ class AmLLSC {
           rows_.bytes());
     f.add("handoff matrix (N^2 x W words)",
           static_cast<std::size_t>(n_) * n_ * w_ * sizeof(std::uint64_t));
-    f.add("announce/help slots (N)", n_ * sizeof(AnnounceSlot));
+    f.add("announce/help slots (N, a line each)", n_ * sizeof(AnnounceSlot));
     f.add("per-process state (private)",
           n_ * sizeof(Priv) +
               static_cast<std::size_t>(n_) * w_ * sizeof(std::uint64_t) +

@@ -13,6 +13,13 @@
 // the abstract version: tag T's value is whatever the T-th successful SC
 // installed.
 //
+// The value rows are line-padded (core/rows.hpp). The N announce words and
+// the R ring words are packed eight to a 64-byte line (PackedWords). An
+// announce word is written only around an announced round (announce,
+// donation, withdraw), a ring word once per successful SC right after X's
+// CAS, which already serializes its writers: neither array is worth a line
+// per word (DESIGN.md §2).
+//
 // LL, first attempt (announce-free). LL(p) links X (tag T, buffer b),
 // copies b, then re-reads X's tag: the snapshot is accepted if the tag
 // advanced by AT MOST P. This is safe by ring aging alone: retired buffers
@@ -52,15 +59,17 @@
 // validation can fail — so a failed validation finds HELPED already
 // posted, and LL finishes by copying the donated buffer: announce (1) +
 // link (1) + copy (W) + validate (1) + check A[p] (1) + donated copy (W)
-// = 2W+4 accesses for the round, with no retry loop at all. (A defensive
-// retry remains for robustness; tests assert it never fires.)
+// = 2W+4 accesses for the round, which runs once: there is no retry loop.
+// Finding neither HELPED nor a moved seq means the guarantee broke; that
+// exit is counted in ll_retries, which every test asserts stays zero.
 //
 // Reclaimed pids. reclaim_pid (membership layer) judges a process dead,
 // finishes a ring swap it left pending and settles its announce slot,
 // always bumping the slot's seq. A process resurrected under test control
 // mid-LL must come back with its link broken: the announced round learns it
-// from a failed withdraw CAS, the first attempt from one read of its own
-// announce word (seq moved).
+// from a failed withdraw CAS (past P its copy failed validation, so it
+// returns all-zero words, not the copy), the first attempt from one read
+// of its own announce word (seq moved).
 //
 // Retirement ring. A successful SC retires the previously-current buffer
 // into ring cell (T+1) mod R — <buf, tag T+1> — taking the cell's old
@@ -92,6 +101,7 @@
 // ll_step_bound() bound.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstddef>
@@ -135,8 +145,9 @@ class MwLLSC {
         // Line-padded rows isolate buffers from each other (the
         // false-sharing fix E2/E3 measure).
         rows_(nprocs + ring_size_ + 1, words),
-        ring_(new RingCell[ring_size_]),
-        announce_(new AnnounceSlot[nprocs]),
+        // Control words pack eight to a line (PackedWords, DESIGN.md §2).
+        ring_(ring_size_),
+        announce_(nprocs),
         priv_(new Priv[nprocs]),
         stats_(nprocs) {
     // Buffer N+R is current (all-zero initial value); process p owns
@@ -144,13 +155,12 @@ class MwLLSC {
     // already "aged" for the first real lap.
     for (std::uint32_t p = 0; p < n_; ++p) {
       priv_[p].spare = p;
-      announce_[p].a.store(pack_a(kIdle, p, 0), std::memory_order_relaxed);
+      announce_[p].store(pack_a(kIdle, p, 0), std::memory_order_relaxed);
     }
     for (std::uint32_t j = 0; j < ring_size_; ++j) {
       const std::uint64_t seed_tag =
           (std::uint64_t{j} - ring_size_) & kRingTagMask;
-      ring_[j].w.store(pack_ring(n_ + j, seed_tag),
-                       std::memory_order_relaxed);
+      ring_[j].store(pack_ring(n_ + j, seed_tag), std::memory_order_relaxed);
     }
   }
 
@@ -175,7 +185,7 @@ class MwLLSC {
         // mwllsc-ordering: relaxed(own slot, no announce posted: nothing
         // to synchronize with except a test-driven reclaim on this thread)
         const bool reclaimed =
-            seq_of_a(announce_[p].a.load(std::memory_order_relaxed)) !=
+            seq_of_a(announce_[p].load(std::memory_order_relaxed)) !=
             me.seq;
         me.ll_buf = b;
         me.link_valid = (drift == 0) && !reclaimed;
@@ -193,62 +203,21 @@ class MwLLSC {
     // mwllsc-ordering: seq_cst(this store and the winners' pre-SC probes
     // of A[(T+1) mod P] share one total order, so a winner that misses
     // the announce must have linked before it — bounding drift at P tags)
-    announce_[p].a.store(pack_a(kWaiting, me.spare, me.seq),
-                         std::memory_order_seq_cst);
+    announce_[p].store(pack_a(kWaiting, me.spare, me.seq),
+                       std::memory_order_seq_cst);
     me.announced = true;
     trace_.emit(obs::EventKind::kLlFallback, p, me.seq);
-    for (;;) {
-      std::uint64_t t0 = 0;
-      std::uint32_t b = 0;
-      const std::uint64_t drift = link_and_copy(p, true, out, t0, b);
-      if (drift <= p2_) {
-        // Aged validation passed: buffers rest >= R >= P tags in the ring
-        // before reuse, so the copy is an untorn snapshot of version t0,
-        // linearized at the link. Withdraw the announce.
-        // The withdraw races a winner's donation CAS on this slot; the
-        // total order picks exactly one side of the ownership exchange.
-        std::uint64_t expect = pack_a(kWaiting, me.spare, me.seq);
-        bool reclaimed = false;
-        Env::at("ll:withdraw", p);
-        // mwllsc-ordering: seq_cst(withdraw vs donation CAS, one winner)
-        if (!announce_[p].a.compare_exchange_strong(
-                expect, pack_a(kIdle, me.spare, me.seq),
-                std::memory_order_seq_cst)) {
-          if (state_of_a(expect) == kHelped && seq_of_a(expect) == me.seq) {
-            // A donation raced in. Our own copy stands; adopt the
-            // donated buffer as our new spare — the donor took the one
-            // we offered.
-            me.spare = buf_of_a(expect);
-            c.bump(c.ll_helped);
-            trace_.emit(obs::EventKind::kLlHelped, p, me.seq,
-                        buf_of_a(expect));
-          } else {
-            // The word no longer carries our seq: a crash-stop reclaim
-            // (reclaim_pid) judged this process dead and withdrew the
-            // announce out from under it. The copy is still an untorn
-            // snapshot, but the slot — and the spare it settled — belong
-            // to the reclaimer now, so the only safe exit is to break the
-            // link and finish this op.
-            // Reached only when a reclaimed process is resurrected under
-            // test control; a genuinely dead process never gets here.
-            reclaimed = true;
-          }
-        }
-        me.announced = false;
-        me.ll_buf = b;
-        // Any drift already broke the link; so does a raced reclaim.
-        me.link_valid = (drift == 0) && !reclaimed;
-        c.bump(c.ll_ops);
-        trace_.emit(obs::EventKind::kLlFast, p, t0, b);
-        return;
-      }
+    std::uint64_t t0 = 0;
+    std::uint32_t b = 0;
+    const std::uint64_t drift = link_and_copy(p, true, out, t0, b);
+    if (drift > p2_) {
       // Drift >= P+1: the P winners that linked after our announce swept
       // every announce slot pre-SC, so a donation is already posted.
       Env::at("ll:check_slot", p);
       // mwllsc-ordering: seq_cst(this load sits in the same total order as
       // the announce store and the winners' probes — the sweep argument
       // only holds inside that order)
-      const std::uint64_t a = announce_[p].a.load(std::memory_order_seq_cst);
+      const std::uint64_t a = announce_[p].load(std::memory_order_seq_cst);
       if (state_of_a(a) == kHelped && seq_of_a(a) == me.seq) {
         // Return the donated snapshot. We own the buffer now; no
         // validation needed.
@@ -263,11 +232,56 @@ class MwLLSC {
         trace_.emit(obs::EventKind::kLlRescue, p, me.seq, d);
         return;
       }
-      // Unreachable if the help guarantee holds (tests assert this
-      // counter stays zero); kept as a defensive retry.
-      c.bump(c.ll_retries);
-      trace_.emit(obs::EventKind::kLlRetry, p, me.seq);
+      // No donation: the copy failed validation and may be torn, so it is
+      // not returned as a value; `out` is zeroed and the link stays
+      // broken (drift > 0). A moved seq means reclaim_pid judged this
+      // process dead and withdrew the announce by proxy: the withdraw
+      // below fails on it and takes the reclaimed exit. Still WAITING at
+      // our seq, the help guarantee is broken: count it (every checker
+      // fails on a nonzero ll_retries; the simulator reports its repro
+      // schedule), then withdraw so no late donor takes the offered spare.
+      std::fill_n(out, w_, std::uint64_t{0});
+      if (seq_of_a(a) == me.seq) {
+        c.bump(c.ll_retries);
+        trace_.emit(obs::EventKind::kLlRetry, p, me.seq);
+      }
     }
+    // Drift <= P: aged validation passed. Buffers rest >= R >= P tags in
+    // the ring before reuse, so the copy is an untorn snapshot of version
+    // t0, linearized at the link. Withdraw the announce. The withdraw races
+    // a winner's donation CAS on this slot; the total order picks exactly
+    // one side of the ownership exchange.
+    std::uint64_t expect = pack_a(kWaiting, me.spare, me.seq);
+    bool reclaimed = false;
+    Env::at("ll:withdraw", p);
+    // mwllsc-ordering: seq_cst(withdraw vs donation CAS, one winner)
+    if (!announce_[p].compare_exchange_strong(
+            expect, pack_a(kIdle, me.spare, me.seq),
+            std::memory_order_seq_cst)) {
+      if (state_of_a(expect) == kHelped && seq_of_a(expect) == me.seq) {
+        // A donation raced in. Our own copy stands; adopt the donated
+        // buffer as our new spare — the donor took the one we offered.
+        me.spare = buf_of_a(expect);
+        c.bump(c.ll_helped);
+        trace_.emit(obs::EventKind::kLlHelped, p, me.seq, buf_of_a(expect));
+      } else {
+        // The word no longer carries our seq: a crash-stop reclaim
+        // (reclaim_pid) judged this process dead and withdrew the announce
+        // out from under it. Within P the copy is still an untorn
+        // snapshot (past P it was zeroed above), but the slot — and the
+        // spare it settled — belong to the reclaimer now,
+        // so the only safe exit is to break the link and finish this op.
+        // Reached only when a reclaimed process is resurrected under test
+        // control; a genuinely dead process never gets here.
+        reclaimed = true;
+      }
+    }
+    me.announced = false;
+    me.ll_buf = b;
+    // Any drift already broke the link; so does a raced reclaim.
+    me.link_valid = (drift == 0) && !reclaimed;
+    c.bump(c.ll_ops);
+    trace_.emit(obs::EventKind::kLlFast, p, t0, b);
   }
 
   bool sc(std::uint32_t p, const std::uint64_t* v) {
@@ -300,7 +314,7 @@ class MwLLSC {
       Env::at("sc:probe", p);
       // mwllsc-ordering: seq_cst(probe half of the announce handshake)
       const std::uint64_t seen =
-          announce_[target].a.load(std::memory_order_seq_cst);
+          announce_[target].load(std::memory_order_seq_cst);
       if (state_of_a(seen) == kWaiting) {
         // Pre-SC help: copy the (still linked) current buffer into our
         // spare over the value, re-validate the link seqlock-style — if it
@@ -321,7 +335,7 @@ class MwLLSC {
         Env::at("sc:help_mark", p);
         // mwllsc-ordering: seq_cst(donation before SC; races withdraw)
         std::uint64_t expect = seen;
-        if (announce_[target].a.compare_exchange_strong(
+        if (announce_[target].compare_exchange_strong(
                 expect, pack_a(kHelped, me.spare, seq_of_a(seen)),
                 std::memory_order_seq_cst)) {
           me.spare = buf_of_a(seen);  // take the offered spare, O(1)
@@ -386,7 +400,7 @@ class MwLLSC {
     // mwllsc-ordering: seq_cst(the withdraw-by-proxy races a winner's
     // donation CAS on this slot exactly like the owner's withdraw does;
     // the single total order picks one side of the ownership exchange)
-    std::uint64_t a = announce_[p].a.load(std::memory_order_seq_cst);
+    std::uint64_t a = announce_[p].load(std::memory_order_seq_cst);
     for (;;) {
       const std::uint32_t s =
           announced && state_of_a(a) == kHelped ? buf_of_a(a) : me.spare;
@@ -394,8 +408,8 @@ class MwLLSC {
           pack_a(kIdle, s, (seq_of_a(a) + 1) & kSeqMask);
       // mwllsc-ordering: seq_cst(same handshake as the load above: one
       // winner between this withdraw-by-proxy and a racing donation)
-      if (announce_[p].a.compare_exchange_weak(a, next,
-                                               std::memory_order_seq_cst)) {
+      if (announce_[p].compare_exchange_weak(a, next,
+                                             std::memory_order_seq_cst)) {
         me.spare = s;
         break;
       }
@@ -419,7 +433,7 @@ class MwLLSC {
     assert(p < n_);
     // mwllsc-ordering: seq_cst(reads the word settled by the retire-path
     // withdraw or reclaim_pid CAS in the same total order)
-    const std::uint64_t a = announce_[p].a.load(std::memory_order_seq_cst);
+    const std::uint64_t a = announce_[p].load(std::memory_order_seq_cst);
     Priv& me = priv_[p];
     me.seq = seq_of_a(a);
     me.link_valid = false;
@@ -460,7 +474,7 @@ class MwLLSC {
       // its announced round — is the process's spare (the donor took the
       // offered one); otherwise the private one is, offered or not.
       // mwllsc-ordering: relaxed(debug view, no operation in flight)
-      const std::uint64_t a = announce_[p].a.load(std::memory_order_relaxed);
+      const std::uint64_t a = announce_[p].load(std::memory_order_relaxed);
       out.spare[p] = priv_[p].announced && state_of_a(a) == kHelped
                          ? buf_of_a(a)
                          : priv_[p].spare;
@@ -472,7 +486,7 @@ class MwLLSC {
     out.ring.resize(ring_size_);
     for (std::uint32_t j = 0; j < ring_size_; ++j) {
       // mwllsc-ordering: relaxed(debug view, no operation in flight)
-      out.ring[j] = ring_buf_of(ring_[j].w.load(std::memory_order_relaxed));
+      out.ring[j] = ring_buf_of(ring_[j].load(std::memory_order_relaxed));
     }
   }
 
@@ -481,8 +495,8 @@ class MwLLSC {
     f.add("X descriptor (1-word LL/SC)", x_.shared_bytes());
     f.add("value buffers ((N+R+1) x W words, rows line-padded)",
           rows_.bytes());
-    f.add("retirement ring (R cells)", ring_size_ * sizeof(RingCell));
-    f.add("announce/help slots (N)", n_ * sizeof(AnnounceSlot));
+    f.add("retirement ring (R words, 8 per line)", ring_.bytes());
+    f.add("announce/help slots (N words, 8 per line)", announce_.bytes());
     f.add("per-process state (private)",
           n_ * sizeof(Priv) + x_.private_bytes() + stats_.bytes(),
           util::Footprint::Ownership::kPerProcess);
@@ -534,14 +548,6 @@ class MwLLSC {
     return p;
   }
 
-  struct alignas(64) AnnounceSlot {
-    std::atomic<std::uint64_t> a;
-  };
-
-  struct alignas(64) RingCell {
-    std::atomic<std::uint64_t> w;
-  };
-
   struct alignas(64) Priv {  // touched only by the owning process
     std::uint32_t spare = 0;  ///< offered while announced (LL leaves it)
     std::uint32_t ll_buf = 0;
@@ -577,11 +583,11 @@ class MwLLSC {
     Priv& me = priv_[p];
     const std::uint64_t mytag = me.retiring;
     const std::uint32_t retired = me.spare;
-    RingCell& cell =
+    std::atomic<std::uint64_t>& cell =
         ring_[static_cast<std::uint32_t>(mytag) & (ring_size_ - 1)];
     for (;;) {
       Env::at("sc:ring_load", p);
-      const std::uint64_t rw = cell.w.load(std::memory_order_acquire);
+      const std::uint64_t rw = cell.load(std::memory_order_acquire);
       const std::uint64_t d = (mytag - ring_tag_of(rw)) & kRingTagMask;
       // All tags in a cell are congruent mod R, so d is a multiple of R:
       // d >= R with the high bits clear means the cell is genuinely
@@ -593,7 +599,7 @@ class MwLLSC {
         Env::at("sc:ring_cas", p);
         // mwllsc-ordering: seq_cst(one retiree per tag resolves the cell)
         std::uint64_t expect = rw;
-        if (cell.w.compare_exchange_strong(expect, pack_ring(retired, mytag),
+        if (cell.compare_exchange_strong(expect, pack_ring(retired, mytag),
                                            std::memory_order_seq_cst)) {
           me.spare = ring_buf_of(rw);
           break;
@@ -630,8 +636,8 @@ class MwLLSC {
   const std::uint32_t ring_size_; ///< R = max(2, P), a power of two
   LLSC x_;
   BufferRows rows_;  ///< the N+R+1 value buffers
-  std::unique_ptr<RingCell[]> ring_;
-  std::unique_ptr<AnnounceSlot[]> announce_;
+  PackedWords ring_;      ///< R ring cells, word j = cell j
+  PackedWords announce_;  ///< N announce slots, word p = A[p]
   std::unique_ptr<Priv[]> priv_;
   util::OpStatsArray stats_;
   obs::TraceHandle trace_;

@@ -8,6 +8,9 @@
 // A buffer index is kBufBits wide wherever a shared word carries one: X
 // holds the bare index of the current buffer, and the announce and ring
 // words keep it in an 18-bit field.
+//
+// PackedWords holds core's announce and ring words: 64-bit atomics packed
+// eight to a 64-byte line, so N control words cost ceil(N/8) lines, not N.
 #pragma once
 
 #include <atomic>
@@ -94,6 +97,30 @@ class BufferRows {
   const std::size_t words_total_;
   std::unique_ptr<std::atomic<std::uint64_t>[]> raw_;
   std::atomic<std::uint64_t>* row0_ = nullptr;  ///< 64B-aligned row 0
+};
+
+/// `count` zeroed 64-bit atomics in whole 64-byte-aligned lines: word i is
+/// slot i % 8 of line i / 8. Neighbours share a line, so this suits words
+/// that are read far more often than written (DESIGN.md §2).
+class PackedWords {
+ public:
+  explicit PackedWords(std::uint32_t count)
+      : lines_((count + 7) / 8), line_(new Line[lines_]()) {}
+
+  std::atomic<std::uint64_t>& operator[](std::uint32_t i) const {
+    return line_[i / 8].w[i % 8];
+  }
+
+  /// Shared bytes: every allocated line.
+  std::size_t bytes() const { return std::size_t{lines_} * sizeof(Line); }
+
+ private:
+  struct alignas(64) Line {
+    std::atomic<std::uint64_t> w[8];
+  };
+
+  const std::uint32_t lines_;
+  std::unique_ptr<Line[]> line_;
 };
 
 }  // namespace mwllsc::core

@@ -266,7 +266,8 @@ inline FileModel build_model(SourceFile src) {
         if (first) return;  // e.g. a cast or template-id in an expression
         break;
       }
-      if (j + 1 < n && toks[j + 1].text == "(") {
+      if (toks[j].text == "operator" ||
+          (j + 1 < n && toks[j + 1].text == "(")) {
         return;  // a function returning atomic/atomic*, not a variable
       }
       AtomicDecl d;

@@ -9,7 +9,7 @@
 // * check_trace — replays per-pid event streams and re-verifies, from
 //   events alone: the LL step bounds — the paper's 4W+12 and the
 //   implementation's 3W+6, both taken from core::MwLLSC — and zero
-//   defensive retries for every variable labelled as the paper's protocol
+//   LL retries (broken help guarantees) for every variable labelled as the paper's protocol
 //   ("jp…"), exactly one bank write per successful SC (invariant I2) for
 //   every variable that emits bank writes, and the <= 3 LL/SC rounds bound
 //   of the apps-layer help-all construction. Membership lifecycle events
@@ -216,8 +216,8 @@ inline TraceCheckResult check_trace(const TraceData& d) {
             ++v.retries;
             if (jp) {
               std::snprintf(msg, sizeof(msg),
-                            "pid %zu var %u: defensive LL retry on a jp "
-                            "variable (help guarantee broken)",
+                            "pid %zu var %u: LL retry on a jp variable "
+                            "(help guarantee broken)",
                             pid, e.var);
               r.violations.push_back(msg);
             }

@@ -49,7 +49,7 @@ enum class EventKind : std::uint16_t {
   kLlFast,          ///< LL fast path returned           (tag = linked tag)
   kLlHelped,        ///< donation raced a fast-path LL   (tag = announce seq)
   kLlRescue,        ///< LL returned the donated value   (tag = announce seq)
-  kLlRetry,         ///< LL validation failed, looping   (defensive for jp)
+  kLlRetry,         ///< LL validation failed, no help   (jp: a violation)
   kScAttempt,       ///< SC entered                      (arg = link_valid)
   kScCommit,        ///< SC installed                    (tag = new version)
   kScFail,          ///< SC failed (semantic)

@@ -27,7 +27,7 @@
 //           writes is 1 exactly while it is parked between its X commit
 //           and its ring swap, 0 otherwise;
 //     3W+6  no LL takes more than MwLLSC::ll_impl_bound(W) steps (inside
-//           the paper's 4W+12), and the defensive retry never fires.
+//           the paper's 4W+12), and ll_retries stays zero.
 //
 // Crash-stop schedules weaken nothing: a crashed process is a fiber parked
 // forever, so its buffers stay owned where it left them, and a ring swap
@@ -164,8 +164,8 @@ class InvariantChecker {
       check_i1();
       check_i2(s.parked);
       if (obj.stats().ll_retries != 0) {
-        return fail("defensive LL retry fired at step %llu: the 3W+6 help "
-                    "guarantee is broken",
+        return fail("LL retry counted at step %llu: the 3W+6 help guarantee "
+                    "is broken",
                     ull(steps_));
       }
     }

@@ -31,8 +31,8 @@ struct OpStatsSnapshot {
   std::uint64_t ll_used_helped_value = 0;
   std::uint64_t helps_given = 0;
   std::uint64_t bank_writes = 0;
-  std::uint64_t ll_retries = 0;  ///< defensive LL retries; 0 if the 4W+12
-                                 ///< help guarantee holds (tests assert it)
+  std::uint64_t ll_retries = 0;  ///< jp LLs whose help guarantee broke; 0
+                                 ///< if it holds (tests assert it)
 
   OpStatsSnapshot& operator+=(const OpStatsSnapshot& o) {
     ll_ops += o.ll_ops;

@@ -20,14 +20,18 @@ std::size_t shared_bytes(core::IMwLLSC& obj) {
 
 // jp allocates N+R+1 value rows (R = max(2, P), P = N rounded up to a
 // power of two), each W words rounded up to whole 64-byte lines, plus 64
-// bytes of alignment slack; X, the R ring cells and the N announce slots
-// take one line each. The census counts the rows the object actually
-// owns, so a smaller footprint must come from allocating fewer rows, not
-// from accounting for fewer.
+// bytes of alignment slack; X takes one line, and the R ring words and N
+// announce words pack eight to a line, in whole lines. N = 9, 16 and 17
+// make both word arrays span more than one line. The census counts the
+// rows the object actually owns, so a smaller footprint must come from
+// allocating fewer rows, not from accounting for fewer.
 void jp_closed_form() {
   using Jp = core::MwLLSC<llsc::Dw128LLSC>;
   const std::uint32_t w = 12;  // two lines per row
-  for (std::uint32_t n : {1u, 2u, 3u, 4u, 5u, 8u}) {
+  const auto lines = [](std::uint32_t words) {
+    return std::size_t{64} * ((words + 7) / 8);
+  };
+  for (std::uint32_t n : {1u, 2u, 3u, 4u, 5u, 8u, 9u, 16u, 17u}) {
     std::uint32_t p2 = 1;
     while (p2 < n) p2 <<= 1;
     const std::uint32_t r = p2 < 2 ? 2 : p2;
@@ -36,7 +40,7 @@ void jp_closed_form() {
     obj.census(c);
     CHECK_EQ(c.buffers, n + r + 1);
     const std::size_t rows = std::size_t{n + r + 1} * 2 * 64 + 64;
-    CHECK_EQ(obj.footprint().shared_bytes(), 64 + rows + 64 * r + 64 * n);
+    CHECK_EQ(obj.footprint().shared_bytes(), 64 + rows + lines(r) + lines(n));
   }
 }
 

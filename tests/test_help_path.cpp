@@ -28,6 +28,12 @@
 // the consumed donation's HELPED word must go stale: the donated buffer
 // rotates through X and the ring, and a later reclaim of the reader's pid
 // must keep I1 exact.
+//
+// The same stalls drive the announced round's other exit: a reader whose
+// pid is reclaimed while its round is stalled finds its seq moved at the
+// slot check and returns zeroed words with its link broken. At N = 9 the
+// announce and ring words span two lines each, and a reader on the second
+// announce line is rescued the same way.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -48,8 +54,16 @@ constexpr std::uint32_t kForceFallback = 4;  // SCs after the first link, > P
 
 using Hooked = core::MwLLSC<llsc::Dw128LLSC, core::HookEnv>;
 
+// Where the reader's pid is reclaimed, relative to the SCs injected after
+// its announced-round link.
+enum class Reclaim { kNever, kBeforeScs, kAfterScs };
+
 struct HookState {
   Hooked* obj = nullptr;
+  std::uint32_t reader = 0;     // the stalled LL's pid
+  std::uint32_t writer = 1;     // the pid whose SCs interfere
+  std::uint32_t force = kForceFallback;  // SCs after the first link, > P
+  Reclaim reclaim = Reclaim::kNever;
   std::uint32_t sc_rounds = 0;  // successful SCs after the announced link
   bool forced = false;          // the first attempt was pushed past P
   bool fired = false;           // the announced round was stalled
@@ -59,16 +73,16 @@ struct HookState {
   std::uint32_t other_sc_steps = 0;     // ... in its worst other SC
 };
 
-// pid 1 runs `rounds` LL/SC pairs, writing base*round + i into word i.
+// The writer runs `rounds` LL/SC pairs, writing base*round + i into word i.
 void drive(HookState* st, std::uint32_t rounds, std::uint64_t base) {
   std::vector<std::uint64_t> v(kW);
   for (std::uint64_t round = 1; round <= rounds; ++round) {
-    st->obj->ll(1, v.data());
+    st->obj->ll(st->writer, v.data());
     if (st->obj->stats().helps_given == 0) st->before_donating_sc = v;
     for (std::uint32_t i = 0; i < kW; ++i) v[i] = base * round + i;
     const std::uint64_t helps = st->obj->stats().helps_given;
     st->sc_steps = 0;
-    CHECK(st->obj->sc(1, v.data()));
+    CHECK(st->obj->sc(st->writer, v.data()));
     if (st->obj->stats().helps_given > helps) {
       st->donating_sc_steps = st->sc_steps;
     } else if (st->sc_steps > st->other_sc_steps) {
@@ -79,21 +93,23 @@ void drive(HookState* st, std::uint32_t rounds, std::uint64_t base) {
 
 void interfere(void* ctx, const char* point, std::uint32_t pid) {
   auto* st = static_cast<HookState*>(ctx);
-  if (pid != 0) {  // no reentrant interference from pid 1's own ops
+  if (pid != st->reader) {  // no reentrant interference from the writer
     if (std::strncmp(point, "sc:", 3) == 0) ++st->sc_steps;
     return;
   }
   if (!st->forced && std::strcmp(point, "ll:copy") == 0) {
     st->forced = true;
     // The reader has not announced, so none of these winners can donate.
-    drive(st, kForceFallback, 10);
+    drive(st, st->force, 10);
     CHECK_EQ(st->obj->stats().helps_given, 0u);
   } else if (!st->fired && std::strcmp(point, "ll:recopy") == 0) {
     st->fired = true;
-    // The winner of tag U probes slot U mod 2: tags 5 and 7 probe pid 1's
-    // own slot (no-op), tag 6 probes the stalled reader's slot 0 and
-    // donates there, pre-SC.
+    // At N = 2 the winner of tag U probes slot U mod 2: tags 5 and 7
+    // probe pid 1's own slot (no-op), tag 6 probes the stalled reader's
+    // slot 0 and donates there, pre-SC.
+    if (st->reclaim == Reclaim::kBeforeScs) st->obj->reclaim_pid(st->reader);
     drive(st, st->sc_rounds, 100);
+    if (st->reclaim == Reclaim::kAfterScs) st->obj->reclaim_pid(st->reader);
   }
 }
 
@@ -107,7 +123,7 @@ std::vector<std::uint64_t> stalled_ll(Hooked& obj,
   st.sc_rounds = sc_rounds;
   core::HookEnv::install(&interfere, &st);
   std::vector<std::uint64_t> out(kW);
-  obj.ll(0, out.data());
+  obj.ll(st.reader, out.data());
   core::HookEnv::install(nullptr, nullptr);
   CHECK(st.forced);
   CHECK(st.fired);
@@ -131,7 +147,7 @@ constexpr std::uint64_t kAfterForce = 10 * kForceFallback;
 
 // Drift 3 > P: the rescue path. The reader must return the donated
 // snapshot with the helped/rescue/help-install counters firing exactly
-// once, and the defensive retry arm must never run.
+// once, and ll_retries must stay zero.
 void rescue_path() {
   Hooked obj(2, kW);
   HookState st;
@@ -259,6 +275,88 @@ void consumed_donation_goes_stale() {
   CHECK_EQ(obj.stats().ll_retries, 0u);
 }
 
+// A reader reclaimed while its announced round is stalled, then pushed
+// past P: the slot check finds its seq moved. Reclaimed before the SCs,
+// the slot is IDLE and nobody donates; reclaimed after them, reclaim_pid
+// adopted the donation as the pid's spare. Either way the copy failed
+// validation and is not returned — the LL yields zeroed words — and the
+// link is broken, ll_retries stays zero, and after a rebind
+// the pid's next holder finds an exact buffer pool.
+void reclaimed_mid_round(Reclaim when) {
+  Hooked obj(2, kW);
+  HookState st;
+  st.reclaim = when;
+  const auto out = stalled_ll(obj, st, 3);
+
+  for (std::uint32_t i = 0; i < kW; ++i) CHECK_EQ(out[i], 0u);
+  const auto s = obj.stats();
+  CHECK_EQ(s.helps_given, when == Reclaim::kAfterScs ? 1u : 0u);
+  CHECK_EQ(s.ll_helped, 0u);
+  CHECK_EQ(s.ll_used_helped_value, 0u);
+  CHECK_EQ(s.ll_retries, 0u);
+  CHECK_EQ(s.ll_ops, kForceFallback + 3 + 1);
+  std::vector<std::uint64_t> v = out;
+  CHECK(!obj.vl(0));
+  CHECK(!obj.sc(0, v.data()));
+  check_i1(obj);
+
+  obj.rebind_pid(0);
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    const std::uint32_t p = i & 1;
+    obj.ll(p, v.data());
+    CHECK_EQ(v[0], i == 0 ? 300u : 1000 + i - 1);
+    v[0] = 1000 + i;
+    CHECK(obj.sc(p, v.data()));
+    check_i1(obj);
+  }
+}
+
+// N = 9, so P = R = 16: the 9 announce words and the 16 ring words each
+// span two lines. A single-thread lap of 2R commits over every pid moves
+// each ring cell twice, across the line boundary, with I1 exact after
+// every commit. Then pid 8 — the first word of the second announce line —
+// is forced into its announced round and rescued by the winner that
+// probes slot 8.
+void second_line_words() {
+  constexpr std::uint32_t kN = 9, kR = 16;
+  Hooked obj(kN, kW);
+  std::vector<std::uint64_t> v(kW);
+  for (std::uint64_t i = 1; i <= 2 * kR; ++i) {
+    const std::uint32_t p = static_cast<std::uint32_t>(i % kN);
+    obj.ll(p, v.data());
+    CHECK_EQ(v[0], i - 1);
+    for (std::uint32_t k = 0; k < kW; ++k) v[k] = i;
+    CHECK(obj.sc(p, v.data()));
+    const auto c = check_i1(obj);
+    CHECK_EQ(c.version, i);
+    CHECK_EQ(c.ring.size(), std::size_t{kR});
+  }
+  CHECK_EQ(obj.stats().bank_writes, 2 * kR);
+
+  // Tag 32 now. The first attempt drifts 17 > P; the announced round is
+  // stalled across 17 more commits, tags 50..66, of which tag 56 probes
+  // slot 56 mod 16 = 8 and donates.
+  HookState st;
+  st.reader = 8;
+  st.writer = 0;
+  st.force = kR + 1;
+  const auto out = stalled_ll(obj, st, kR + 1);
+  const auto s = obj.stats();
+  CHECK_EQ(s.helps_given, 1u);
+  CHECK_EQ(s.ll_used_helped_value, 1u);
+  CHECK_EQ(s.ll_retries, 0u);
+  CHECK(out == st.before_donating_sc);
+  CHECK_EQ(out[0], 100u * (56 - 49 - 1));
+  CHECK(!obj.vl(8));
+  check_i1(obj);
+
+  // Pid 8 keeps working from the donated spare.
+  obj.ll(8, v.data());
+  v[0] += 1;
+  CHECK(obj.sc(8, v.data()));
+  check_i1(obj);
+}
+
 // Counts the steps that open each LL phase.
 struct PointCounts {
   std::uint32_t fast = 0;       // ll:link, the first attempt
@@ -315,6 +413,9 @@ int main() {
   aged_pass_plain();
   consumed_donation_goes_stale();
   undisturbed_ll_never_announces();
+  reclaimed_mid_round(Reclaim::kBeforeScs);
+  reclaimed_mid_round(Reclaim::kAfterScs);
+  second_line_words();
   std::printf("test_help_path: OK\n");
   return 0;
 }

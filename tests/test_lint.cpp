@@ -7,7 +7,8 @@
 //      and .cpp, as CI's static-analysis gate lints them) must produce
 //      zero findings, so every seq_cst site keeps its contract forever;
 //   3. the --json report — emit and re-load round-trip, including escape
-//      handling, plus annotation-window edge cases fed via scan_source.
+//      handling, plus annotation-window and declaration edge cases fed via
+//      scan_source.
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -170,6 +171,26 @@ void test_suppress_multiple_rules() {
   CHECK_EQ(r.suppressed, 2);
 }
 
+// An operator returning a reference to an atomic is a function, not an
+// unpadded field named `operator` (R5 used to fire on it); a real
+// unpadded field in the same class is still flagged.
+void test_operator_is_not_a_field() {
+  const std::string words =
+      "struct Words {\n"
+      "  std::atomic<std::uint64_t>& operator[](std::uint32_t i) const {\n"
+      "    return w_[i];\n"
+      "  }\n"
+      "  std::atomic<std::uint64_t>* w_;\n";
+  CHECK(lint_text(words + "};\n").findings.empty());
+
+  const LintResult r =
+      lint_text(words + "  std::atomic<std::uint64_t> hot{0};\n};\n");
+  CHECK_EQ(r.findings.size(), 1u);
+  CHECK(r.findings[0].rule == "R5");
+  CHECK_EQ(r.findings[0].line, 6);
+  CHECK(r.findings[0].message.find("'hot'") != std::string::npos);
+}
+
 void test_json_round_trip() {
   LintResult orig;
   orig.files = 3;
@@ -223,6 +244,7 @@ int main() {
   test_source_trees_clean();
   test_annotation_window();
   test_suppress_multiple_rules();
+  test_operator_is_not_a_field();
   test_json_round_trip();
   std::printf("test_lint: all checks passed\n");
   return 0;

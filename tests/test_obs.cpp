@@ -258,7 +258,7 @@ void truncation_tolerated() {
 }
 
 /// The checker must reject what it claims to reject: synthetic traces with
-/// a defensive jp retry, an I2 double-commit, a commit-less bank write, and
+/// a jp LL retry, an I2 double-commit, a commit-less bank write, and
 /// an over-budget apply.
 void checker_catches_violations() {
   auto base = [] {
@@ -270,8 +270,9 @@ void checker_catches_violations() {
     return d;
   };
 
-  {  // defensive retry on a jp variable: the retry itself, and the
-     // second announced round it costs pushes the LL past 3W+6
+  {  // an LL retry on a jp variable (a broken help guarantee): the retry
+     // itself, and the checker counts it as a second announced round,
+     // which pushes the LL past 3W+6
     obs::TraceData d = base();
     d.per_pid[0] = {ev(obs::EventKind::kLlStart, 0, 0),
                     ev(obs::EventKind::kLlFallback, 0, 0),
@@ -279,7 +280,7 @@ void checker_catches_violations() {
                     ev(obs::EventKind::kLlFast, 0, 0)};
     const auto r = obs::check_trace(d);
     CHECK_EQ(r.violations.size(), 2u);
-    CHECK(r.violations[0].find("defensive LL retry") != std::string::npos);
+    CHECK(r.violations[0].find("LL retry on a jp variable") != std::string::npos);
     CHECK(r.violations[1].find("> 3W+6") != std::string::npos);
   }
   {  // fallback + rescue is the implementation's worst case: exactly 3W+6

@@ -19,7 +19,7 @@
 //       donation CAS, and a donor whose help re-validation fails and so
 //       fails its SC at once.
 // The checker additionally enforces, on every jp run here, that no LL
-// exceeds 3W+6 steps and that the defensive retry never fires; the oracle
+// exceeds 3W+6 steps and that ll_retries stays zero; the oracle
 // runs on all three classes.
 #include <cstdint>
 #include <cstdio>

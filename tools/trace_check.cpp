@@ -1,7 +1,7 @@
 // Offline trace checker: loads trace dumps (write_trace, as written by any
 // bench's --trace PATH) and re-verifies the protocol's observable
 // guarantees from events alone — the LL step bounds (the paper's 4W+12 and
-// the implementation's 3W+6) and zero defensive retries for jp-labelled
+// the implementation's 3W+6) and zero LL retries for jp-labelled
 // variables, exactly one bank write per successful SC (invariant I2), the
 // <= 3-round bound of the apps-layer help-all construction, and the
 // membership lifecycle discipline (pid leases never overlap, nobody
