@@ -1,21 +1,30 @@
 // E10: process-lifecycle churn on the managed jp object (DESIGN.md §10).
 //
-// Two scenarios over ManagedMwLLSC<jp>:
+// Three scenarios over ManagedMwLLSC<jp>:
 //
-//   steady  threads == slots; each thread cycles join -> K fetch&adds ->
-//           retire. Measures the clean lease turnover rate: every join is
-//           a first-try wait-free slot claim, nothing ever degrades.
-//   churn   threads == 2x slots with cooperative crashes: every A-th
-//           session abandon()s its slot mid-lease (the crash seam the
-//           fault-injection tests drive) while a reaper thread runs
-//           reclaim_scan()s. Joins race retirements, reclamations, and
-//           each other; exhausted joins retry and then fall over to the
-//           degraded lock-serialized pid. Measures
-//           throughput under realistic membership pressure and reports the
-//           degraded fraction so regressions in the recycling path (more
-//           degradation = slower recycling) show up in the trajectory.
+//   steady     threads == slots; each thread cycles join -> K fetch&adds ->
+//              retire. Measures the clean lease turnover rate: every join
+//              is a first-try wait-free slot claim, nothing ever degrades.
+//   churn      min(2 x max(hw, 4), 16) threads (8 with --smoke) with
+//              cooperative crashes: every A-th session abandon()s its slot
+//              mid-lease (the crash seam the fault-injection tests drive)
+//              while a reaper thread runs reclaim_scan()s. Joins race
+//              retirements, reclamations, and each other. Measures
+//              throughput under membership pressure and reports the
+//              degraded fraction, so a slower recycling path (more
+//              degradation) shows up in the trajectory. The reaper and the
+//              join-path sweeps usually recycle an abandoned slot before a
+//              joiner runs out of retries, so on a small machine churn
+//              seldom degrades at all.
+//   exhausted  threads == 2 x slots, no abandons, no reaper: whenever every
+//              slot is held, a joiner falls over to the degraded pid, whose
+//              LL..SC windows take turns under the FIFO ticket lock. At
+//              full size (16 threads) it oversubscribes a small machine,
+//              where a FIFO spin lock can convoy. How many joins degrade
+//              depends on how fast slots turn over, so it varies with the
+//              machine and with the lock.
 //
-// Both scenarios verify the shared counter equals the number of successful
+// Every scenario verifies the shared counter equals the number of successful
 // SCs before reporting, so a row is also a correctness witness.
 //
 // Usage:
@@ -35,6 +44,7 @@
 #include "core/mwllsc.hpp"
 #include "util/table.hpp"
 #include "membership/managed.hpp"
+#include "util/barrier.hpp"
 
 using namespace mwllsc;
 
@@ -78,17 +88,22 @@ ChurnResult run_scenario(Managed& m, unsigned threads,
                          std::uint64_t ops_per_session,
                          std::uint64_t abandon_every) {
   std::atomic<bool> done{false};
-  // Sweeps while the workers churn: recycles abandoned slots.
+  // Sweeps while the workers churn: recycles abandoned slots. Without
+  // abandons there is nothing for it to recycle.
   std::thread reaper([&] {
-    while (!done.load(std::memory_order_acquire)) {
+    while (abandon_every != 0 && !done.load(std::memory_order_acquire)) {
       m.reclaim_scan();
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
   });
+  // Workers start together: a staggered start lets early threads finish
+  // before late ones spawn, and then slots never run out.
+  util::SpinBarrier start(threads);
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<std::thread> pool;
   for (unsigned t = 0; t < threads; ++t) {
     pool.emplace_back([&, t] {
+      start.arrive_and_wait();
       worker(m, sessions_per_thread, ops_per_session, abandon_every, t);
     });
   }
@@ -138,6 +153,7 @@ int main(int argc, char** argv) {
   const Scenario scenarios[] = {
       {"steady", slots, 0},
       {"churn", churn_threads, abandon_every},
+      {"exhausted", 2 * slots, 0},
   };
   bool ok = true;
   for (const auto& sc : scenarios) {

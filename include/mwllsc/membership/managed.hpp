@@ -11,12 +11,15 @@
 // Graceful degradation: when every slot is held, join() runs a bounded
 // number of orphan-recycling retries and then falls over to a *degraded*
 // session — a pid reserved at construction whose LL..SC window is
-// serialized by a mutex. Degraded sessions keep the exact LL/SC/VL
-// semantics (they run the same protocol object, so they linearize with
-// everyone else on the one variable), but trade away the two properties
-// the paper buys: they are not wait-free against each other, and a holder
-// that crashes inside the LL..SC window wedges the degraded path (never
-// the wait-free one). The jp protocol itself never blocks on the lock.
+// serialized by a FIFO ticket lock. Degraded sessions keep the exact
+// LL/SC/VL semantics (they run the same protocol object, so they
+// linearize with everyone else on the one variable), but trade away the
+// two properties the paper buys. They are not wait-free against each
+// other: windows take turns in arrival order, so a degraded LL waits out
+// at most the k-1 windows queued ahead of it, never another session's
+// whole lease. And a session that stops inside its window, or while
+// queued for it, wedges the degraded path (never the wait-free one). The
+// jp protocol itself never blocks on the lock.
 #pragma once
 
 #include <atomic>
@@ -45,6 +48,9 @@ struct MembershipSnapshot {
   std::uint64_t scans = 0;           ///< reclaim sweeps run
   std::uint32_t active = 0;          ///< slots currently held (approximate)
   std::uint32_t capacity = 0;        ///< slot pool size
+  /// Degraded sessions holding or queued for the LL..SC window
+  /// (approximate, like `active`).
+  std::uint32_t degraded_queue = 0;
 };
 
 /// The protocol object (any type with the MwLLSC member surface) wrapped
@@ -96,7 +102,7 @@ class ManagedMwLLSC {
         // The lock spans LL..SC so the reserved pid's link can't be
         // clobbered by another degraded session.
         if (!lock_held_) {
-          parent_->degraded_mu_.lock();
+          parent_->degraded_lock_.lock();
           lock_held_ = true;
         }
         parent_->impl_.ll(parent_->reserved_pid(), out);
@@ -111,7 +117,7 @@ class ManagedMwLLSC {
         if (!lock_held_) return false;  // SC without a prior LL: no link
         const bool ok = parent_->impl_.sc(parent_->reserved_pid(), in);
         lock_held_ = false;
-        parent_->degraded_mu_.unlock();
+        parent_->degraded_lock_.unlock();
         return ok;
       }
       return parent_->impl_.sc(slot_, in);
@@ -135,13 +141,13 @@ class ManagedMwLLSC {
       if (degraded_) {
         if (lock_held_) {
           p->trace_.emit(obs::EventKind::kProcRetire, p->reserved_pid(), 0, 1);
-          p->degraded_mu_.unlock();
+          p->degraded_lock_.unlock();
           lock_held_ = false;
         } else if (p->trace_.bound()) {
           // The lock only serializes the emit on the reserved pid's
           // single-writer trace stream; untraced, there is nothing to
           // wait another session's LL..SC window out for.
-          util::MutexLock g(p->degraded_mu_);
+          util::MutexLock g(p->degraded_lock_);
           p->trace_.emit(obs::EventKind::kProcRetire, p->reserved_pid(), 0, 1);
         }
         p->c_.retires.fetch_add(1, std::memory_order_relaxed);
@@ -166,7 +172,7 @@ class ManagedMwLLSC {
       parent_ = nullptr;
       if (degraded_) {
         if (lock_held_) {
-          p->degraded_mu_.unlock();
+          p->degraded_lock_.unlock();
           lock_held_ = false;
         }
         return;
@@ -232,7 +238,7 @@ class ManagedMwLLSC {
       // Serialize the emit: degraded sessions share the reserved pid's
       // trace stream, which is single-writer by contract. Untraced, the
       // join must not wait out another degraded session's LL..SC window.
-      util::MutexLock g(degraded_mu_);
+      util::MutexLock g(degraded_lock_);
       trace_.emit(obs::EventKind::kProcJoin, reserved_pid(), 0, 1);
     }
     return Session(this);
@@ -282,6 +288,7 @@ class ManagedMwLLSC {
     s.scans = c_.scans.load(std::memory_order_relaxed);
     s.active = reg_.active();
     s.capacity = reg_.capacity();
+    s.degraded_queue = degraded_lock_.queued();
     return s;
   }
 
@@ -313,6 +320,9 @@ class ManagedMwLLSC {
     m.set_gauge(MetricsRegistry::labeled("mwllsc_membership_capacity",
                                          labels),
                 static_cast<double>(s.capacity));
+    m.set_gauge(MetricsRegistry::labeled(
+                    "mwllsc_membership_degraded_queue", labels),
+                static_cast<double>(s.degraded_queue));
   }
 
   /// Binds both the lifecycle events and the protocol's own events to the
@@ -341,7 +351,10 @@ class ManagedMwLLSC {
   const std::uint32_t slots_;
   Impl impl_;
   SlotRegistry reg_;
-  util::Mutex degraded_mu_;  ///< spans a degraded session's LL..SC window
+  /// Spans a degraded session's LL..SC window. Its counters start on
+  /// lines of their own, so lock traffic never invalidates the line of
+  /// reg_ that every join() and retire() reads.
+  util::TicketLock degraded_lock_;
   Counters c_;
   obs::TraceHandle trace_;
 };

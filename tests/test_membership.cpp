@@ -1,11 +1,13 @@
 // The process lifecycle layer (DESIGN.md §10): SlotRegistry state machine,
 // the Session RAII lease, ManagedMwLLSC join/retire/crash-reclaim over the
 // real protocol object, the rule that only a pid's holder gives it up,
-// graceful degradation under slot exhaustion, the
-// withdraw-vs-reclaim race in core ll(), lifecycle trace events through
-// the offline checker, and a multithreaded churn run (threads > slots)
-// with cooperative crashes and a maintenance reclaimer.
+// graceful degradation under slot exhaustion, the degraded window's FIFO
+// ticket lock (mutual exclusion, arrival order, unlock from another
+// thread), the withdraw-vs-reclaim race in core ll(), lifecycle trace
+// events through the offline checker, and a multithreaded churn run
+// (threads > slots) with cooperative crashes and a maintenance reclaimer.
 // Compiled with MWLLSC_TRACE so the lifecycle events are observable.
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -23,6 +25,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "test_check.hpp"
+#include "util/thread_safety.hpp"
 
 using namespace mwllsc;
 using membership::ManagedMwLLSC;
@@ -283,6 +286,117 @@ void degraded_join_does_not_wait() {
   CHECK(holder.sc(v.data()));
   CHECK(holder.retire());
   CHECK_EQ(m.membership().degraded_joins, 2u);
+}
+
+// The degraded window's lock on its own: K threads each make M plain,
+// unsynchronized increments under it, and the total must be exact (and
+// race-free under TSan). M is small because on one CPU every hand-off
+// costs the next ticket's spin-then-yield.
+void ticket_lock_mutual_exclusion() {
+  constexpr unsigned kThreads = 4;
+  constexpr std::uint64_t kIncrements = 2000;
+  util::TicketLock lock;
+  std::uint64_t total = 0;
+  std::vector<std::thread> pool;
+  for (unsigned t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&] {
+      for (std::uint64_t i = 0; i < kIncrements; ++i) {
+        util::MutexLock g(lock);
+        ++total;
+      }
+    });
+  }
+  for (auto& th : pool) th.join();
+  CHECK_EQ(total, kThreads * kIncrements);
+  CHECK_EQ(lock.queued(), 0u);
+}
+
+// Degraded windows are served in arrival order. H holds the window and B
+// queues for it; H's SC and its very next LL must then wait out B's whole
+// window. An unfair lock lets H relock before the waiting B runs; H then
+// closes its window before joining B, so that fails the check instead of
+// deadlocking. Several rounds, so an unfair lock that loses one such race
+// still fails.
+void degraded_fifo() {
+  Managed m(1, 2);
+  auto a = m.join();  // holds the only slot
+  auto h = m.join();
+  auto b = m.join();
+  CHECK(h.degraded() && b.degraded());
+  std::vector<std::uint64_t> hv(2);
+  for (int round = 0; round < 16; ++round) {
+    h.ll(hv.data());
+    CHECK_EQ(m.membership().degraded_queue, 1u);
+    std::atomic<int> order{0};
+    int b_mark = -1;
+    std::thread tb([&] {
+      std::vector<std::uint64_t> bv(2);
+      b.ll(bv.data());
+      b_mark = order.fetch_add(1, std::memory_order_relaxed);
+      bv[0] += 1;
+      CHECK(b.sc(bv.data()));
+    });
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (m.membership().degraded_queue != 2 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    CHECK_EQ(m.membership().degraded_queue, 2u);
+    hv[0] += 1;
+    CHECK(h.sc(hv.data()));
+    h.ll(hv.data());
+    const int h_mark = order.fetch_add(1, std::memory_order_relaxed);
+    const std::uint64_t h_read = hv[0];
+    hv[0] += 1;
+    const bool h_committed = h.sc(hv.data());
+    tb.join();
+    CHECK_EQ(b_mark, 0);
+    CHECK_EQ(h_mark, 1);
+    CHECK_EQ(h_read, std::uint64_t(3 * round + 2));  // B's commit landed
+    CHECK(h_committed);
+  }
+  CHECK_EQ(m.membership().degraded_queue, 0u);
+}
+
+// A degraded session may LL on one thread, be moved, and SC on another:
+// the commit lands and the window opens for the next degraded session.
+// The lock has no owner; a std::mutex unlocked by a thread that did not
+// lock it is undefined behaviour.
+void degraded_window_crosses_threads() {
+  Managed m(1, 2);
+  auto a = m.join();
+  auto d = m.join();
+  CHECK(d.degraded());
+  std::vector<std::uint64_t> v(2);
+  Managed::Session moved;
+  std::thread([&] {
+    d.ll(v.data());
+    moved = std::move(d);
+  }).join();
+  bool committed = false;
+  std::thread([&] {
+    v[0] = 11;
+    committed = moved.sc(v.data());
+  }).join();
+  CHECK(committed);
+  a.ll(v.data());
+  CHECK_EQ(v[0], 11u);
+  CHECK_EQ(m.membership().degraded_queue, 0u);
+
+  auto e = m.join();
+  CHECK(e.degraded());
+  auto opened = std::async(std::launch::async, [&] {
+    std::vector<std::uint64_t> w(2);
+    e.ll(w.data());
+    w[0] += 1;
+    return e.sc(w.data());
+  });
+  CHECK(opened.wait_for(std::chrono::seconds(10)) ==
+        std::future_status::ready);
+  CHECK(opened.get());
+  CHECK(moved.retire());
+  CHECK(e.retire());
 }
 
 // Only the holder gives its pid up. A holder that goes quiet inside its
@@ -603,6 +717,9 @@ void mt_churn() {
       "mwllsc_membership_joins_total{impl=\"jp\"}"));
   CHECK(reg.metrics().count(
       "mwllsc_membership_crash_reclaims_total{impl=\"jp\"}"));
+  CHECK(reg.metrics().count(
+      "mwllsc_membership_degraded_queue{impl=\"jp\"}"));
+  CHECK_EQ(s.degraded_queue, 0u);
 
   // Footprint gained the registry part.
   bool has_registry_part = false;
@@ -624,6 +741,9 @@ int main() {
   managed_basic();
   degraded_path();
   degraded_join_does_not_wait();
+  ticket_lock_mutual_exclusion();
+  degraded_fifo();
+  degraded_window_crosses_threads();
   dead_session_ops_throw();
   quiet_holder_keeps_its_pid();
   orphan_reclaim_on_join();
