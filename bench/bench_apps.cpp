@@ -23,7 +23,7 @@
 //        [--smoke]                   reduced duration/threads for CI
 //        [--trace PATH]              trace dump + PATH.json Perfetto view
 //                                    (MWLLSC_TRACE build)
-//        [--metrics PATH]            Prometheus text (.json for JSON) export
+//        [--metrics PATH]            Prometheus text export
 #include <atomic>
 #include <cstdio>
 
@@ -397,12 +397,6 @@ int main(int argc, char** argv) {
     obs.registry().absorb("impl=\"jp\",workload=\"epilogue\"", obj->stats());
   }
 
-  if (!json_path.empty()) {
-    if (!out.write(json_path)) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", json_path.c_str());
-  }
+  if (!out.write(json_path)) return 1;
   return obs.finish() ? 0 : 1;
 }

@@ -1,7 +1,7 @@
-// Shared infrastructure for the benchmark harness (experiments E1-E9, see
+// Shared infrastructure for the benchmark harness (experiments E1-E10, see
 // DESIGN.md §4): implementation factories behind the IMwLLSC facade and a
-// timed mixed-workload throughput driver, so every series in every table is
-// produced by identical code.
+// timed read-modify-write throughput driver, so every series in every table
+// is produced by identical code.
 #pragma once
 
 #include <atomic>
@@ -113,20 +113,12 @@ inline ThroughputResult run_rmw_throughput(core::IMwLLSC& obj,
   return r;
 }
 
-/// Mixed reader/writer workload: `writers` threads do LL;SC, the rest do LL
-/// only. Returns reader+writer op rates.
-struct MixedResult {
-  double reader_mops = 0;
-  double writer_mops = 0;
-  core::OpStatsSnapshot stats;
-};
-
 // ------------------------------------------------------------------------
 // Recorded perf trajectory (BENCH_*.json).
 //
 // Benches accept `--json <path>` and emit a flat machine-readable snapshot
-// instead of (or besides) their human tables, so each PR's numbers are a
-// diffable artifact rather than an anecdote. The format is deliberately
+// of the same results as their human tables, so each commit's numbers are
+// a diffable artifact rather than an anecdote. The format is deliberately
 // minimal: {"bench": ..., "schema": ..., "rows": [{k: v, ...}, ...]}.
 
 /// Value of `--flag <value>` in argv, or "" if absent.
@@ -143,21 +135,6 @@ inline bool has_flag(int argc, char** argv, const char* flag) {
     if (std::strcmp(argv[i], flag) == 0) return true;
   }
   return false;
-}
-
-/// argv without ObsSession's flags and their values, for benches whose
-/// own parser rejects unknown arguments (google-benchmark).
-inline std::vector<char*> without_obs_flags(int argc, char** argv) {
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--trace" || a == "--metrics") {
-      ++i;  // skip the flag's value too
-    } else {
-      args.push_back(argv[i]);
-    }
-  }
-  return args;
 }
 
 /// Version of the BENCH_*.json row format; bump on breaking field changes
@@ -198,9 +175,16 @@ class JsonEmitter {
     rows_.back().emplace_back(k, b);
   }
 
+  /// Writes the snapshot to `path` (nothing for an empty path, i.e. no
+  /// --json) and reports the file written, or the failure on stderr.
+  /// Returns false only when a requested write failed.
   bool write(const std::string& path) const {
+    if (path.empty()) return true;
     std::FILE* f = std::fopen(path.c_str(), "w");
-    if (!f) return false;
+    if (!f) {
+      std::fprintf(stderr, "cannot write %s\n", path.c_str());
+      return false;
+    }
     std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"schema\": \"%s\",\n",
                  bench_.c_str(), schema_.c_str());
     std::fprintf(f, "  \"schema_version\": %u,\n  \"git\": \"%s\",\n",
@@ -218,6 +202,7 @@ class JsonEmitter {
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);
+    std::printf("wrote %s\n", path.c_str());
     return true;
   }
 
@@ -304,13 +289,7 @@ class ObsSession {
       }
     }
     if (!metrics_path_.empty()) {
-      const bool json =
-          metrics_path_.size() >= 5 &&
-          metrics_path_.compare(metrics_path_.size() - 5, 5, ".json") == 0;
-      const bool wrote =
-          json ? obs::write_metrics_json(metrics_path_, registry_, &err)
-               : obs::write_prometheus(metrics_path_, registry_, &err);
-      if (wrote) {
+      if (obs::write_prometheus(metrics_path_, registry_, &err)) {
         std::fprintf(stderr, "[obs] wrote %zu metric series to %s\n",
                      registry_.metrics().size(), metrics_path_.c_str());
       } else {
@@ -329,39 +308,5 @@ class ObsSession {
   obs::MetricsRegistry registry_;
   std::uint32_t next_var_ = 0;
 };
-
-inline MixedResult run_mixed_throughput(core::IMwLLSC& obj, unsigned threads,
-                                        unsigned writers,
-                                        std::uint64_t duration_ns) {
-  // Relaxed op counter: summed after join(); the join supplies the
-  // happens-before for the final read (DESIGN.md §9).
-  std::atomic<std::uint64_t> reads{0}, writes{0};
-  util::TimedRun run;
-  run.run_for(threads, duration_ns, [&](unsigned t) {
-    std::vector<std::uint64_t> value(obj.words());
-    std::uint64_t ops = 0;
-    if (t < writers) {
-      while (!run.should_stop()) {
-        obj.ll(t, value.data());
-        value[0] += 1;
-        obj.sc(t, value.data());
-        ++ops;
-      }
-      writes.fetch_add(ops, std::memory_order_relaxed);
-    } else {
-      while (!run.should_stop()) {
-        obj.ll(t, value.data());
-        ++ops;
-      }
-      reads.fetch_add(ops, std::memory_order_relaxed);
-    }
-  });
-  MixedResult r;
-  r.stats = obj.stats();
-  const double secs = static_cast<double>(run.measured_ns()) / 1e9;
-  r.reader_mops = static_cast<double>(reads.load(std::memory_order_relaxed)) / secs / 1e6;
-  r.writer_mops = static_cast<double>(writes.load(std::memory_order_relaxed)) / secs / 1e6;
-  return r;
-}
 
 }  // namespace mwllsc::bench

@@ -1,6 +1,9 @@
 // E10: process-lifecycle churn on the managed jp object (DESIGN.md §10).
 //
-// Three scenarios over ManagedMwLLSC<jp>:
+// Three scenarios over ManagedMwLLSC<jp>, each a timed row of 250 ms
+// (50 ms with --smoke) on util::TimedRun, after one untimed warm-up row:
+// idle vCPUs can keep a new process's threads on one CPU for its first few
+// hundred ms, and then a row measures thread placement, not contention.
 //
 //   steady     threads == slots; each thread cycles join -> K fetch&adds ->
 //              retire. Measures the clean lease turnover rate: every join
@@ -16,23 +19,21 @@
 //              join-path sweeps usually recycle an abandoned slot before a
 //              joiner runs out of retries, so on a small machine churn
 //              seldom degrades at all.
-//   exhausted  threads == 2 x slots, no abandons, no reaper: whenever every
-//              slot is held, a joiner falls over to the degraded pid, whose
-//              LL..SC windows take turns under the FIFO ticket lock. At
-//              full size (16 threads) it oversubscribes a small machine,
-//              where a FIFO spin lock can convoy. How many joins degrade
-//              depends on how fast slots turn over, so it varies with the
-//              machine and with the lock.
+//   exhausted  `slots` idle holders keep every slot leased for the whole
+//              row, so every join of its 2 x slots workers falls over to
+//              the degraded pid, whose LL..SC windows take turns under the
+//              FIFO ticket lock: the row measures the degraded path itself.
+//              At full size (16 workers) it oversubscribes a small machine,
+//              where a FIFO spin lock can convoy.
 //
-// Every scenario verifies the shared counter equals the number of successful
-// SCs before reporting, so a row is also a correctness witness.
+// Every scenario verifies the shared counter equals the workers' tally of
+// successful SCs before reporting, so a row is also a correctness witness.
 //
 // Usage:
 //   ./bench_membership                  human tables
 //   ./bench_membership --json PATH      perf-trajectory snapshot (plus tables)
 //     [--smoke]                         reduced duration/threads for CI
 //     [--trace PATH | --metrics PATH]   obs/ exports (DESIGN.md §8)
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -42,9 +43,8 @@
 
 #include "bench_common.hpp"
 #include "core/mwllsc.hpp"
-#include "util/table.hpp"
 #include "membership/managed.hpp"
-#include "util/barrier.hpp"
+#include "util/table.hpp"
 
 using namespace mwllsc;
 
@@ -53,20 +53,32 @@ namespace {
 using Jp = core::MwLLSC<llsc::Dw128LLSC>;
 using Managed = membership::ManagedMwLLSC<Jp>;
 
+struct Scenario {
+  const char* name;
+  unsigned threads;
+  std::uint64_t abandon_every;  // 0 = never
+  std::uint32_t idle_holders;
+};
+
+struct Tally {
+  std::uint64_t leases = 0;
+  std::uint64_t sc_successes = 0;
+};
+
 struct ChurnResult {
   double seconds = 0;
-  std::uint64_t sc_successes = 0;
-  std::uint64_t sessions = 0;
+  Tally total;
   membership::MembershipSnapshot mem;
 };
 
-// One worker's life: `sessions` leases, each doing `ops` successful
+// One worker's row: leases until the run stops, each doing `ops` successful
 // fetch&adds on the shared W-word counter; abandon (cooperative crash)
 // every `abandon_every`-th lease instead of retiring (0 = never).
-void worker(Managed& m, std::uint64_t sessions, std::uint64_t ops,
-            std::uint64_t abandon_every, std::uint64_t thread_seed) {
+Tally worker(Managed& m, const util::TimedRun& run, std::uint64_t ops,
+             std::uint64_t abandon_every, std::uint64_t thread_seed) {
+  Tally tally;
   std::vector<std::uint64_t> buf(m.words());
-  for (std::uint64_t s = 0; s < sessions; ++s) {
+  while (!run.should_stop()) {
     auto sess = m.join();
     for (std::uint64_t i = 0; i < ops; ++i) {
       for (;;) {
@@ -74,50 +86,49 @@ void worker(Managed& m, std::uint64_t sessions, std::uint64_t ops,
         buf[0] += 1;
         if (sess.sc(buf.data())) break;
       }
+      ++tally.sc_successes;
     }
     if (abandon_every != 0 && !sess.degraded() &&
-        (s + thread_seed) % abandon_every == 0) {
+        (tally.leases + thread_seed) % abandon_every == 0) {
       sess.abandon();
     }
     // else: ~Session retires cleanly.
+    ++tally.leases;
   }
+  return tally;
 }
 
-ChurnResult run_scenario(Managed& m, unsigned threads,
-                         std::uint64_t sessions_per_thread,
-                         std::uint64_t ops_per_session,
-                         std::uint64_t abandon_every) {
-  std::atomic<bool> done{false};
-  // Sweeps while the workers churn: recycles abandoned slots. Without
-  // abandons there is nothing for it to recycle.
-  std::thread reaper([&] {
-    while (abandon_every != 0 && !done.load(std::memory_order_acquire)) {
-      m.reclaim_scan();
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-  });
-  // Workers start together: a staggered start lets early threads finish
-  // before late ones spawn, and then slots never run out.
-  util::SpinBarrier start(threads);
-  const auto t0 = std::chrono::steady_clock::now();
-  std::vector<std::thread> pool;
-  for (unsigned t = 0; t < threads; ++t) {
-    pool.emplace_back([&, t] {
-      start.arrive_and_wait();
-      worker(m, sessions_per_thread, ops_per_session, abandon_every, t);
-    });
+ChurnResult run_scenario(Managed& m, const Scenario& sc,
+                         std::uint64_t duration_ns, std::uint64_t ops) {
+  std::vector<Managed::Session> holders;
+  for (std::uint32_t i = 0; i < sc.idle_holders; ++i) {
+    holders.push_back(m.join());
   }
-  for (auto& th : pool) th.join();
-  const auto t1 = std::chrono::steady_clock::now();
-  done.store(true, std::memory_order_release);
-  reaper.join();
+  // With abandons, one more thread (t == sc.threads) sweeps while the
+  // workers churn: it recycles abandoned slots. Without abandons there is
+  // nothing for it to recycle.
+  std::vector<Tally> tallies(sc.threads);
+  util::TimedRun run;
+  run.run_for(sc.threads + (sc.abandon_every != 0 ? 1 : 0), duration_ns,
+              [&](unsigned t) {
+                if (t < sc.threads) {
+                  tallies[t] = worker(m, run, ops, sc.abandon_every, t);
+                  return;
+                }
+                while (!run.should_stop()) {
+                  m.reclaim_scan();
+                  std::this_thread::sleep_for(std::chrono::microseconds(200));
+                }
+              });
   m.reclaim_scan();  // settle the last abandons
+  holders.clear();   // the idle holders retire
 
   ChurnResult r;
-  r.seconds = std::chrono::duration<double>(t1 - t0).count();
-  r.sessions = std::uint64_t{threads} * sessions_per_thread;
-  r.sc_successes = std::uint64_t{threads} * sessions_per_thread *
-                   ops_per_session;
+  r.seconds = static_cast<double>(run.measured_ns()) / 1e9;
+  for (const Tally& t : tallies) {
+    r.total.leases += t.leases;
+    r.total.sc_successes += t.sc_successes;
+  }
   r.mem = m.membership();
   return r;
 }
@@ -132,7 +143,7 @@ int main(int argc, char** argv) {
   const std::uint32_t slots = smoke ? 4u : 8u;
   const unsigned hw = std::max(4u, std::thread::hardware_concurrency());
   const unsigned churn_threads = std::min(hw * 2, smoke ? 8u : 16u);
-  const std::uint64_t sessions = smoke ? 64 : 512;
+  const std::uint64_t duration_ns = smoke ? 50'000'000 : 250'000'000;
   const std::uint64_t ops = smoke ? 64 : 256;
   const std::uint64_t abandon_every = 5;
 
@@ -145,50 +156,47 @@ int main(int argc, char** argv) {
   util::TablePrinter table({"scenario", "threads", "joins/s", "Mops",
                              "degraded %", "reclaims", "retries"});
 
-  struct Scenario {
-    const char* name;
-    unsigned threads;
-    std::uint64_t abandon_every;
-  };
   const Scenario scenarios[] = {
-      {"steady", slots, 0},
-      {"churn", churn_threads, abandon_every},
-      {"exhausted", 2 * slots, 0},
+      {"steady", slots, 0, 0},
+      {"churn", churn_threads, abandon_every, 0},
+      {"exhausted", 2 * slots, 0, slots},
   };
+  {
+    Managed warm_up(slots, kWords);
+    run_scenario(warm_up, scenarios[0], duration_ns, ops);
+  }
   bool ok = true;
   for (const auto& sc : scenarios) {
     Managed m(slots, kWords);
     obs.bind(m, "jp managed w=" + std::to_string(kWords) + " slots=" +
                     std::to_string(slots) + " " + sc.name);
-    const ChurnResult r =
-        run_scenario(m, sc.threads, sessions, ops, sc.abandon_every);
+    const ChurnResult r = run_scenario(m, sc, duration_ns, ops);
 
     // Correctness witness: the counter saw exactly one increment per
     // successful SC, across joins, retirements, crashes, and recycling.
     std::vector<std::uint64_t> buf(m.words());
     auto probe = m.join();
     probe.ll(buf.data());
-    if (buf[0] != r.sc_successes ||
-        m.stats().sc_success != r.sc_successes) {
+    if (buf[0] != r.total.sc_successes ||
+        m.stats().sc_success != r.total.sc_successes) {
       std::fprintf(stderr,
-                   "%s: counter %llu != %llu expected successful SCs\n",
+                   "%s: counter %llu != %llu successful SCs tallied\n",
                    sc.name, static_cast<unsigned long long>(buf[0]),
-                   static_cast<unsigned long long>(r.sc_successes));
+                   static_cast<unsigned long long>(r.total.sc_successes));
       ok = false;
     }
     probe.retire();
 
-    const double joins_per_s =
-        static_cast<double>(r.mem.joins + r.mem.degraded_joins) / r.seconds;
+    const double leases = static_cast<double>(r.total.leases);
+    const double joins_per_s = leases / r.seconds;
     const double mops =
-        static_cast<double>(r.sc_successes) / r.seconds / 1e6;
-    const double degraded_pct =
-        100.0 * static_cast<double>(r.mem.degraded_joins) /
-        static_cast<double>(r.mem.joins + r.mem.degraded_joins);
+        static_cast<double>(r.total.sc_successes) / r.seconds / 1e6;
+    const double degraded =
+        static_cast<double>(r.mem.degraded_joins) / leases;
     table.add_row({sc.name, util::TablePrinter::num(sc.threads),
                    util::TablePrinter::num(joins_per_s, 0),
                    util::TablePrinter::num(mops, 2),
-                   util::TablePrinter::num(degraded_pct, 2),
+                   util::TablePrinter::num(100.0 * degraded, 2),
                    util::TablePrinter::num(r.mem.crash_reclaims),
                    util::TablePrinter::num(r.mem.join_retries)});
 
@@ -197,13 +205,11 @@ int main(int argc, char** argv) {
     out.field("impl", "jp");
     out.field("slots", std::uint64_t{slots});
     out.field("threads", std::uint64_t{sc.threads});
-    out.field("sessions", r.sessions);
+    out.field("sessions", r.total.leases);
     out.field("ops_per_session", ops);
     out.field("joins_per_sec", joins_per_s);
     out.field("mops", mops);
-    out.field("degraded_fraction",
-              static_cast<double>(r.mem.degraded_joins) /
-                  static_cast<double>(r.mem.joins + r.mem.degraded_joins));
+    out.field("degraded_fraction", degraded);
     out.field("join_retries", r.mem.join_retries);
     out.field("crash_reclaims", r.mem.crash_reclaims);
     out.field("scans", r.mem.scans);
@@ -218,13 +224,7 @@ int main(int argc, char** argv) {
   table.print();
   std::printf("\n");
 
-  if (!json_path.empty()) {
-    if (!out.write(json_path)) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", json_path.c_str());
-  }
+  if (!out.write(json_path)) return 1;
   if (!obs.finish()) ok = false;
   return ok ? 0 : 1;
 }

@@ -17,7 +17,7 @@
 // Reported per delta: fast-thread throughput, and p50/p99/max fast-thread
 // op latency.
 //
-// Run: ./bench_stall_adversary
+// Run: ./bench_stall_adversary [--smoke]   (--smoke: 50 ms cells for CI)
 #include <atomic>
 #include <cstdio>
 #include <mutex>
@@ -32,7 +32,6 @@ using util::TablePrinter;
 namespace {
 
 constexpr std::uint32_t kWords = 8;
-constexpr std::uint64_t kDurationNs = 400'000'000;
 
 struct StallResult {
   double fast_mops = 0;
@@ -43,7 +42,8 @@ struct StallResult {
 ///         "lock" — ALL threads serialize a mutex around read/compute/write,
 ///                  slow thread computes for delta inside the lock.
 StallResult run_stall(const std::string& impl, unsigned threads,
-                      std::uint64_t stall_ns, bench::ObsSession& obs) {
+                      std::uint64_t stall_ns, std::uint64_t duration_ns,
+                      bench::ObsSession& obs) {
   auto factory = bench::factory_by_name(impl);
   auto obj = factory.make(threads, kWords);
   obs.bind(*obj, impl + " stall=" + std::to_string(stall_ns / 1000) + "us");
@@ -53,7 +53,7 @@ StallResult run_stall(const std::string& impl, unsigned threads,
   std::vector<util::LatencyHistogram> hists(threads);
   util::TimedRun run;
 
-  run.run_for(threads, kDurationNs, [&](unsigned t) {
+  run.run_for(threads, duration_ns, [&](unsigned t) {
     std::vector<std::uint64_t> value(obj->words());
     const bool slow = (t == 0);
     std::uint64_t ops = 0;
@@ -97,7 +97,8 @@ StallResult run_stall(const std::string& impl, unsigned threads,
 /// The lock failure mode proper: the whole read-modify-write happens inside
 /// one mutex-protected critical section (how a lock-based multiword object
 /// is actually used), so a stalled holder blocks everyone.
-StallResult run_lock_cs(unsigned threads, std::uint64_t stall_ns) {
+StallResult run_lock_cs(unsigned threads, std::uint64_t stall_ns,
+                        std::uint64_t duration_ns) {
   std::mutex mu;
   std::vector<std::uint64_t> value(kWords, 0);
   // Relaxed op counter: summed after join(); the join supplies the
@@ -106,7 +107,7 @@ StallResult run_lock_cs(unsigned threads, std::uint64_t stall_ns) {
   std::vector<util::LatencyHistogram> hists(threads);
   util::TimedRun run;
 
-  run.run_for(threads, kDurationNs, [&](unsigned t) {
+  run.run_for(threads, duration_ns, [&](unsigned t) {
     const bool slow = (t == 0);
     std::uint64_t ops = 0;
     while (!run.should_stop()) {
@@ -154,6 +155,8 @@ void print_row(TablePrinter& table, const std::string& name,
 int main(int argc, char** argv) {
   const unsigned threads =
       std::min(std::max(4u, std::thread::hardware_concurrency()), 8u);
+  const std::uint64_t duration_ns =
+      bench::has_flag(argc, argv, "--smoke") ? 50'000'000 : 400'000'000;
   bench::ObsSession obs(argc, argv, threads);
 
   std::printf(
@@ -167,13 +170,13 @@ int main(int argc, char** argv) {
   for (std::uint64_t stall_us : {0ULL, 100ULL, 1000ULL, 10000ULL}) {
     const std::uint64_t ns = stall_us * 1000;
     print_row(table, "jp (wait-free)", stall_us,
-              run_stall("jp", threads, ns, obs));
+              run_stall("jp", threads, ns, duration_ns, obs));
     print_row(table, "am (wait-free)", stall_us,
-              run_stall("am", threads, ns, obs));
+              run_stall("am", threads, ns, duration_ns, obs));
     print_row(table, "retry (lock-free)", stall_us,
-              run_stall("retry", threads, ns, obs));
+              run_stall("retry", threads, ns, duration_ns, obs));
     print_row(table, "mutex CS (blocking)", stall_us,
-              run_lock_cs(threads, ns));
+              run_lock_cs(threads, ns, duration_ns));
   }
   table.print();
 

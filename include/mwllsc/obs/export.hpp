@@ -25,8 +25,7 @@
 //   closed LL/SC windows as "X" events, all else as instants, and a flow
 //   arrow from each help_install to the LL that consumed the donation.
 //
-// * write_prometheus / write_metrics_json — text + JSON export of a
-//   MetricsRegistry.
+// * write_prometheus — Prometheus text export of a MetricsRegistry.
 #pragma once
 
 #include <array>
@@ -53,9 +52,6 @@ namespace mwllsc::obs {
 /// version check.
 inline constexpr char kTraceMagic[8] = {'M', 'W', 'L', 'L', 'S', 'C', 'T', 'R'};
 inline constexpr std::uint32_t kTraceFormatVersion = 1;
-
-/// write_metrics_json's schema, versioned apart from the trace dump.
-inline constexpr std::uint32_t kMetricsSchemaVersion = 3;
 
 // ------------------------------------------------------------------ checker
 
@@ -601,40 +597,6 @@ inline bool write_prometheus(const std::string& path,
       series(base, "", m.value);
     }
   }
-  std::fclose(f);
-  return true;
-}
-
-inline bool write_metrics_json(const std::string& path,
-                               const MetricsRegistry& reg,
-                               std::string* err = nullptr) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    if (err) *err = "cannot open " + path;
-    return false;
-  }
-  std::fprintf(f, "{\n  \"schema_version\": %u,\n  \"metrics\": [\n",
-               kMetricsSchemaVersion);
-  std::size_t i = 0;
-  const auto& all = reg.metrics();
-  for (const auto& [key, m] : all) {
-    std::fprintf(f, "    {\"name\": \"%s\", \"type\": \"%s\", ",
-                 key.c_str(),
-                 m.type == MetricsRegistry::Type::kCounter ? "counter"
-                 : m.type == MetricsRegistry::Type::kGauge ? "gauge"
-                                                           : "histogram");
-    if (m.type == MetricsRegistry::Type::kHistogram) {
-      std::fprintf(f,
-                   "\"p50\": %" PRIu64 ", \"p99\": %" PRIu64
-                   ", \"max\": %" PRIu64 ", \"count\": %" PRIu64 "}",
-                   m.hist.percentile(0.5), m.hist.percentile(0.99),
-                   m.hist.max(), m.hist.count());
-    } else {
-      std::fprintf(f, "\"value\": %.17g}", m.value);
-    }
-    std::fprintf(f, "%s\n", ++i < all.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   return true;
 }

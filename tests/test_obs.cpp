@@ -558,9 +558,7 @@ void metrics_registry() {
   }
 
   const std::string prom = "test_obs_metrics.prom";
-  const std::string json = "test_obs_metrics.json";
   CHECK(obs::write_prometheus(prom, reg));
-  CHECK(obs::write_metrics_json(json, reg));
 
   const std::string ptext = read_file(prom);
   CHECK(ptext.find("# TYPE mwllsc_sc_success_ratio gauge") !=
@@ -574,13 +572,7 @@ void metrics_registry() {
   CHECK(ptext.find("quantile=\"0.99\"") != std::string::npos);
   CHECK(ptext.find("mwllsc_op_latency_ns_count{impl=\"jp\"} 1000") !=
         std::string::npos);
-
-  const std::string jtext = read_file(json);
-  CHECK(jtext.find("\"schema_version\"") != std::string::npos);
-  CHECK(jtext.find("mwllsc_sc_success_ratio") != std::string::npos);
-  CHECK(jtext.find("\"p99\"") != std::string::npos);
   std::remove(prom.c_str());
-  std::remove(json.c_str());
 }
 
 void trace_derived_metrics(const obs::TraceData& d) {
