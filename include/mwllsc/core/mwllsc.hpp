@@ -29,9 +29,9 @@
 // forces the re-check to observe drift > P and reject. A snapshot accepted
 // with drift in [1, P] is still exactly version T's value and linearizes
 // at the link instant; only drift 0 leaves the SC link intact
-// (link_valid). The announce word is not written, so an LL nobody
-// disturbs pays no fence and no CAS: link (1) + copy (W) + re-check (1) +
-// a read of its own announce word (1, below) = W+3 accesses.
+// (link_valid). The announce word is neither read nor written, so an LL
+// nobody disturbs pays no fence and no CAS: link (1) + copy (W) +
+// re-check (1) = W+2 accesses.
 //
 // LL, announced round (drift > P). The first attempt is abandoned and the
 // paper's protocol runs: announce, link, copy, aged validation, then
@@ -60,16 +60,15 @@
 // posted, and LL finishes by copying the donated buffer: announce (1) +
 // link (1) + copy (W) + validate (1) + check A[p] (1) + donated copy (W)
 // = 2W+4 accesses for the round, which runs once: there is no retry loop.
-// Finding neither HELPED nor a moved seq means the guarantee broke; that
-// exit is counted in ll_retries, which every test asserts stays zero.
+// Not finding HELPED means the guarantee broke; that exit is counted in
+// ll_retries, which every test asserts stays zero.
 //
-// Reclaimed pids. reclaim_pid (membership layer) judges a process dead,
-// finishes a ring swap it left pending and settles its announce slot,
-// always bumping the slot's seq. A process resurrected under test control
-// mid-LL must come back with its link broken: the announced round learns it
-// from a failed withdraw CAS (past P its copy failed validation, so it
-// returns all-zero words, not the copy), the first attempt from one read
-// of its own announce word (seq moved).
+// Failure model: crash-stop. reclaim_pid (membership layer) settles the
+// slot of a process that has stopped, and a reclaimed pid takes no further
+// step until rebind_pid reissues it. The membership layer enforces this
+// (a Session's ops throw after abandon(), and only an abandoned slot is
+// reclaimed), and the simulator never resumes a crashed fiber. So LL
+// never checks whether its own slot was reclaimed under it.
 //
 // Retirement ring. A successful SC retires the previously-current buffer
 // into ring cell (T+1) mod R — <buf, tag T+1> — taking the cell's old
@@ -128,7 +127,7 @@ class MwLLSC {
   /// This implementation's worst LL: a first attempt that fell back
   /// (link + W-word copy + re-check = W+2) plus one announced round that
   /// needed rescue (announce + link + copy + validate + announce check +
-  /// donated copy = 2W+4). An accepted first attempt is W+3.
+  /// donated copy = 2W+4). An accepted first attempt is the W+2 alone.
   static constexpr std::uint32_t ll_impl_bound(std::uint32_t w) {
     return 3 * w + 6;
   }
@@ -177,18 +176,8 @@ class MwLLSC {
       std::uint32_t b = 0;
       const std::uint64_t drift = link_and_copy(p, false, out, t0, b);
       if (drift <= p2_) {
-        // A reclaim_pid that judged this process dead always bumps the
-        // slot's seq; a moved seq means the slot is no longer ours, so
-        // the link must not survive. Only the owner and a reclaimer write
-        // this word while no announce is posted.
-        Env::at("ll:own_slot", p);
-        // mwllsc-ordering: relaxed(own slot, no announce posted: nothing
-        // to synchronize with except a test-driven reclaim on this thread)
-        const bool reclaimed =
-            seq_of_a(announce_[p].load(std::memory_order_relaxed)) !=
-            me.seq;
         me.ll_buf = b;
-        me.link_valid = (drift == 0) && !reclaimed;
+        me.link_valid = drift == 0;
         c.bump(c.ll_ops);
         trace_.emit(obs::EventKind::kLlFast, p, t0, b);
         return;
@@ -232,19 +221,15 @@ class MwLLSC {
         trace_.emit(obs::EventKind::kLlRescue, p, me.seq, d);
         return;
       }
-      // No donation: the copy failed validation and may be torn, so it is
-      // not returned as a value; `out` is zeroed and the link stays
-      // broken (drift > 0). A moved seq means reclaim_pid judged this
-      // process dead and withdrew the announce by proxy: the withdraw
-      // below fails on it and takes the reclaimed exit. Still WAITING at
-      // our seq, the help guarantee is broken: count it (every checker
-      // fails on a nonzero ll_retries; the simulator reports its repro
-      // schedule), then withdraw so no late donor takes the offered spare.
+      // No donation: the help guarantee is broken. The copy failed
+      // validation and may be torn, so it is not returned as a value; `out`
+      // is zeroed and the link stays broken (drift > 0). Count it (every
+      // checker fails on a nonzero ll_retries; the simulator reports its
+      // repro schedule), then withdraw so no late donor takes the offered
+      // spare.
       std::fill_n(out, w_, std::uint64_t{0});
-      if (seq_of_a(a) == me.seq) {
-        c.bump(c.ll_retries);
-        trace_.emit(obs::EventKind::kLlRetry, p, me.seq);
-      }
+      c.bump(c.ll_retries);
+      trace_.emit(obs::EventKind::kLlRetry, p, me.seq);
     }
     // Drift <= P: aged validation passed. Buffers rest >= R >= P tags in
     // the ring before reuse, so the copy is an untorn snapshot of version
@@ -252,34 +237,22 @@ class MwLLSC {
     // a winner's donation CAS on this slot; the total order picks exactly
     // one side of the ownership exchange.
     std::uint64_t expect = pack_a(kWaiting, me.spare, me.seq);
-    bool reclaimed = false;
     Env::at("ll:withdraw", p);
     // mwllsc-ordering: seq_cst(withdraw vs donation CAS, one winner)
     if (!announce_[p].compare_exchange_strong(
             expect, pack_a(kIdle, me.spare, me.seq),
             std::memory_order_seq_cst)) {
-      if (state_of_a(expect) == kHelped && seq_of_a(expect) == me.seq) {
-        // A donation raced in. Our own copy stands; adopt the donated
-        // buffer as our new spare — the donor took the one we offered.
-        me.spare = buf_of_a(expect);
-        c.bump(c.ll_helped);
-        trace_.emit(obs::EventKind::kLlHelped, p, me.seq, buf_of_a(expect));
-      } else {
-        // The word no longer carries our seq: a crash-stop reclaim
-        // (reclaim_pid) judged this process dead and withdrew the announce
-        // out from under it. Within P the copy is still an untorn
-        // snapshot (past P it was zeroed above), but the slot — and the
-        // spare it settled — belong to the reclaimer now,
-        // so the only safe exit is to break the link and finish this op.
-        // Reached only when a reclaimed process is resurrected under test
-        // control; a genuinely dead process never gets here.
-        reclaimed = true;
-      }
+      // A donation raced in — nothing else writes a posted slot while its
+      // owner still takes steps. Our own copy stands; adopt the donated
+      // buffer as our new spare — the donor took the one we offered.
+      assert(state_of_a(expect) == kHelped && seq_of_a(expect) == me.seq);
+      me.spare = buf_of_a(expect);
+      c.bump(c.ll_helped);
+      trace_.emit(obs::EventKind::kLlHelped, p, me.seq, buf_of_a(expect));
     }
     me.announced = false;
     me.ll_buf = b;
-    // Any drift already broke the link; so does a raced reclaim.
-    me.link_valid = (drift == 0) && !reclaimed;
+    me.link_valid = drift == 0;  // any drift already broke the link
     c.bump(c.ll_ops);
     trace_.emit(obs::EventKind::kLlFast, p, t0, b);
   }

@@ -1,112 +1,12 @@
-// mwllsc-lint reporting: human findings to a stream, machine findings as
-// JSON (one finding object per line, the same line-oriented shape the
-// repo's other emitters use so the loader below — and CI consumers — can
-// parse it without a JSON library), and the loader that round-trips it.
+// mwllsc-lint reporting: the human findings, one per line with its
+// snippet and hint, then a one-line summary.
 #pragma once
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
 
 #include "lint/rules.hpp"
 
 namespace mwllsc::lint {
-
-/// Schema version of the --json report; bump on breaking field changes.
-constexpr int kReportSchemaVersion = 1;
-
-namespace detail {
-
-inline std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
-inline std::string json_unescape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != '\\' || i + 1 >= s.size()) {
-      out.push_back(s[i]);
-      continue;
-    }
-    const char n = s[++i];
-    switch (n) {
-      case 'n':
-        out.push_back('\n');
-        break;
-      case 't':
-        out.push_back('\t');
-        break;
-      case 'u':
-        if (i + 4 < s.size()) {
-          out.push_back(static_cast<char>(
-              std::strtol(s.substr(i + 1, 4).c_str(), nullptr, 16)));
-          i += 4;
-        }
-        break;
-      default:
-        out.push_back(n);
-    }
-  }
-  return out;
-}
-
-inline bool find_int(const std::string& s, const char* key, long* out) {
-  const auto pos = s.find(key);
-  if (pos == std::string::npos) return false;
-  *out = std::strtol(s.c_str() + pos + std::strlen(key), nullptr, 10);
-  return true;
-}
-
-/// Reads a JSON string value after `key`, honoring escapes.
-inline bool find_str(const std::string& s, const char* key,
-                     std::string* out) {
-  const auto pos = s.find(key);
-  if (pos == std::string::npos) return false;
-  std::size_t i = pos + std::strlen(key);
-  std::string raw;
-  for (; i < s.size(); ++i) {
-    if (s[i] == '\\' && i + 1 < s.size()) {
-      raw.push_back(s[i]);
-      raw.push_back(s[i + 1]);
-      ++i;
-      continue;
-    }
-    if (s[i] == '"') break;
-    raw.push_back(s[i]);
-  }
-  *out = json_unescape(raw);
-  return true;
-}
-
-}  // namespace detail
 
 inline void print_findings(const LintResult& r, std::FILE* out) {
   for (const Finding& f : r.findings) {
@@ -123,83 +23,6 @@ inline void print_findings(const LintResult& r, std::FILE* out) {
                "mwllsc_lint: %zu finding%s in %d file%s (%d suppressed)\n",
                r.findings.size(), r.findings.size() == 1 ? "" : "s",
                r.files, r.files == 1 ? "" : "s", r.suppressed);
-}
-
-inline std::string report_json(const LintResult& r) {
-  std::string out;
-  out += "{\n";
-  out += "  \"tool\": \"mwllsc_lint\",\n";
-  out += "  \"schema_version\": " + std::to_string(kReportSchemaVersion) +
-         ",\n";
-  out += "  \"files\": " + std::to_string(r.files) + ",\n";
-  out += "  \"suppressed\": " + std::to_string(r.suppressed) + ",\n";
-  out += "  \"findings\": [\n";
-  for (std::size_t i = 0; i < r.findings.size(); ++i) {
-    const Finding& f = r.findings[i];
-    out += "    {\"file\": \"" + detail::json_escape(f.file) +
-           "\", \"line\": " + std::to_string(f.line) +
-           ", \"rule\": \"" + detail::json_escape(f.rule) +
-           "\", \"message\": \"" + detail::json_escape(f.message) +
-           "\", \"hint\": \"" + detail::json_escape(f.hint) +
-           "\", \"snippet\": \"" + detail::json_escape(f.snippet) + "\"}";
-    out += i + 1 < r.findings.size() ? ",\n" : "\n";
-  }
-  out += "  ]\n";
-  out += "}\n";
-  return out;
-}
-
-inline bool write_report_json(const std::string& path, const LintResult& r,
-                              std::string* err = nullptr) {
-  std::FILE* f =
-      path == "-" ? stdout : std::fopen(path.c_str(), "w");
-  if (!f) {
-    if (err) *err = "cannot write " + path;
-    return false;
-  }
-  const std::string json = report_json(r);
-  std::fwrite(json.data(), 1, json.size(), f);
-  if (f != stdout) std::fclose(f);
-  return true;
-}
-
-/// Parses report_json output back into a LintResult (one finding per
-/// line). Tolerant of unknown fields; returns false on a missing header.
-inline bool load_report_json(const std::string& text, LintResult* out,
-                             std::string* err = nullptr) {
-  *out = LintResult{};
-  if (text.find("\"tool\": \"mwllsc_lint\"") == std::string::npos) {
-    if (err) *err = "not a mwllsc_lint report";
-    return false;
-  }
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    const auto eol = text.find('\n', pos);
-    const std::string line =
-        text.substr(pos, eol == std::string::npos ? std::string::npos
-                                                  : eol - pos);
-    pos = eol == std::string::npos ? text.size() : eol + 1;
-
-    long v = 0;
-    if (line.find("\"rule\"") != std::string::npos) {
-      Finding f;
-      detail::find_str(line, "\"file\": \"", &f.file);
-      if (detail::find_int(line, "\"line\": ", &v)) {
-        f.line = static_cast<int>(v);
-      }
-      f.line_end = f.line;
-      detail::find_str(line, "\"rule\": \"", &f.rule);
-      detail::find_str(line, "\"message\": \"", &f.message);
-      detail::find_str(line, "\"hint\": \"", &f.hint);
-      detail::find_str(line, "\"snippet\": \"", &f.snippet);
-      out->findings.push_back(std::move(f));
-    } else if (detail::find_int(line, "\"files\": ", &v)) {
-      out->files = static_cast<int>(v);
-    } else if (detail::find_int(line, "\"suppressed\": ", &v)) {
-      out->suppressed = static_cast<int>(v);
-    }
-  }
-  return true;
 }
 
 }  // namespace mwllsc::lint

@@ -7,10 +7,11 @@
 //   loader refuses anything that is not one whole dump of this version.
 //
 // * check_trace — replays per-pid event streams and re-verifies, from
-//   events alone: the LL step bounds — the paper's 4W+12 and the
-//   implementation's 3W+6, both taken from core::MwLLSC — and zero
-//   LL retries (broken help guarantees) for every variable labelled as the paper's protocol
-//   ("jp…"), exactly one bank write per successful SC (invariant I2) for
+//   events alone: zero LL retries (broken help guarantees) for every
+//   variable labelled as the paper's protocol ("jp…"), which keeps every
+//   jp LL to one announced round and so within 3W+6 (the step counts
+//   themselves are checked where real accesses are counted: the
+//   simulator), exactly one bank write per successful SC (invariant I2) for
 //   every variable that emits bank writes, and the <= 3 LL/SC rounds bound
 //   of the apps-layer help-all construction. Membership lifecycle events
 //   are cross-checked too: pid leases must not overlap (join while live),
@@ -40,7 +41,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/mwllsc.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -57,7 +57,6 @@ inline constexpr std::uint32_t kTraceFormatVersion = 1;
 
 struct TraceCheckResult {
   std::uint64_t lls_checked = 0;    ///< completed LL windows replayed
-  std::uint64_t max_ll_steps = 0;   ///< worst derived step count (jp vars)
   std::uint64_t sc_commits = 0;
   std::uint64_t bank_writes = 0;
   std::uint64_t applies_checked = 0;
@@ -72,21 +71,7 @@ struct TraceCheckResult {
   bool vacuous() const { return lls_checked == 0; }
 };
 
-/// Derived step count for one completed jp LL, from the observed events.
-/// `rounds` counts announced rounds (0: the announce-free first attempt
-/// was accepted). An accepted first attempt costs link/copy/re-check plus
-/// the read of its own announce word = W+3; one that fell back costs W+2,
-/// then each announced round announce/link/copy/validate/announce-check
-/// = W+4, and a rescue adds the W-word donated copy.
-inline std::uint64_t ll_steps_of(std::uint32_t w, std::uint32_t rounds,
-                                 bool rescued) {
-  if (rounds == 0) return w + 3;
-  return (w + 2) + static_cast<std::uint64_t>(rounds) * (w + 4) +
-         (rescued ? w : 0);
-}
-
 inline TraceCheckResult check_trace(const TraceData& d) {
-  using Jp = core::MwLLSC<llsc::Dw128LLSC>;
   TraceCheckResult r;
 
   // Pre-scan: which vars ever emit bank writes? Substrates without a
@@ -107,8 +92,6 @@ inline TraceCheckResult check_trace(const TraceData& d) {
 
     struct VarState {
       bool in_ll = false;
-      bool fell_back = false;  ///< ll_fallback seen in the open window
-      std::uint32_t retries = 0;
       bool commit_open = false;  ///< sc_commit seen, bank_write pending
       bool any_commit = false;
     };
@@ -189,7 +172,6 @@ inline TraceCheckResult check_trace(const TraceData& d) {
 
       VarState& v = vs[e.var];
       const TraceData::VarInfo* info = d.var_info(e.var);
-      const std::uint32_t w = info ? info->words : 0;
       const bool jp = info && info->label.rfind("jp", 0) == 0;
 
       switch (k) {
@@ -201,26 +183,18 @@ inline TraceCheckResult check_trace(const TraceData& d) {
             r.violations.push_back(msg);
           }
           v.in_ll = true;
-          v.fell_back = false;
-          v.retries = 0;
-          break;
-        case EventKind::kLlFallback:
-          if (v.in_ll) v.fell_back = true;
           break;
         case EventKind::kLlRetry:
-          if (v.in_ll) {
-            ++v.retries;
-            if (jp) {
-              std::snprintf(msg, sizeof(msg),
-                            "pid %zu var %u: LL retry on a jp variable "
-                            "(help guarantee broken)",
-                            pid, e.var);
-              r.violations.push_back(msg);
-            }
+          if (v.in_ll && jp) {
+            std::snprintf(msg, sizeof(msg),
+                          "pid %zu var %u: LL retry on a jp variable "
+                          "(help guarantee broken)",
+                          pid, e.var);
+            r.violations.push_back(msg);
           }
           break;
         case EventKind::kLlFast:
-        case EventKind::kLlRescue: {
+        case EventKind::kLlRescue:
           if (!v.in_ll) {
             if (!trunc) {
               std::snprintf(msg, sizeof(msg),
@@ -232,30 +206,7 @@ inline TraceCheckResult check_trace(const TraceData& d) {
           }
           v.in_ll = false;
           ++r.lls_checked;
-          const bool rescued = k == EventKind::kLlRescue;
-          // A rescue or retry implies an announced round even in a trace
-          // that predates ll_fallback markers (the conservative reading).
-          const std::uint32_t rounds =
-              (v.fell_back || rescued || v.retries > 0) ? v.retries + 1 : 0;
-          const std::uint64_t steps = ll_steps_of(w, rounds, rescued);
-          if (jp) {
-            if (steps > r.max_ll_steps) r.max_ll_steps = steps;
-            const std::uint64_t paper = Jp::ll_step_bound(w);
-            const std::uint64_t impl = Jp::ll_impl_bound(w);
-            const bool over_paper = steps > paper;
-            if (over_paper || steps > impl) {
-              std::snprintf(msg, sizeof(msg),
-                            "pid %zu var %u: LL took %" PRIu64
-                            " derived steps > %s = %" PRIu64
-                            " (W=%u, rounds=%u, retries=%u)",
-                            pid, e.var, steps, over_paper ? "4W+12" : "3W+6",
-                            over_paper ? paper : impl,
-                            w, rounds, v.retries);
-              r.violations.push_back(msg);
-            }
-          }
           break;
-        }
         case EventKind::kScCommit:
           if (v.commit_open && var_has_bank[e.var]) {
             std::snprintf(msg, sizeof(msg),

@@ -27,13 +27,8 @@
 // ownership exchanges preserved the buffer accounting. After the rescue,
 // the consumed donation's HELPED word must go stale: the donated buffer
 // rotates through X and the ring, and a later reclaim of the reader's pid
-// must keep I1 exact.
-//
-// The same stalls drive the announced round's other exit: a reader whose
-// pid is reclaimed while its round is stalled finds its seq moved at the
-// slot check and returns zeroed words with its link broken. At N = 9 the
-// announce and ring words span two lines each, and a reader on the second
-// announce line is rescued the same way.
+// must keep I1 exact. At N = 9 the announce and ring words span two lines
+// each, and a reader on the second announce line is rescued the same way.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -54,16 +49,11 @@ constexpr std::uint32_t kForceFallback = 4;  // SCs after the first link, > P
 
 using Hooked = core::MwLLSC<llsc::Dw128LLSC, core::HookEnv>;
 
-// Where the reader's pid is reclaimed, relative to the SCs injected after
-// its announced-round link.
-enum class Reclaim { kNever, kBeforeScs, kAfterScs };
-
 struct HookState {
   Hooked* obj = nullptr;
   std::uint32_t reader = 0;     // the stalled LL's pid
   std::uint32_t writer = 1;     // the pid whose SCs interfere
   std::uint32_t force = kForceFallback;  // SCs after the first link, > P
-  Reclaim reclaim = Reclaim::kNever;
   std::uint32_t sc_rounds = 0;  // successful SCs after the announced link
   bool forced = false;          // the first attempt was pushed past P
   bool fired = false;           // the announced round was stalled
@@ -107,9 +97,7 @@ void interfere(void* ctx, const char* point, std::uint32_t pid) {
     // At N = 2 the winner of tag U probes slot U mod 2: tags 5 and 7
     // probe pid 1's own slot (no-op), tag 6 probes the stalled reader's
     // slot 0 and donates there, pre-SC.
-    if (st->reclaim == Reclaim::kBeforeScs) st->obj->reclaim_pid(st->reader);
     drive(st, st->sc_rounds, 100);
-    if (st->reclaim == Reclaim::kAfterScs) st->obj->reclaim_pid(st->reader);
   }
 }
 
@@ -275,42 +263,6 @@ void consumed_donation_goes_stale() {
   CHECK_EQ(obj.stats().ll_retries, 0u);
 }
 
-// A reader reclaimed while its announced round is stalled, then pushed
-// past P: the slot check finds its seq moved. Reclaimed before the SCs,
-// the slot is IDLE and nobody donates; reclaimed after them, reclaim_pid
-// adopted the donation as the pid's spare. Either way the copy failed
-// validation and is not returned — the LL yields zeroed words — and the
-// link is broken, ll_retries stays zero, and after a rebind
-// the pid's next holder finds an exact buffer pool.
-void reclaimed_mid_round(Reclaim when) {
-  Hooked obj(2, kW);
-  HookState st;
-  st.reclaim = when;
-  const auto out = stalled_ll(obj, st, 3);
-
-  for (std::uint32_t i = 0; i < kW; ++i) CHECK_EQ(out[i], 0u);
-  const auto s = obj.stats();
-  CHECK_EQ(s.helps_given, when == Reclaim::kAfterScs ? 1u : 0u);
-  CHECK_EQ(s.ll_helped, 0u);
-  CHECK_EQ(s.ll_used_helped_value, 0u);
-  CHECK_EQ(s.ll_retries, 0u);
-  CHECK_EQ(s.ll_ops, kForceFallback + 3 + 1);
-  std::vector<std::uint64_t> v = out;
-  CHECK(!obj.vl(0));
-  CHECK(!obj.sc(0, v.data()));
-  check_i1(obj);
-
-  obj.rebind_pid(0);
-  for (std::uint64_t i = 0; i < 8; ++i) {
-    const std::uint32_t p = i & 1;
-    obj.ll(p, v.data());
-    CHECK_EQ(v[0], i == 0 ? 300u : 1000 + i - 1);
-    v[0] = 1000 + i;
-    CHECK(obj.sc(p, v.data()));
-    check_i1(obj);
-  }
-}
-
 // N = 9, so P = R = 16: the 9 announce words and the 16 ring words each
 // span two lines. A single-thread lap of 2R commits over every pid moves
 // each ring cell twice, across the line boundary, with I1 exact after
@@ -357,47 +309,47 @@ void second_line_words() {
   check_i1(obj);
 }
 
-// Counts the steps that open each LL phase.
-struct PointCounts {
-  std::uint32_t fast = 0;       // ll:link, the first attempt
-  std::uint32_t announced = 0;  // ll:announce
-  std::uint32_t read_x = 0;     // ll:relink, the announced round
-};
-
-void count_points(void* ctx, const char* point, std::uint32_t pid) {
-  auto* c = static_cast<PointCounts*>(ctx);
+// Records every step pid 0 takes.
+void log_pid0(void* ctx, const char* point, std::uint32_t pid) {
   if (pid != 0) return;
-  if (std::strcmp(point, "ll:link") == 0) ++c->fast;
-  if (std::strcmp(point, "ll:announce") == 0) ++c->announced;
-  if (std::strcmp(point, "ll:relink") == 0) ++c->read_x;
+  static_cast<std::vector<std::string>*>(ctx)->emplace_back(point);
 }
 
-// An undisturbed LL stays announce-free: the announce store is the only
-// write LL makes to its announce word and it is the ll:announce step,
-// which never runs — so the word keeps its seq and state.
-// The winners that probe slot 0 afterwards find it IDLE and help nobody,
-// and the link stays valid.
+// One LL by pid 0 that nobody disturbs: exactly link, the W-word copy and
+// the re-check, W+2 steps, none of them on the announce word.
+void undisturbed_ll(Hooked& obj, std::vector<std::string>& steps,
+                    std::uint64_t* out) {
+  steps.clear();
+  obj.ll(0, out);
+  std::vector<std::string> expect{"ll:link"};
+  expect.insert(expect.end(), kW, "ll:copy");
+  expect.emplace_back("ll:validate");
+  CHECK_EQ(steps.size(), std::size_t{kW + 2});
+  CHECK(steps == expect);
+}
+
+// An undisturbed LL stays announce-free: it never reads or writes its
+// announce word, so the word keeps its seq and state. The winners that
+// probe slot 0 afterwards find it IDLE and help nobody, and the link stays
+// valid.
 void undisturbed_ll_never_announces() {
   Hooked obj(2, kW);
-  PointCounts pc;
-  core::HookEnv::install(&count_points, &pc);
+  std::vector<std::string> steps;
+  core::HookEnv::install(&log_pid0, &steps);
   std::vector<std::uint64_t> v(kW);
   for (std::uint32_t i = 1; i <= 3; ++i) {
-    obj.ll(0, v.data());
+    undisturbed_ll(obj, steps, v.data());
     CHECK(obj.vl(0));
     for (std::uint32_t k = 0; k < kW; ++k) v[k] = i;
     CHECK(obj.sc(0, v.data()));
   }
-  obj.ll(0, v.data());  // linked, held open while pid 1 commits
+  undisturbed_ll(obj, steps, v.data());  // held open while pid 1 commits
   for (std::uint32_t i = 0; i < 4; ++i) {  // tags 4..7: 4 and 6 probe slot 0
     obj.ll(1, v.data());
     v[0] += 1;
     CHECK(obj.sc(1, v.data()));
   }
   core::HookEnv::install(nullptr, nullptr);
-  CHECK_EQ(pc.fast, 4u);
-  CHECK_EQ(pc.announced, 0u);
-  CHECK_EQ(pc.read_x, 0u);
   const auto s = obj.stats();
   CHECK_EQ(s.helps_given, 0u);
   CHECK_EQ(s.ll_helped, 0u);
@@ -413,8 +365,6 @@ int main() {
   aged_pass_plain();
   consumed_donation_goes_stale();
   undisturbed_ll_never_announces();
-  reclaimed_mid_round(Reclaim::kBeforeScs);
-  reclaimed_mid_round(Reclaim::kAfterScs);
   second_line_words();
   std::printf("test_help_path: OK\n");
   return 0;

@@ -3,15 +3,14 @@
 // real protocol object, the rule that only a pid's holder gives it up,
 // graceful degradation under slot exhaustion, the degraded window's FIFO
 // ticket lock (mutual exclusion, arrival order, unlock from another
-// thread), the withdraw-vs-reclaim race in core ll(), lifecycle trace
-// events through the offline checker, and a multithreaded churn run
-// (threads > slots) with cooperative crashes and a maintenance reclaimer.
+// thread), lifecycle trace events through the offline checker, and a
+// multithreaded churn run (threads > slots) with cooperative crashes and a
+// maintenance reclaimer.
 // Compiled with MWLLSC_TRACE so the lifecycle events are observable.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <future>
 #include <stdexcept>
 #include <string>
@@ -137,9 +136,11 @@ void managed_preconditions() {
   CHECK(refused);
 }
 
-// A retired or moved-from session no longer owns a pid: pid, ll, sc and
-// vl on it throw std::logic_error in every build instead of running on a
-// pid that may be someone else's.
+// A retired, abandoned or moved-from session no longer owns a pid: pid,
+// ll, sc and vl on it throw std::logic_error in every build instead of
+// running on a pid that may be someone else's. For an abandoned session
+// this is core::MwLLSC's crash-stop precondition: a reclaimed pid takes no
+// further step.
 void dead_session_ops_throw() {
   Managed m(2, 2);
   std::vector<std::uint64_t> v(2);
@@ -154,6 +155,10 @@ void dead_session_ops_throw() {
   auto a = m.join();
   CHECK(a.retire());
   CHECK(throws(a));
+  auto z = m.join();
+  z.abandon();
+  CHECK(throws(z));
+  CHECK_EQ(m.reclaim_scan(), 1u);
   auto d1 = m.join();
   auto d2 = m.join();
   auto d3 = m.join();  // both slots held: degraded
@@ -463,63 +468,6 @@ void orphan_reclaim_on_join() {
   CHECK_EQ(v[0], 1u);
 }
 
-// The withdraw-vs-reclaim race in core ll(): a "zombie" whose pid is
-// reclaimed mid-LL must take the tolerant branch — link broken, no assert,
-// subsequent SC fails semantically. Two injection points, one per LL
-// phase: right after the announce-free first attempt's link (ll:copy —
-// caught by the attempt's read of its own announce word), and between
-// announce and withdraw (ll:relink — caught by the failed withdraw CAS;
-// the first attempt is first forced past P by P+1 = 3 commits from pid 1).
-using HookedJp = core::MwLLSC<llsc::Dw128LLSC, core::HookEnv>;
-
-struct ReclaimRaceState {
-  HookedJp* obj = nullptr;
-  std::uint32_t zombie = 0;
-  const char* point = nullptr;  // where the reclaim lands
-  bool forced = false;
-  bool fired = false;
-};
-
-void reclaim_race_hook(void* ctx, const char* point, std::uint32_t pid) {
-  auto* st = static_cast<ReclaimRaceState*>(ctx);
-  if (st->fired || pid != st->zombie) return;
-  if (std::strcmp(point, st->point) == 0) {
-    st->fired = true;
-    // Simulate the reclaimer concluding this pid is dead right here.
-    st->obj->reclaim_pid(st->zombie);
-    return;
-  }
-  if (!st->forced && std::strcmp(point, "ll:copy") == 0) {
-    st->forced = true;
-    std::vector<std::uint64_t> v(2);
-    for (int i = 0; i < 3; ++i) {
-      st->obj->ll(1, v.data());
-      v[0] += 1;
-      CHECK(st->obj->sc(1, v.data()));
-    }
-  }
-}
-
-void withdraw_reclaim_race(const char* point) {
-  HookedJp obj(2, 2);
-  ReclaimRaceState st{&obj, 0, point};
-  core::HookEnv::install(&reclaim_race_hook, &st);
-  std::vector<std::uint64_t> v(2);
-  obj.ll(0, v.data());
-  core::HookEnv::install(nullptr, nullptr);
-  CHECK(st.fired);
-  // The zombie's link is gone (its slot was settled by proxy); its SC
-  // must fail semantically, not corrupt the help machinery.
-  CHECK(!obj.vl(0));
-  CHECK(!obj.sc(0, v.data()));
-  // The object stays fully functional for the other pid.
-  obj.ll(1, v.data());
-  v[0] = 5;
-  CHECK(obj.sc(1, v.data()));
-  obj.ll(1, v.data());
-  CHECK_EQ(v[0], 5u);
-}
-
 // ------------------------------------------------------- lifecycle traces
 
 void traced_lifecycle() {
@@ -747,8 +695,6 @@ int main() {
   dead_session_ops_throw();
   quiet_holder_keeps_its_pid();
   orphan_reclaim_on_join();
-  withdraw_reclaim_race("ll:copy");
-  withdraw_reclaim_race("ll:relink");
   traced_lifecycle();
   checker_lifecycle_rules();
   mt_churn();

@@ -4,9 +4,8 @@
 // R1–R5. Exits 0 when clean, 1 on findings, 2 on usage/IO errors — the
 // `lint` CMake target and the static-analysis CI job gate on that.
 //
-//   mwllsc_lint [--json <path|->] [--quiet] [--rules] <file-or-dir>...
+//   mwllsc_lint [--quiet] [--rules] <file-or-dir>...
 //
-//   --json    also write the machine-readable report (use - for stdout)
 //   --quiet   suppress the human findings (summary + exit code only)
 //   --rules   print the ruleset and exit
 
@@ -50,23 +49,20 @@ bool lintable(const fs::path& p) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path;
   bool quiet = false;
   std::vector<std::string> roots;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (arg == "--quiet") {
+    if (arg == "--quiet") {
       quiet = true;
     } else if (arg == "--rules") {
       std::fputs(kRules, stdout);
       return 0;
     } else if (arg == "--help" || arg == "-h") {
       std::fprintf(stdout,
-                   "usage: mwllsc_lint [--json <path|->] [--quiet] "
-                   "[--rules] <file-or-dir>...\n");
+                   "usage: mwllsc_lint [--quiet] [--rules] "
+                   "<file-or-dir>...\n");
       return 0;
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "mwllsc_lint: unknown flag %s\n", arg.c_str());
@@ -77,8 +73,7 @@ int main(int argc, char** argv) {
   }
   if (roots.empty()) {
     std::fprintf(stderr,
-                 "usage: mwllsc_lint [--json <path|->] [--quiet] "
-                 "[--rules] <file-or-dir>...\n");
+                 "usage: mwllsc_lint [--quiet] [--rules] <file-or-dir>...\n");
     return 2;
   }
 
@@ -123,13 +118,6 @@ int main(int argc, char** argv) {
 
   if (!quiet) {
     mwllsc::lint::print_findings(result, stdout);
-  }
-  if (!json_path.empty()) {
-    std::string err;
-    if (!mwllsc::lint::write_report_json(json_path, result, &err)) {
-      std::fprintf(stderr, "mwllsc_lint: %s\n", err.c_str());
-      return 2;
-    }
   }
   return result.findings.empty() ? 0 : 1;
 }
