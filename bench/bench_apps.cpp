@@ -18,6 +18,9 @@
 // out of by the stop flag contributes nothing, so a run's last in-flight
 // attempt is never sold as a completed operation.
 //
+// Exits nonzero if any wait-free universal or queue run had an apply take
+// more than WfUniversal::kMaxAttempts LL/SC rounds, on any substrate.
+//
 // Run: ./bench_apps                  human tables
 //      ./bench_apps --json PATH      perf-trajectory snapshot (plus tables)
 //        [--smoke]                   reduced duration/threads for CI
@@ -150,18 +153,37 @@ struct Inc {
   }
 };
 
+using WfCounter = apps::WfUniversal<Counter, Inc>;
+
+/// One run of a universal construction or of the queue built on one; the
+/// queue counts each enqueue and each dequeue as one op (one apply).
 struct UniversalResult {
   double mops = 0;
   std::uint64_t ops = 0;
-  std::uint64_t attempts = 0;
+  std::uint64_t attempts = 0;      // LL/SC rounds
+  std::uint64_t max_attempts = 0;  // wait-free runs only
+  std::uint64_t scs = 0;  // the substrate's SCs, the initial one included
+                          // (queue runs only)
 };
 
-/// "-" when a very short or stalled run committed nothing, so the table
+double per_op(std::uint64_t n, std::uint64_t ops) {
+  return ops ? static_cast<double>(n) / static_cast<double>(ops) : 0.0;
+}
+
+/// "-" when a very short or stalled run completed nothing, so the table
 /// never divides by zero.
-std::string attempts_per_op(const UniversalResult& r) {
-  if (r.ops == 0) return "-";
-  return TablePrinter::num(
-      static_cast<double>(r.attempts) / static_cast<double>(r.ops), 2);
+std::string per_op_cell(std::uint64_t n, std::uint64_t ops) {
+  return ops ? TablePrinter::num(per_op(n, ops), 2) : "-";
+}
+
+/// The help-all bound (apps/wf_universal.hpp): no apply takes more than
+/// kMaxAttempts LL/SC rounds over a linearizable substrate.
+bool rounds_hold(const std::string& what, std::uint64_t max_attempts) {
+  if (max_attempts <= WfCounter::kMaxAttempts) return true;
+  std::fprintf(stderr, "%s: an apply took %llu LL/SC rounds > %llu\n",
+               what.c_str(), static_cast<unsigned long long>(max_attempts),
+               static_cast<unsigned long long>(WfCounter::kMaxAttempts));
+  return false;
 }
 
 UniversalResult run_universal_lf(const apps::Substrate& substrate,
@@ -188,7 +210,7 @@ UniversalResult run_universal_wf(const apps::Substrate& substrate,
                                  std::uint64_t duration_ns,
                                  bench::ObsSession& obs,
                                  const std::string& label) {
-  apps::WfUniversal<Counter, Inc> obj(threads, Counter{0}, substrate);
+  WfCounter obj(threads, Counter{0}, substrate);
   obs.bind(obj, label + " wf_universal");
   // Relaxed op counter: summed after join(); the join supplies the
   // happens-before for the final read (DESIGN.md §9).
@@ -202,12 +224,14 @@ UniversalResult run_universal_wf(const apps::Substrate& substrate,
     }
     ops.fetch_add(mine, std::memory_order_relaxed);
   });
-  return {mops_of(ops.load(std::memory_order_relaxed), run), ops.load(std::memory_order_relaxed), obj.total_attempts()};
+  return {mops_of(ops.load(std::memory_order_relaxed), run),
+          ops.load(std::memory_order_relaxed), obj.total_attempts(),
+          obj.max_attempts()};
 }
 
-double queue_mops(const apps::Substrate& substrate, unsigned threads,
-                  std::uint64_t duration_ns, bench::ObsSession& obs,
-                  const std::string& label) {
+UniversalResult run_queue(const apps::Substrate& substrate, unsigned threads,
+                          std::uint64_t duration_ns, bench::ObsSession& obs,
+                          const std::string& label) {
   apps::WfQueue<64> q(threads, substrate);
   obs.bind(q, label + " wf_queue");
   // Relaxed op counter: summed after join(); the join supplies the
@@ -224,7 +248,9 @@ double queue_mops(const apps::Substrate& substrate, unsigned threads,
     }
     ops.fetch_add(mine, std::memory_order_relaxed);
   });
-  return mops_of(ops.load(std::memory_order_relaxed), run);
+  const std::uint64_t applies = ops.load(std::memory_order_relaxed);
+  return {mops_of(applies, run), applies, q.total_attempts(),
+          q.max_attempts(), q.substrate().stats().sc_ops};
 }
 
 }  // namespace
@@ -242,6 +268,7 @@ int main(int argc, char** argv) {
 
   std::printf("E7: application throughput on different LL/SC substrates\n");
   std::printf("threads = %u\n\n", threads);
+  bool ok = true;
 
   {
     std::printf("wide counter (3 limbs), Mops of fetch&add:\n");
@@ -306,10 +333,13 @@ int main(int argc, char** argv) {
           run_universal_lf(f.make, threads, duration_ns);
       const UniversalResult wf =
           run_universal_wf(f.make, threads, duration_ns, obs, f.name);
+      if (!rounds_hold(f.name + " wf_universal", wf.max_attempts)) ok = false;
       table.add_row({f.name, "lock-free (retry)", TablePrinter::num(lf.mops, 2),
-                     attempts_per_op(lf), "lock-free (unbounded attempts)"});
+                     per_op_cell(lf.attempts, lf.ops),
+                     "lock-free (unbounded attempts)"});
       table.add_row({f.name, "wait-free (help-all)",
-                     TablePrinter::num(wf.mops, 2), attempts_per_op(wf),
+                     TablePrinter::num(wf.mops, 2),
+                     per_op_cell(wf.attempts, wf.ops),
                      "wait-free (<= 3 attempts)"});
       for (const auto* r : {&lf, &wf}) {
         out.begin_row();
@@ -318,10 +348,7 @@ int main(int argc, char** argv) {
         out.field("construction", r == &lf ? "lock_free" : "wait_free");
         out.field("threads", std::uint64_t{threads});
         out.field("mops", r->mops);
-        out.field("attempts_per_op",
-                  r->ops ? static_cast<double>(r->attempts) /
-                               static_cast<double>(r->ops)
-                         : 0.0);
+        out.field("attempts_per_op", per_op(r->attempts, r->ops));
       }
     }
     table.print();
@@ -331,16 +358,22 @@ int main(int argc, char** argv) {
   {
     std::printf(
         "wait-free MPMC queue (cap 64) via the universal construction, "
-        "enqueue+dequeue Mops:\n");
-    TablePrinter table({"substrate", "Mops"});
+        "enqueue+dequeue Mops; LL/SC rounds and substrate SCs per apply:\n");
+    TablePrinter table({"substrate", "Mops", "rounds/apply", "SCs/apply"});
     for (auto& f : factories) {
-      const double mops = queue_mops(f.make, threads, duration_ns, obs, f.name);
-      table.add_row({f.name, TablePrinter::num(mops, 2)});
+      const UniversalResult r =
+          run_queue(f.make, threads, duration_ns, obs, f.name);
+      if (!rounds_hold(f.name + " wf_queue", r.max_attempts)) ok = false;
+      table.add_row({f.name, TablePrinter::num(r.mops, 2),
+                     per_op_cell(r.attempts, r.ops),
+                     per_op_cell(r.scs, r.ops)});
       out.begin_row();
       out.field("workload", "queue");
       out.field("impl", f.name);
       out.field("threads", std::uint64_t{threads});
-      out.field("mops", mops);
+      out.field("mops", r.mops);
+      out.field("rounds_per_apply", per_op(r.attempts, r.ops));
+      out.field("scs_per_apply", per_op(r.scs, r.ops));
     }
     table.print();
     std::printf("\n");
@@ -376,8 +409,7 @@ int main(int argc, char** argv) {
   if (obs.tracing()) {
     auto obj = bench::factory_by_name("jp").make(threads, 8);
     obs.bind(*obj, "jp epilogue w=8");
-    apps::WfUniversal<Counter, Inc> wf(threads, Counter{0},
-                                       bench::factory_by_name("jp").make);
+    WfCounter wf(threads, Counter{0}, bench::factory_by_name("jp").make);
     obs.bind(wf, "jp epilogue wf_universal");
     std::vector<std::thread> pool;
     for (unsigned t = 0; t < threads; ++t) {
@@ -395,8 +427,10 @@ int main(int argc, char** argv) {
     }
     for (auto& th : pool) th.join();
     obs.registry().absorb("impl=\"jp\",workload=\"epilogue\"", obj->stats());
+    if (!rounds_hold("jp epilogue wf_universal", wf.max_attempts())) ok = false;
   }
 
-  if (!out.write(json_path)) return 1;
-  return obs.finish() ? 0 : 1;
+  if (!out.write(json_path)) ok = false;
+  if (!obs.finish()) ok = false;
+  return ok ? 0 : 1;
 }

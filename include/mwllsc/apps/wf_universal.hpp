@@ -6,6 +6,11 @@
 // trying to install — so a process whose SC keeps losing is carried along
 // by the winners.
 //
+// A round is LL; help-all; VL; SC. It fails at the VL or at the SC: the
+// O(1) VL (Brown-Ellen-Ruppert's VLX-before-the-expensive-step) ends a
+// round whose link already broke without the O(W) SC, which would write
+// all W words into a spare before its X CAS could lose.
+//
 // State layout inside the variable (W = ceil(sizeof(T)/8) + 2N words):
 //   [0, payload)                the sequential object T, bytewise;
 //   payload + 2q               applied_seq[q] — seq of q's last applied op;
@@ -13,13 +18,14 @@
 // Because LL returns an atomic snapshot, a process that finds its own seq
 // applied can read its result from the same snapshot consistently.
 //
-// Attempt bound (the wait-free argument): suppose p's SCs at attempts 1
-// and 2 both fail. Attempt 1 fails because some SC by w1 committed inside
-// (LL1, SC1); attempt 2 because some SC by w2 committed inside (LL2, SC2).
-// w2's LL must follow w1's SC (else w1's SC would have killed w2's link),
-// which follows p's LL1, which follows p's announce — so w2 saw the
-// announce and its committed SC applied p's op. Attempt 3's LL therefore
-// observes applied_seq[p] == seq and returns without another SC:
+// Attempt bound (the wait-free argument): suppose p's rounds 1 and 2 both
+// fail. A false VL and a failed SC each witness an SC committed since the
+// round's LL: round 1 fails because some SC by w1 committed inside (LL1,
+// end of round 1); round 2 because some SC by w2 committed inside (LL2,
+// end of round 2). w2's LL must follow w1's SC (else w1's SC would have
+// killed w2's link), which follows p's LL1, which follows p's announce —
+// so w2 saw the announce and its committed SC applied p's op. Round 3's LL
+// therefore observes applied_seq[p] == seq and returns without another SC:
 // **at most kMaxAttempts = 3 LL/SC rounds per apply**, over any
 // linearizable substrate. (Genuine end-to-end wait-freedom additionally
 // needs the substrate's own LL and SC to be wait-free — jp; under retry
@@ -55,16 +61,17 @@ struct OpDesc {
 /// function of its arguments — every helper must compute the same result).
 /// Env is the step seam of core/env.hpp: Env::at is called at
 /// "apps:announced" (op published, before the first LL), "apps:linked"
-/// (snapshot taken, before help-all + SC) and "apps:sc_failed", so a test
-/// can park a process at an exact protocol point and drive the help-all
-/// path deterministically. NoEnv compiles the calls away.
+/// (snapshot taken, before help-all, VL and SC) and "apps:sc_failed" (the
+/// round was lost at its VL or its SC), so a test can park a process at an
+/// exact protocol point and drive the help-all path deterministically.
+/// NoEnv compiles the calls away.
 template <class T, class Op, class Env = core::NoEnv>
 class WfUniversal {
   static_assert(std::is_trivially_copyable_v<T>,
                 "state is stored bytewise in the LL/SC variable");
 
  public:
-  /// Per-apply bound on { LL; help-all; SC } rounds (see file comment).
+  /// Per-apply bound on { LL; help-all; VL; SC } rounds (see file comment).
   static constexpr std::uint64_t kMaxAttempts = 3;
 
   WfUniversal(std::uint32_t nprocs, const T& initial,
@@ -116,8 +123,10 @@ class WfUniversal {
       Env::at("apps:linked", p);
       const std::uint32_t applied = help_all(buf);
       trace_.emit(obs::EventKind::kHelpAll, p, seq, applied);
-      if (obj_->sc(p, buf)) break;  // we won; our own op was in help_all
-      Env::at("apps:sc_failed", p);
+      // The O(1) VL before the O(W) SC: a broken link already witnesses a
+      // commit inside this round, so the round is lost without the SC.
+      if (obj_->vl(p) && obj_->sc(p, buf)) break;  // won; help_all applied us
+      Env::at("apps:sc_failed", p);  // lost at the VL or the SC
       assert(attempts < kMaxAttempts && "help-all attempt bound violated");
     }
     trace_.emit(obs::EventKind::kApplyCommit, p, seq,

@@ -1,5 +1,5 @@
 // mwllsc-lint reporting: the human findings, one per line with its
-// snippet and hint, then a one-line summary.
+// snippet and hint, and a one-line summary (all that --quiet prints).
 #pragma once
 
 #include <cstdio>
@@ -19,6 +19,9 @@ inline void print_findings(const LintResult& r, std::FILE* out) {
       std::fprintf(out, "    hint: %s\n", f.hint.c_str());
     }
   }
+}
+
+inline void print_summary(const LintResult& r, std::FILE* out) {
   std::fprintf(out,
                "mwllsc_lint: %zu finding%s in %d file%s (%d suppressed)\n",
                r.findings.size(), r.findings.size() == 1 ? "" : "s",

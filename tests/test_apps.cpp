@@ -5,6 +5,7 @@
 //     0..N*K-1 and the final state is N*K;
 //   * the help-all attempt bound holds: no apply ever took more than
 //     WfUniversal::kMaxAttempts LL/SC rounds;
+//   * a round whose link broke ends at its VL: it issues no substrate SC;
 //   * UniversalObject (lock-free retry) loses no increments;
 //   * both constructions refuse, in every build, a substrate whose
 //     initial SC fails;
@@ -116,10 +117,13 @@ struct DetHook {
   const char* stall_point;
   bool fired = false;
   std::uint64_t p1_result = 0;
+  unsigned p0_lost_rounds = 0;  // "apps:sc_failed" seen for pid 0
 };
 
 void det_interfere(void* ctx, const char* point, std::uint32_t pid) {
   auto* st = static_cast<DetHook*>(ctx);
+  if (pid == 0 && std::strcmp(point, "apps:sc_failed") == 0)
+    ++st->p0_lost_rounds;
   if (st->fired || pid != 0) return;
   if (std::strcmp(point, st->stall_point) != 0) return;
   st->fired = true;  // p1's own hook points must not recurse
@@ -142,9 +146,10 @@ void deterministic_help_paths() {
     CHECK_EQ(obj.read(0).v, 2u);
     CHECK_EQ(obj.max_attempts(), 1u);  // p0 never reached an SC
   }
-  // Failed SC, then helped: p0 has linked when p1 commits (helping p0 in
-  // the same SC). p0's SC fails semantically; its second LL finds the op
-  // applied and returns the result from that snapshot.
+  // Lost at the VL, then helped: p0 has linked when p1 commits (helping
+  // p0 in the same SC). p0's VL finds its link broken, so its round ends
+  // without an SC; its second LL finds the op applied and returns the
+  // result from that snapshot.
   {
     HookedWfCounter obj(2, Counter{0});
     DetHook st{&obj, "apps:linked", false, 0};
@@ -155,7 +160,13 @@ void deterministic_help_paths() {
     CHECK_EQ(r0, 0u);
     CHECK_EQ(st.p1_result, 1u);
     CHECK_EQ(obj.read(0).v, 2u);
-    CHECK_EQ(obj.max_attempts(), 2u);  // one failed SC + the helped exit
+    CHECK_EQ(obj.max_attempts(), 2u);  // one lost round + the helped exit
+    CHECK_EQ(st.p0_lost_rounds, 1u);
+    // The lost round wrote nothing: the only SCs are the constructor's
+    // and p1's, and the VLs are p1's gate and p0's.
+    const core::OpStatsSnapshot s = obj.substrate().stats();
+    CHECK_EQ(s.sc_ops, 2u);
+    CHECK_EQ(s.vl_ops, 2u);
   }
   std::printf("  deterministic help paths  OK\n");
 }

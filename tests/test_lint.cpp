@@ -6,7 +6,10 @@
 //   2. the clean gate — the real include/, bench/ and tools/ trees (.hpp
 //      and .cpp, as CI's static-analysis gate lints them) must produce
 //      zero findings, so every seq_cst site keeps its contract forever;
-//   3. annotation-window and declaration edge cases fed via scan_source.
+//   3. annotation-window and declaration edge cases fed via scan_source;
+//   4. the mwllsc_lint binary's --quiet output: the summary line alone.
+#include <sys/wait.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -28,6 +31,9 @@ namespace {
 #endif
 #ifndef MWLLSC_LINT_REPO_DIR
 #error "tests/CMakeLists.txt must define MWLLSC_LINT_REPO_DIR"
+#endif
+#ifndef MWLLSC_LINT_BIN
+#error "tests/CMakeLists.txt must define MWLLSC_LINT_BIN"
 #endif
 
 LintResult lint_path(const std::string& path) {
@@ -189,6 +195,27 @@ void test_operator_is_not_a_field() {
   CHECK(r.findings[0].message.find("'hot'") != std::string::npos);
 }
 
+// `mwllsc_lint --quiet` drops the findings but keeps the one summary line
+// and the exit code: 1 on a finding.
+void test_quiet_prints_summary_only() {
+  const std::string cmd = std::string("'") + MWLLSC_LINT_BIN +
+                          "' --quiet '" + MWLLSC_LINT_FIXTURE_DIR +
+                          "/bad_r1.hpp'";
+  std::FILE* pipe = popen(cmd.c_str(), "r");
+  CHECK(pipe != nullptr);
+  std::string out;
+  char chunk[256];
+  while (std::fgets(chunk, sizeof chunk, pipe)) out += chunk;
+  const int status = pclose(pipe);
+  if (out != "mwllsc_lint: 1 finding in 1 file (0 suppressed)\n") {
+    std::fprintf(stderr, "mwllsc_lint --quiet printed:\n%s<end>\n",
+                 out.c_str());
+    std::abort();
+  }
+  CHECK(WIFEXITED(status));
+  CHECK_EQ(WEXITSTATUS(status), 1);
+}
+
 }  // namespace
 
 int main() {
@@ -197,6 +224,7 @@ int main() {
   test_annotation_window();
   test_suppress_multiple_rules();
   test_operator_is_not_a_field();
+  test_quiet_prints_summary_only();
   std::printf("test_lint: all checks passed\n");
   return 0;
 }

@@ -116,8 +116,7 @@ int main(int argc, char** argv) {
     mwllsc::lint::run_rules(model, &result);
   }
 
-  if (!quiet) {
-    mwllsc::lint::print_findings(result, stdout);
-  }
+  if (!quiet) mwllsc::lint::print_findings(result, stdout);
+  mwllsc::lint::print_summary(result, stdout);
   return result.findings.empty() ? 0 : 1;
 }
