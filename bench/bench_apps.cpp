@@ -22,11 +22,11 @@
 // more than WfUniversal::kMaxAttempts LL/SC rounds, on any substrate.
 //
 // Run: ./bench_apps                  human tables
-//      ./bench_apps --json PATH      perf-trajectory snapshot (plus tables)
 //        [--smoke]                   reduced duration/threads for CI
+//        [--metrics PATH]            Prometheus text: each table cell as a
+//                                    mwllsc_bench_* gauge
 //        [--trace PATH]              trace dump + PATH.json Perfetto view
 //                                    (MWLLSC_TRACE build)
-//        [--metrics PATH]            Prometheus text export
 #include <atomic>
 #include <cstdio>
 
@@ -256,15 +256,16 @@ UniversalResult run_queue(const apps::Substrate& substrate, unsigned threads,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string json_path = bench::arg_value(argc, argv, "--json");
-  const bool smoke = bench::has_flag(argc, argv, "--smoke");
+  const bench::Args args(argc, argv, {"--smoke"}, {"--metrics", "--trace"});
+  const bool smoke = args.has("--smoke");
   const std::uint64_t duration_ns = smoke ? 50'000'000 : 250'000'000;
   const unsigned hw = std::max(4u, std::thread::hardware_concurrency());
   const unsigned threads = std::min(hw, smoke ? 4u : 16u);
   auto factories = bench::all_factories();
-  bench::ObsSession obs(argc, argv, threads);
-  bench::JsonEmitter out(
-      "apps", "application workloads over LL/SC substrates, million ops/s");
+  bench::ObsSession obs(args, threads);
+  auto gauge = [&](const char* name, const std::string& labels, double v) {
+    obs.registry().set_gauge(obs::MetricsRegistry::labeled(name, labels), v);
+  };
 
   std::printf("E7: application throughput on different LL/SC substrates\n");
   std::printf("threads = %u\n\n", threads);
@@ -277,16 +278,13 @@ int main(int argc, char** argv) {
       auto obj = f.make(threads, 3);
       obs.bind(*obj, f.name + " counter w=3");
       const double mops = counter_mops(*obj, threads, duration_ns);
-      obs.registry().absorb("impl=\"" + f.name + "\",workload=\"counter\"",
-                            obj->stats());
+      const std::string cell = "impl=\"" + f.name + "\",workload=\"counter\"";
+      obs.registry().absorb(cell, obj->stats());
+      gauge("mwllsc_bench_mops", cell, mops);
+      gauge("mwllsc_bench_shared_words", cell,
+            static_cast<double>(shared_words(*obj)));
       table.add_row({f.name, TablePrinter::num(mops, 2),
                      TablePrinter::num(shared_words(*obj))});
-      out.begin_row();
-      out.field("workload", "counter");
-      out.field("impl", f.name);
-      out.field("threads", std::uint64_t{threads});
-      out.field("mops", mops);
-      out.field("shared_words", std::uint64_t{shared_words(*obj)});
     }
     table.print();
     std::printf("\n");
@@ -306,16 +304,13 @@ int main(int argc, char** argv) {
       obs.bind(*obj, f.name + " snapshot");
       const double mops = snapshot_scan_mops(*obj, threads, writers,
                                              kCompWords, duration_ns);
-      obs.registry().absorb("impl=\"" + f.name + "\",workload=\"snapshot\"",
-                            obj->stats());
+      const std::string cell = "impl=\"" + f.name + "\",workload=\"snapshot\"";
+      obs.registry().absorb(cell, obj->stats());
+      gauge("mwllsc_bench_mops", cell, mops);
+      gauge("mwllsc_bench_shared_words", cell,
+            static_cast<double>(shared_words(*obj)));
       table.add_row({f.name, TablePrinter::num(mops, 2),
                      TablePrinter::num(shared_words(*obj))});
-      out.begin_row();
-      out.field("workload", "snapshot");
-      out.field("impl", f.name);
-      out.field("threads", std::uint64_t{threads});
-      out.field("mops", mops);
-      out.field("shared_words", std::uint64_t{shared_words(*obj)});
     }
     table.print();
     std::printf("\n");
@@ -342,13 +337,12 @@ int main(int argc, char** argv) {
                      per_op_cell(wf.attempts, wf.ops),
                      "wait-free (<= 3 attempts)"});
       for (const auto* r : {&lf, &wf}) {
-        out.begin_row();
-        out.field("workload", "universal");
-        out.field("impl", f.name);
-        out.field("construction", r == &lf ? "lock_free" : "wait_free");
-        out.field("threads", std::uint64_t{threads});
-        out.field("mops", r->mops);
-        out.field("attempts_per_op", per_op(r->attempts, r->ops));
+        const std::string cell =
+            "impl=\"" + f.name + "\",workload=\"universal\",construction=\"" +
+            (r == &lf ? "lock_free" : "wait_free") + "\"";
+        gauge("mwllsc_bench_mops", cell, r->mops);
+        gauge("mwllsc_bench_attempts_per_op", cell,
+              per_op(r->attempts, r->ops));
       }
     }
     table.print();
@@ -367,13 +361,10 @@ int main(int argc, char** argv) {
       table.add_row({f.name, TablePrinter::num(r.mops, 2),
                      per_op_cell(r.attempts, r.ops),
                      per_op_cell(r.scs, r.ops)});
-      out.begin_row();
-      out.field("workload", "queue");
-      out.field("impl", f.name);
-      out.field("threads", std::uint64_t{threads});
-      out.field("mops", r.mops);
-      out.field("rounds_per_apply", per_op(r.attempts, r.ops));
-      out.field("scs_per_apply", per_op(r.scs, r.ops));
+      const std::string cell = "impl=\"" + f.name + "\",workload=\"queue\"";
+      gauge("mwllsc_bench_mops", cell, r.mops);
+      gauge("mwllsc_bench_rounds_per_apply", cell, per_op(r.attempts, r.ops));
+      gauge("mwllsc_bench_scs_per_apply", cell, per_op(r.scs, r.ops));
     }
     table.print();
     std::printf("\n");
@@ -386,16 +377,13 @@ int main(int argc, char** argv) {
       auto obj = f.make(threads, 16);
       obs.bind(*obj, f.name + " register w=16");
       const double mops = register_mops(*obj, threads, duration_ns);
-      obs.registry().absorb("impl=\"" + f.name + "\",workload=\"register\"",
-                            obj->stats());
+      const std::string cell = "impl=\"" + f.name + "\",workload=\"register\"";
+      obs.registry().absorb(cell, obj->stats());
+      gauge("mwllsc_bench_mops", cell, mops);
+      gauge("mwllsc_bench_shared_words", cell,
+            static_cast<double>(shared_words(*obj)));
       table.add_row({f.name, TablePrinter::num(mops, 2),
                      TablePrinter::num(shared_words(*obj))});
-      out.begin_row();
-      out.field("workload", "register");
-      out.field("impl", f.name);
-      out.field("threads", std::uint64_t{threads});
-      out.field("mops", mops);
-      out.field("shared_words", std::uint64_t{shared_words(*obj)});
     }
     table.print();
   }
@@ -430,7 +418,6 @@ int main(int argc, char** argv) {
     if (!rounds_hold("jp epilogue wf_universal", wf.max_attempts())) ok = false;
   }
 
-  if (!out.write(json_path)) ok = false;
   if (!obs.finish()) ok = false;
   return ok ? 0 : 1;
 }

@@ -4,12 +4,14 @@
 // is produced by identical code.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
-#include <ctime>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -114,127 +116,88 @@ inline ThroughputResult run_rmw_throughput(core::IMwLLSC& obj,
 }
 
 // ------------------------------------------------------------------------
-// Recorded perf trajectory (BENCH_*.json).
+// Command line.
 //
-// Benches accept `--json <path>` and emit a flat machine-readable snapshot
-// of the same results as their human tables, so each commit's numbers are
-// a diffable artifact rather than an anecdote. The format is deliberately
-// minimal: {"bench": ..., "schema": ..., "rows": [{k: v, ...}, ...]}.
+// Each bench declares the flags it accepts: switches, and flags that take
+// a value. Anything else, a value flag without its value, or `--trace` in
+// a build without MWLLSC_TRACE (it could only write an empty dump) prints
+// usage and exits 2 before any run, so a mistyped flag cannot pass as a
+// run that silently skipped its output.
 
-/// Value of `--flag <value>` in argv, or "" if absent.
-inline std::string arg_value(int argc, char** argv, const char* flag) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return argv[i + 1];
-  }
-  return "";
-}
-
-/// True if `flag` appears in argv.
-inline bool has_flag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  }
-  return false;
-}
-
-/// Version of the BENCH_*.json row format; bump on breaking field changes
-/// so the cross-PR trajectory tooling can tell schemas apart.
-inline constexpr unsigned kBenchSchemaVersion = 2;
-
-/// The build's `git describe` string (baked in by CMake), or "unknown"
-/// when building outside a git checkout.
-inline const char* git_describe() {
-#if defined(MWLLSC_GIT_DESCRIBE)
-  return MWLLSC_GIT_DESCRIBE;
-#else
-  return "unknown";
-#endif
-}
-
-/// Append-style JSON snapshot writer: begin_row(), then field() calls, then
-/// write(). Strings are assumed not to need escaping (impl/op names).
-class JsonEmitter {
+class Args {
  public:
-  JsonEmitter(std::string bench, std::string schema)
-      : bench_(std::move(bench)), schema_(std::move(schema)) {}
-
-  void begin_row() { rows_.emplace_back(); }
-
-  void field(const char* k, const std::string& v) {
-    rows_.back().emplace_back(k, "\"" + v + "\"");
-  }
-  void field(const char* k, const char* v) { field(k, std::string(v)); }
-  void field(const char* k, double v) {
-    char b[64];
-    std::snprintf(b, sizeof(b), "%.6g", v);
-    rows_.back().emplace_back(k, b);
-  }
-  void field(const char* k, std::uint64_t v) {
-    char b[32];
-    std::snprintf(b, sizeof(b), "%llu", static_cast<unsigned long long>(v));
-    rows_.back().emplace_back(k, b);
-  }
-
-  /// Writes the snapshot to `path` (nothing for an empty path, i.e. no
-  /// --json) and reports the file written, or the failure on stderr.
-  /// Returns false only when a requested write failed.
-  bool write(const std::string& path) const {
-    if (path.empty()) return true;
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot write %s\n", path.c_str());
-      return false;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"schema\": \"%s\",\n",
-                 bench_.c_str(), schema_.c_str());
-    std::fprintf(f, "  \"schema_version\": %u,\n  \"git\": \"%s\",\n",
-                 kBenchSchemaVersion, git_describe());
-    std::fprintf(f, "  \"unix_time\": %lld,\n",
-                 static_cast<long long>(std::time(nullptr)));
-    std::fprintf(f, "  \"rows\": [\n");
-    for (std::size_t r = 0; r < rows_.size(); ++r) {
-      std::fprintf(f, "    {");
-      for (std::size_t i = 0; i < rows_[r].size(); ++i) {
-        std::fprintf(f, "%s\"%s\": %s", i ? ", " : "",
-                     rows_[r][i].first.c_str(), rows_[r][i].second.c_str());
+  Args(int argc, char** argv, std::vector<std::string> switches,
+       std::vector<std::string> valued)
+      : switches_(std::move(switches)), valued_(std::move(valued)) {
+    for (int i = 1; i < argc; ++i) {
+      const std::string flag = argv[i];
+      if (declared(switches_, flag)) {
+        given_[flag] = "";
+      } else if (declared(valued_, flag) && i + 1 < argc &&
+                 argv[i + 1][0] != '\0' &&
+                 std::strncmp(argv[i + 1], "--", 2) != 0) {
+        given_[flag] = argv[++i];
+      } else {
+        usage(argv[0], declared(valued_, flag)
+                           ? flag + " needs a value"
+                           : "unknown argument " + flag);
       }
-      std::fprintf(f, "}%s\n", r + 1 < rows_.size() ? "," : "");
     }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", path.c_str());
-    return true;
+#if !defined(MWLLSC_TRACE)
+    if (has("--trace")) {
+      usage(argv[0], "--trace needs a build with -DMWLLSC_TRACE=ON");
+    }
+#endif
+  }
+
+  /// True if `flag` was given.
+  bool has(const std::string& flag) const { return given_.count(flag) != 0; }
+
+  /// The value of `flag`, or "" if it was not given.
+  std::string value(const std::string& flag) const {
+    const auto it = given_.find(flag);
+    return it == given_.end() ? "" : it->second;
   }
 
  private:
-  std::string bench_;
-  std::string schema_;
-  std::vector<std::vector<std::pair<std::string, std::string>>> rows_;
+  static bool declared(const std::vector<std::string>& flags,
+                       const std::string& flag) {
+    return std::find(flags.begin(), flags.end(), flag) != flags.end();
+  }
+
+  [[noreturn]] void usage(const char* prog, const std::string& why) const {
+    std::fprintf(stderr, "%s: %s\nusage: %s", prog, why.c_str(), prog);
+    for (const auto& f : switches_) std::fprintf(stderr, " [%s]", f.c_str());
+    for (const auto& f : valued_) std::fprintf(stderr, " [%s ARG]", f.c_str());
+    std::fprintf(stderr, "\n");
+    std::exit(2);
+  }
+
+  std::vector<std::string> switches_;
+  std::vector<std::string> valued_;
+  std::map<std::string, std::string> given_;
 };
 
 // ------------------------------------------------------------------------
 // Observability session (--trace / --metrics, DESIGN.md §8).
 //
-// Every bench constructs one ObsSession from argv; benches bind the
+// Every bench constructs one ObsSession from its Args; benches bind the
 // objects they create to it, absorb their counters/latencies into the
 // registry, and call finish() after the threads join. `--trace PATH`
 // writes the trace dump (obs::write_trace, what trace_check reads) to PATH
 // and its Perfetto view to PATH.json. Tracing needs the MWLLSC_TRACE
-// build; the metrics registry always works.
+// build (Args refuses `--trace` without it); the metrics registry always
+// works. E2, E3, E7 and E10 also record each table value here as a
+// `mwllsc_bench_*` gauge: `--metrics PATH` is the one machine-readable
+// output.
 
 class ObsSession {
  public:
-  ObsSession(int argc, char** argv, std::uint32_t nprocs,
+  ObsSession(const Args& args, std::uint32_t nprocs,
              obs::TraceConfig cfg = {})
-      : trace_path_(arg_value(argc, argv, "--trace")),
-        metrics_path_(arg_value(argc, argv, "--metrics")) {
+      : trace_path_(args.value("--trace")),
+        metrics_path_(args.value("--metrics")) {
     if (!trace_path_.empty()) {
-#if !defined(MWLLSC_TRACE)
-      std::fprintf(stderr,
-                   "[obs] --trace requested but this binary was built "
-                   "without MWLLSC_TRACE; rebuild with -DMWLLSC_TRACE=ON. "
-                   "Writing an empty trace.\n");
-#endif
       sink_ = std::make_unique<obs::TraceSink>(nprocs, cfg);
     }
   }

@@ -14,8 +14,9 @@
 //
 // Run: ./bench_latency_vs_w                 tables
 //        [--smoke]                          W <= 16, 5 ms cells
-//        [--json PATH]                      also a perf-trajectory snapshot
-//        [--trace PATH] [--metrics PATH]    obs/ export (bench_common.hpp)
+//        [--metrics PATH]                   Prometheus text: every cell as
+//                                           mwllsc_bench_ns_per_op
+//        [--trace PATH]                     trace dump (MWLLSC_TRACE build)
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -51,17 +52,14 @@ double ns_per_op(std::uint64_t duration_ns, Op op) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = bench::has_flag(argc, argv, "--smoke");
-  const std::string json = bench::arg_value(argc, argv, "--json");
+  const bench::Args args(argc, argv, {"--smoke"}, {"--metrics", "--trace"});
+  const bool smoke = args.has("--smoke");
   const std::uint64_t duration_ns = smoke ? 5'000'000 : 20'000'000;
   const std::vector<std::uint32_t> ws =
       smoke ? std::vector<std::uint32_t>{1, 4, 16}
             : std::vector<std::uint32_t>{1, 4, 16, 64, 256, 1024};
   const auto factories = bench::all_factories();
-  bench::ObsSession obs(argc, argv, 2);
-  bench::JsonEmitter out("latency_vs_w",
-                         "uncontended single-thread latency; LL/SC O(W), "
-                         "VL O(1); jp LL bound 4W+12 steps");
+  bench::ObsSession obs(args, 2);
 
   const char* const kOps[] = {"ll", "llsc_pair", "vl"};
   const char* const kTitles[] = {"LL, O(W)", "LL;SC pair, O(W)",
@@ -94,8 +92,9 @@ int main(int argc, char** argv) {
       });
 
       const auto s = obj->stats();
-      obs.registry().absorb(
-          "impl=\"" + f.name + "\",w=\"" + std::to_string(w) + "\"", s);
+      const std::string impl = "impl=\"" + f.name + "\",";
+      const std::string width = "w=\"" + std::to_string(w) + "\"";
+      obs.registry().absorb(impl + width, s);
       const std::uint64_t retries = f.name == "jp" ? s.ll_retries : 0;
       if (failed_scs != 0 || false_vls != 0 || retries != 0) {
         std::fprintf(stderr,
@@ -109,11 +108,11 @@ int main(int argc, char** argv) {
       }
       for (int op = 0; op < 3; ++op) {
         rows[op].push_back(TablePrinter::num(ns[op], 1));
-        out.begin_row();
-        out.field("impl", f.name);
-        out.field("op", kOps[op]);
-        out.field("w", std::uint64_t{w});
-        out.field("ns_per_op", ns[op]);
+        obs.registry().set_gauge(
+            obs::MetricsRegistry::labeled(
+                "mwllsc_bench_ns_per_op",
+                impl + "op=\"" + kOps[op] + "\"," + width),
+            ns[op]);
       }
     }
     for (int op = 0; op < 3; ++op) tables[op].add_row(std::move(rows[op]));
@@ -125,7 +124,6 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  if (!out.write(json)) ok = false;
   if (!obs.finish()) ok = false;
   return ok ? 0 : 1;
 }

@@ -15,7 +15,7 @@
 //              retirements, reclamations, and each other. Measures
 //              throughput under membership pressure and reports the
 //              degraded fraction, so a slower recycling path (more
-//              degradation) shows up in the trajectory. The reaper and the
+//              degradation) shows up in the table. The reaper and the
 //              join-path sweeps usually recycle an abandoned slot before a
 //              joiner runs out of retries, so on a small machine churn
 //              seldom degrades at all.
@@ -31,9 +31,11 @@
 //
 // Usage:
 //   ./bench_membership                  human tables
-//   ./bench_membership --json PATH      perf-trajectory snapshot (plus tables)
 //     [--smoke]                         reduced duration/threads for CI
-//     [--trace PATH | --metrics PATH]   obs/ exports (DESIGN.md §8)
+//     [--metrics PATH]                  Prometheus text: each row's
+//                                       mwllsc_bench_{mops,joins_per_sec}
+//                                       beside its mwllsc_membership_*
+//     [--trace PATH]                    trace dump (DESIGN.md §8)
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -136,8 +138,8 @@ ChurnResult run_scenario(Managed& m, const Scenario& sc,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string json_path = bench::arg_value(argc, argv, "--json");
-  const bool smoke = bench::has_flag(argc, argv, "--smoke");
+  const bench::Args args(argc, argv, {"--smoke"}, {"--metrics", "--trace"});
+  const bool smoke = args.has("--smoke");
 
   const std::uint32_t kWords = 4;
   const std::uint32_t slots = smoke ? 4u : 8u;
@@ -147,9 +149,7 @@ int main(int argc, char** argv) {
   const std::uint64_t ops = smoke ? 64 : 256;
   const std::uint64_t abandon_every = 5;
 
-  bench::ObsSession obs(argc, argv, /*nprocs=*/slots + 1);
-  bench::JsonEmitter out("membership",
-                         "join/retire/crash-reclaim churn on managed jp");
+  bench::ObsSession obs(args, /*nprocs=*/slots + 1);
 
   std::printf("E10: membership churn (jp, W=%u, %u slots)\n\n", kWords,
               slots);
@@ -200,31 +200,19 @@ int main(int argc, char** argv) {
                    util::TablePrinter::num(r.mem.crash_reclaims),
                    util::TablePrinter::num(r.mem.join_retries)});
 
-    out.begin_row();
-    out.field("scenario", sc.name);
-    out.field("impl", "jp");
-    out.field("slots", std::uint64_t{slots});
-    out.field("threads", std::uint64_t{sc.threads});
-    out.field("sessions", r.total.leases);
-    out.field("ops_per_session", ops);
-    out.field("joins_per_sec", joins_per_s);
-    out.field("mops", mops);
-    out.field("degraded_fraction", degraded);
-    out.field("join_retries", r.mem.join_retries);
-    out.field("crash_reclaims", r.mem.crash_reclaims);
-    out.field("scans", r.mem.scans);
-
-    m.export_metrics(obs.registry(),
-                     "impl=\"jp\",scenario=\"" + std::string(sc.name) +
-                         "\"");
-    obs.registry().absorb("impl=\"jp\",scenario=\"" + std::string(sc.name) +
-                              "\"",
-                          m.stats());
+    const std::string row =
+        "impl=\"jp\",scenario=\"" + std::string(sc.name) + "\"";
+    m.export_metrics(obs.registry(), row);
+    obs.registry().absorb(row, m.stats());
+    obs.registry().set_gauge(
+        obs::MetricsRegistry::labeled("mwllsc_bench_mops", row), mops);
+    obs.registry().set_gauge(
+        obs::MetricsRegistry::labeled("mwllsc_bench_joins_per_sec", row),
+        joins_per_s);
   }
   table.print();
   std::printf("\n");
 
-  if (!out.write(json_path)) return 1;
   if (!obs.finish()) ok = false;
   return ok ? 0 : 1;
 }

@@ -138,11 +138,11 @@ std::uint32_t worst_ll_adversarial(std::uint32_t n, std::uint32_t w,
 
 // Shared setup for the --seed / --replay repro modes: one jp workload with
 // the caller-specified shape, full invariant checking, verbose verdict.
-int run_repro(int argc, char** argv) {
-  const std::string seed_s = bench::arg_value(argc, argv, "--seed");
-  const std::string replay = bench::arg_value(argc, argv, "--replay");
+int run_repro(const bench::Args& args) {
+  const std::string seed_s = args.value("--seed");
+  const std::string replay = args.value("--replay");
   auto u32 = [&](const char* flag, std::uint32_t dflt) {
-    const std::string v = bench::arg_value(argc, argv, flag);
+    const std::string v = args.value(flag);
     return v.empty() ? dflt
                      : static_cast<std::uint32_t>(std::strtoul(
                            v.c_str(), nullptr, 10));
@@ -178,11 +178,11 @@ int run_repro(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (!bench::arg_value(argc, argv, "--seed").empty() ||
-      !bench::arg_value(argc, argv, "--replay").empty()) {
-    return run_repro(argc, argv);
-  }
-  const bool smoke = bench::has_flag(argc, argv, "--smoke");
+  const bench::Args args(argc, argv, {"--smoke"},
+                         {"--metrics", "--trace", "--seed", "--replay", "--n",
+                          "--w", "--ops", "--wl-seed"});
+  if (args.has("--seed") || args.has("--replay")) return run_repro(args);
+  const bool smoke = args.has("--smoke");
   const std::vector<std::pair<std::uint32_t, std::uint32_t>> grid =
       smoke ? std::vector<std::pair<std::uint32_t, std::uint32_t>>{{2, 2},
                                                                    {2, 4}}
@@ -192,7 +192,7 @@ int main(int argc, char** argv) {
   for (const auto& cell : grid) max_n = std::max(max_n, cell.first);
   obs::TraceConfig tcfg;
   tcfg.capacity = 1u << 18;  // per pid: the smoke grid's jp runs fit
-  bench::ObsSession obs(argc, argv, max_n, tcfg);
+  bench::ObsSession obs(args, max_n, tcfg);
   g_obs = &obs;
   const std::uint32_t seeds = smoke ? 4 : 10;
   const std::uint64_t max_steps = smoke ? 30000 : 300000;

@@ -10,8 +10,8 @@
 //     keeps a line per announce slot, DESIGN.md §3).
 //
 // Run: ./bench_space_table [--metrics PATH]
-//      (CI writes the shared-words gauges to BENCH_space.prom)
-//      (no threads run here, so --trace produces an empty trace)
+//      (CI writes the shared-words gauges to BENCH_space.prom; no threads
+//      run here, so there is nothing to --trace)
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -33,7 +33,8 @@ std::size_t shared_words(core::IMwLLSC& obj) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::ObsSession obs(argc, argv, 1);
+  const bench::Args args(argc, argv, {}, {"--metrics"});
+  bench::ObsSession obs(args, 1);
   std::printf(
       "E1: space complexity, measured 64-bit words of shared memory\n"
       "paper claim: JP = O(NW) vs Anderson-Moir = O(N^2 W); ratio ~ N\n\n");

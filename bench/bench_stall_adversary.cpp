@@ -18,6 +18,7 @@
 // op latency.
 //
 // Run: ./bench_stall_adversary [--smoke]   (--smoke: 50 ms cells for CI)
+//        [--metrics PATH] [--trace PATH]   obs/ export (bench_common.hpp)
 #include <atomic>
 #include <cstdio>
 #include <mutex>
@@ -153,11 +154,12 @@ void print_row(TablePrinter& table, const std::string& name,
 }  // namespace
 
 int main(int argc, char** argv) {
+  const bench::Args args(argc, argv, {"--smoke"}, {"--metrics", "--trace"});
   const unsigned threads =
       std::min(std::max(4u, std::thread::hardware_concurrency()), 8u);
   const std::uint64_t duration_ns =
-      bench::has_flag(argc, argv, "--smoke") ? 50'000'000 : 400'000'000;
-  bench::ObsSession obs(argc, argv, threads);
+      args.has("--smoke") ? 50'000'000 : 400'000'000;
+  bench::ObsSession obs(args, threads);
 
   std::printf(
       "E8: stall adversary — one thread stalls mid-update for delta; fast\n"

@@ -27,8 +27,10 @@
 //
 // Run: ./bench_throughput_vs_n               tables
 //        [--smoke]                           W = 4, <= 2 threads, 50 ms cells
-//        [--json PATH]                       also a perf-trajectory snapshot
-//        [--trace PATH] [--metrics PATH]     obs/ export (bench_common.hpp)
+//        [--metrics PATH]                    Prometheus text: each cell's
+//                                            mwllsc_bench_mops beside its
+//                                            counters and success ratio
+//        [--trace PATH]                      trace dump (MWLLSC_TRACE build)
 #include <cstdio>
 #include <string>
 
@@ -75,18 +77,15 @@ bool cell_holds(const std::string& impl, std::uint32_t w, unsigned threads,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = bench::has_flag(argc, argv, "--smoke");
-  const std::string json = bench::arg_value(argc, argv, "--json");
+  const bench::Args args(argc, argv, {"--smoke"}, {"--metrics", "--trace"});
+  const bool smoke = args.has("--smoke");
   const std::uint64_t duration_ns = smoke ? 50'000'000 : 250'000'000;
   const auto threads = bench::scaling_thread_counts(smoke ? 2 : 0);
   const std::vector<std::uint32_t> ws =
       smoke ? std::vector<std::uint32_t>{4}
             : std::vector<std::uint32_t>{4, 16, 64};
   const auto factories = bench::all_factories();
-  bench::ObsSession obs(argc, argv, threads.back());
-  bench::JsonEmitter out("throughput_vs_n",
-                         "contended { LL; modify; SC } pairs, million/s, "
-                         "one shared W-word object");
+  bench::ObsSession obs(args, threads.back());
 
   std::printf(
       "E3: throughput under contention\n"
@@ -112,10 +111,12 @@ int main(int argc, char** argv) {
                            std::to_string(t));
         const auto r = bench::run_rmw_throughput(*obj, t, duration_ns);
         const auto& s = r.stats;
-        obs.registry().absorb("impl=\"" + f.name + "\",w=\"" +
-                                  std::to_string(w) + "\",threads=\"" +
-                                  std::to_string(t) + "\"",
-                              s);
+        const std::string cell = "impl=\"" + f.name + "\",w=\"" +
+                                 std::to_string(w) + "\",threads=\"" +
+                                 std::to_string(t) + "\"";
+        obs.registry().absorb(cell, s);
+        obs.registry().set_gauge(
+            obs::MetricsRegistry::labeled("mwllsc_bench_mops", cell), r.mops);
         if (!cell_holds(f.name, w, t, s)) ok = false;
         mops_row.push_back(TablePrinter::num(r.mops, 2));
         success_row.push_back(pct(r.sc_success_rate));
@@ -127,12 +128,6 @@ int main(int argc, char** argv) {
                TablePrinter::num(per_k(s.helps_given, s.ll_ops), 2),
                TablePrinter::num(per_k(s.bank_writes, s.sc_success), 2)});
         }
-        out.begin_row();
-        out.field("impl", f.name);
-        out.field("threads", std::uint64_t{t});
-        out.field("w", std::uint64_t{w});
-        out.field("mops", r.mops);
-        out.field("sc_success_rate", r.sc_success_rate);
       }
       success_row.push_back(pct(1.0 / t));
       mops.add_row(std::move(mops_row));
@@ -194,7 +189,6 @@ int main(int argc, char** argv) {
     table.print();
   }
 
-  if (!out.write(json)) ok = false;
   if (!obs.finish()) ok = false;
   return ok ? 0 : 1;
 }

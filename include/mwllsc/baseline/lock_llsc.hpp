@@ -2,8 +2,12 @@
 // counter for the link semantics. Simple and sequentially fast, but a
 // stalled holder blocks every other process — the convoying/fault-
 // tolerance failure mode the paper's introduction argues against.
+//
+// LL and SC take the mutex; VL does not. The version only changes under
+// the mutex, at a successful SC, so VL compares p's link with a load of it.
 #pragma once
 
+#include <atomic>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -40,8 +44,9 @@ class LockLLSC {
     {
       util::MutexLock g(mu_);
       for (std::uint32_t i = 0; i < w_; ++i) out[i] = value_[i];
-      linked_[p].version = version_;
-      linked = version_;
+      // Relaxed: every store to version_ is made under mu_, held here.
+      linked = version_.load(std::memory_order_relaxed);
+      linked_[p].version = linked;
     }
     stats_.at(p).bump(stats_.at(p).ll_ops);
     trace_.emit(obs::EventKind::kLlFast, p, linked);
@@ -56,10 +61,12 @@ class LockLLSC {
     std::uint64_t newv = 0;
     {
       util::MutexLock g(mu_);
-      if (linked_[p].version == version_) {
+      const std::uint64_t cur = version_.load(std::memory_order_relaxed);
+      if (linked_[p].version == cur) {
         for (std::uint32_t i = 0; i < w_; ++i) value_[i] = v[i];
-        ++version_;
-        newv = version_;
+        newv = cur + 1;
+        // Release: pairs with vl()'s acquire load.
+        version_.store(newv, std::memory_order_release);
         ok = true;
       }
       linked_[p].version = kUnlinked;  // the link is consumed either way
@@ -74,8 +81,7 @@ class LockLLSC {
     assert(p < n_);
     auto& c = stats_.at(p);
     c.bump(c.vl_ops);
-    util::MutexLock g(mu_);
-    return linked_[p].version == version_;
+    return linked_[p].version == version_.load(std::memory_order_acquire);
   }
 
   std::uint32_t words() const { return w_; }
@@ -107,9 +113,12 @@ class LockLLSC {
   const std::uint32_t n_;
   const std::uint32_t w_;
   util::Mutex mu_;
-  std::uint64_t version_ MWLLSC_GUARDED_BY(mu_) = 0;
+  // mwllsc-pad: exempt(beside mu_, whose line every LL and SC takes
+  // anyway; the VL that loads it took that line's mutex before)
+  std::atomic<std::uint64_t> version_{0};
   std::vector<std::uint64_t> value_ MWLLSC_GUARDED_BY(mu_);
-  std::unique_ptr<Linked[]> linked_ MWLLSC_PT_GUARDED_BY(mu_);
+  // Each process's link is read and written by that process only.
+  std::unique_ptr<Linked[]> linked_;
   util::OpStatsArray stats_;
   obs::TraceHandle trace_;
 };
