@@ -164,6 +164,7 @@ struct UniversalResult {
   std::uint64_t max_attempts = 0;  // wait-free runs only
   std::uint64_t scs = 0;  // the substrate's SCs, the initial one included
                           // (queue runs only)
+  std::uint64_t lls = 0;  // the substrate's LLs, likewise
 };
 
 double per_op(std::uint64_t n, std::uint64_t ops) {
@@ -249,8 +250,9 @@ UniversalResult run_queue(const apps::Substrate& substrate, unsigned threads,
     ops.fetch_add(mine, std::memory_order_relaxed);
   });
   const std::uint64_t applies = ops.load(std::memory_order_relaxed);
+  const core::OpStatsSnapshot s = q.substrate().stats();
   return {mops_of(applies, run), applies, q.total_attempts(),
-          q.max_attempts(), q.substrate().stats().sc_ops};
+          q.max_attempts(), s.sc_ops, s.ll_ops};
 }
 
 }  // namespace
@@ -352,19 +354,23 @@ int main(int argc, char** argv) {
   {
     std::printf(
         "wait-free MPMC queue (cap 64) via the universal construction, "
-        "enqueue+dequeue Mops; LL/SC rounds and substrate SCs per apply:\n");
-    TablePrinter table({"substrate", "Mops", "rounds/apply", "SCs/apply"});
+        "enqueue+dequeue Mops;\nper apply: LL/SC rounds, substrate SCs and "
+        "substrate LLs (a round that confirms\na help with try_read takes no "
+        "LL):\n");
+    TablePrinter table(
+        {"substrate", "Mops", "rounds/apply", "SCs/apply", "LLs/apply"});
     for (auto& f : factories) {
       const UniversalResult r =
           run_queue(f.make, threads, duration_ns, obs, f.name);
       if (!rounds_hold(f.name + " wf_queue", r.max_attempts)) ok = false;
       table.add_row({f.name, TablePrinter::num(r.mops, 2),
                      per_op_cell(r.attempts, r.ops),
-                     per_op_cell(r.scs, r.ops)});
+                     per_op_cell(r.scs, r.ops), per_op_cell(r.lls, r.ops)});
       const std::string cell = "impl=\"" + f.name + "\",workload=\"queue\"";
       gauge("mwllsc_bench_mops", cell, r.mops);
       gauge("mwllsc_bench_rounds_per_apply", cell, per_op(r.attempts, r.ops));
       gauge("mwllsc_bench_scs_per_apply", cell, per_op(r.scs, r.ops));
+      gauge("mwllsc_bench_lls_per_apply", cell, per_op(r.lls, r.ops));
     }
     table.print();
     std::printf("\n");

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -119,16 +120,19 @@ inline ThroughputResult run_rmw_throughput(core::IMwLLSC& obj,
 // Command line.
 //
 // Each bench declares the flags it accepts: switches, and flags that take
-// a value. Anything else, a value flag without its value, or `--trace` in
-// a build without MWLLSC_TRACE (it could only write an empty dump) prints
-// usage and exits 2 before any run, so a mistyped flag cannot pass as a
-// run that silently skipped its output.
+// a value. Anything else, a value flag without its value, a numeric flag
+// whose value is not a number in its range, or `--trace` in a build
+// without MWLLSC_TRACE (it could only write an empty dump) prints usage and
+// exits 2 before any run, so a mistyped flag cannot pass as a run that
+// silently skipped its output or ran something else.
 
 class Args {
  public:
   Args(int argc, char** argv, std::vector<std::string> switches,
        std::vector<std::string> valued)
-      : switches_(std::move(switches)), valued_(std::move(valued)) {
+      : prog_(argv[0]),
+        switches_(std::move(switches)),
+        valued_(std::move(valued)) {
     for (int i = 1; i < argc; ++i) {
       const std::string flag = argv[i];
       if (declared(switches_, flag)) {
@@ -138,14 +142,13 @@ class Args {
                  std::strncmp(argv[i + 1], "--", 2) != 0) {
         given_[flag] = argv[++i];
       } else {
-        usage(argv[0], declared(valued_, flag)
-                           ? flag + " needs a value"
-                           : "unknown argument " + flag);
+        usage(declared(valued_, flag) ? flag + " needs a value"
+                                      : "unknown argument " + flag);
       }
     }
 #if !defined(MWLLSC_TRACE)
     if (has("--trace")) {
-      usage(argv[0], "--trace needs a build with -DMWLLSC_TRACE=ON");
+      usage("--trace needs a build with -DMWLLSC_TRACE=ON");
     }
 #endif
   }
@@ -159,20 +162,39 @@ class Args {
     return it == given_.end() ? "" : it->second;
   }
 
+  /// The value of `flag` as a decimal integer in [lo, hi], or `dflt` if
+  /// the flag was not given. Anything else — a sign, trailing characters,
+  /// a value out of range — prints usage and exits 2.
+  std::uint64_t number(const std::string& flag, std::uint64_t dflt,
+                       std::uint64_t lo, std::uint64_t hi) const {
+    if (!has(flag)) return dflt;
+    const std::string v = value(flag);
+    std::uint64_t n = 0;
+    const auto [end, err] = std::from_chars(v.data(), v.data() + v.size(), n);
+    if (err != std::errc() || end != v.data() + v.size() || n < lo ||
+        n > hi) {
+      usage(flag + " needs an integer in [" + std::to_string(lo) + ", " +
+            std::to_string(hi) + "], not '" + v + "'");
+    }
+    return n;
+  }
+
  private:
   static bool declared(const std::vector<std::string>& flags,
                        const std::string& flag) {
     return std::find(flags.begin(), flags.end(), flag) != flags.end();
   }
 
-  [[noreturn]] void usage(const char* prog, const std::string& why) const {
-    std::fprintf(stderr, "%s: %s\nusage: %s", prog, why.c_str(), prog);
+  [[noreturn]] void usage(const std::string& why) const {
+    std::fprintf(stderr, "%s: %s\nusage: %s", prog_.c_str(), why.c_str(),
+                 prog_.c_str());
     for (const auto& f : switches_) std::fprintf(stderr, " [%s]", f.c_str());
     for (const auto& f : valued_) std::fprintf(stderr, " [%s ARG]", f.c_str());
     std::fprintf(stderr, "\n");
     std::exit(2);
   }
 
+  std::string prog_;
   std::vector<std::string> switches_;
   std::vector<std::string> valued_;
   std::map<std::string, std::string> given_;

@@ -139,19 +139,17 @@ std::uint32_t worst_ll_adversarial(std::uint32_t n, std::uint32_t w,
 // Shared setup for the --seed / --replay repro modes: one jp workload with
 // the caller-specified shape, full invariant checking, verbose verdict.
 int run_repro(const bench::Args& args) {
-  const std::string seed_s = args.value("--seed");
   const std::string replay = args.value("--replay");
-  auto u32 = [&](const char* flag, std::uint32_t dflt) {
-    const std::string v = args.value(flag);
-    return v.empty() ? dflt
-                     : static_cast<std::uint32_t>(std::strtoul(
-                           v.c_str(), nullptr, 10));
-  };
-  const std::uint32_t n = u32("--n", 2);
-  const std::uint32_t w = u32("--w", 2);
+  // The ranges keep a mistyped repro from running something else: at most
+  // 64 fibers, and W and ops small enough to finish.
+  constexpr std::uint64_t kAny = ~std::uint64_t{0};
+  const auto n = static_cast<std::uint32_t>(args.number("--n", 2, 1, 64));
+  const auto w = static_cast<std::uint32_t>(args.number("--w", 2, 1, 4096));
   WorkloadConfig cfg;
-  cfg.ops_per_proc = u32("--ops", 300);
-  cfg.seed = u32("--wl-seed", 1);
+  cfg.ops_per_proc =
+      static_cast<std::uint32_t>(args.number("--ops", 300, 1, 1000000));
+  cfg.seed = args.number("--wl-seed", 1, 0, kAny);
+  const std::uint64_t seed = args.number("--seed", 0, 0, kAny);
   SimWorkload<SimJp> wl(n, w, cfg);
   RunResult r;
   if (!replay.empty()) {
@@ -159,7 +157,6 @@ int run_repro(const bench::Args& args) {
                 replay.size(), n, w, cfg.ops_per_proc);
     r = run_replay(wl, replay);
   } else {
-    const std::uint64_t seed = std::strtoull(seed_s.c_str(), nullptr, 10);
     std::printf("re-running sched-seed=%llu on jp N=%u W=%u ops=%u\n",
                 static_cast<unsigned long long>(seed), n, w,
                 cfg.ops_per_proc);

@@ -9,7 +9,12 @@
 // A round is LL; help-all; VL; SC. It fails at the VL or at the SC: the
 // O(1) VL (Brown-Ellen-Ruppert's VLX-before-the-expensive-step) ends a
 // round whose link already broke without the O(W) SC, which would write
-// all W words into a spare before its X CAS could lose.
+// all W words into a spare before its X CAS could lose. A round after a
+// lost one first asks "was I helped?" with the same move: a validated
+// two-word try_read of {applied_seq[p], result[p]} (core/any.hpp). If it
+// shows our seq, the apply returns that result without the O(W) LL; a
+// validated read is one committed version's words, so it linearizes the
+// op exactly where the LL exit would. Otherwise the round runs as above.
 //
 // State layout inside the variable (W = ceil(sizeof(T)/8) + 2N words):
 //   [0, payload)                the sequential object T, bytewise;
@@ -24,8 +29,10 @@
 // end of round 1); round 2 because some SC by w2 committed inside (LL2,
 // end of round 2). w2's LL must follow w1's SC (else w1's SC would have
 // killed w2's link), which follows p's LL1, which follows p's announce —
-// so w2 saw the announce and its committed SC applied p's op. Round 3's LL
-// therefore observes applied_seq[p] == seq and returns without another SC:
+// so w2 saw the announce and its committed SC applied p's op. Round 3's
+// try_read, if it validates, reads a version at or after w2's commit and
+// sees the op; if not, round 3's LL observes applied_seq[p] == seq. Either
+// way it returns without another SC:
 // **at most kMaxAttempts = 3 LL/SC rounds per apply**, over any
 // linearizable substrate. (Genuine end-to-end wait-freedom additionally
 // needs the substrate's own LL and SC to be wait-free — jp; under retry
@@ -115,17 +122,34 @@ class WfUniversal {
     Env::at("apps:announced", p);
     trace_.emit(obs::EventKind::kAnnounce, p, seq, static_cast<std::uint32_t>(d.kind));
     std::uint64_t* buf = me.scratch.data();
+    const auto own_ix = static_cast<std::uint32_t>(applied_ix(p));
     std::uint64_t attempts = 0;
+    std::uint64_t result = 0;
     for (;;) {
       ++attempts;
+      // A round after a lost one first asks "was I helped?" from the two
+      // words {applied_seq[p], result[p]}: a validated read that shows our
+      // seq ends the apply without the O(W) LL.
+      std::uint64_t own[2];
+      if (attempts > 1 && obj_->try_read(p, own_ix, 2, own) &&
+          own[0] == seq) {
+        result = own[1];
+        break;
+      }
       obj_->ll(p, buf);
-      if (buf[applied_ix(p)] == seq) break;  // a winner applied us
+      if (buf[applied_ix(p)] == seq) {  // a winner applied us
+        result = buf[result_ix(p)];
+        break;
+      }
       Env::at("apps:linked", p);
       const std::uint32_t applied = help_all(buf);
       trace_.emit(obs::EventKind::kHelpAll, p, seq, applied);
       // The O(1) VL before the O(W) SC: a broken link already witnesses a
       // commit inside this round, so the round is lost without the SC.
-      if (obj_->vl(p) && obj_->sc(p, buf)) break;  // won; help_all applied us
+      if (obj_->vl(p) && obj_->sc(p, buf)) {  // won; help_all applied us
+        result = buf[result_ix(p)];
+        break;
+      }
       Env::at("apps:sc_failed", p);  // lost at the VL or the SC
       assert(attempts < kMaxAttempts && "help-all attempt bound violated");
     }
@@ -135,7 +159,7 @@ class WfUniversal {
                       std::memory_order_relaxed);
     if (attempts > me.max_attempts.load(std::memory_order_relaxed))
       me.max_attempts.store(attempts, std::memory_order_relaxed);
-    return buf[result_ix(p)];
+    return result;
   }
 
   /// Reads the current state (one LL — an atomic snapshot).

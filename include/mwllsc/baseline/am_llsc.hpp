@@ -184,6 +184,19 @@ class AmLLSC {
     return x_.vl(p);
   }
 
+  /// Validated partial read of words [first, first+count), as core's
+  /// (count+2 accesses; p's link and announce word untouched), but exact:
+  /// a retired buffer is rewritten by its new owner's next SC, so only an
+  /// unchanged tag proves the copy untorn. Throws std::invalid_argument,
+  /// in every build, unless count >= 1 and first + count <= W.
+  bool try_read(std::uint32_t p, std::uint32_t first, std::uint32_t count,
+                std::uint64_t* out) {
+    assert(p < n_);
+    util::check_range(first, count, w_,
+                      "AmLLSC::try_read: need count >= 1, first+count <= W");
+    return rows_.read_range<Env>(x_, first, count, out, p) == 0;
+  }
+
   std::uint32_t words() const { return w_; }
 
   /// The abstract version: X's tag, the number of successful SCs so far.

@@ -84,6 +84,20 @@ class LockLLSC {
     return linked_[p].version == version_.load(std::memory_order_acquire);
   }
 
+  /// Copies words [first, first+count) under the mutex: always validated,
+  /// p's link untouched. Throws std::invalid_argument, in every build,
+  /// unless count >= 1 and first + count <= W.
+  bool try_read(std::uint32_t p, std::uint32_t first, std::uint32_t count,
+                std::uint64_t* out) {
+    assert(p < n_);
+    (void)p;
+    util::check_range(first, count, w_,
+                      "LockLLSC::try_read: need count >= 1, first+count <= W");
+    util::MutexLock g(mu_);
+    for (std::uint32_t i = 0; i < count; ++i) out[i] = value_[first + i];
+    return true;
+  }
+
   std::uint32_t words() const { return w_; }
 
   core::OpStatsSnapshot stats() const { return stats_.snapshot(); }

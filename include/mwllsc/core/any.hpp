@@ -9,9 +9,11 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "obs/trace.hpp"
+#include "util/checked.hpp"
 #include "util/stats.hpp"
 
 namespace mwllsc::core {
@@ -30,6 +32,25 @@ class IMwLLSC {
   /// True iff pid's link is still current. Does not consume the link.
   virtual bool vl(std::uint32_t pid) = 0;
 
+  /// Validated partial read: copies words [first, first+count) of the
+  /// current value into `out` without touching pid's link, and returns
+  /// true iff the copy is exactly one version's words, current at an
+  /// instant inside the call. False means "use ll" (out unspecified).
+  /// Throws std::invalid_argument unless count >= 1 and first+count <= W.
+  ///
+  /// The default answers false after the range check, so a decorator that
+  /// does not forward the call (perfbench's TimedAny, and MwLLSCAdapter
+  /// over its TimedCore) stays correct: its callers take the LL path.
+  /// MwLLSCAdapter forwards to every implementation that has try_read.
+  virtual bool try_read(std::uint32_t pid, std::uint32_t first,
+                        std::uint32_t count, std::uint64_t* out) {
+    (void)pid;
+    (void)out;
+    util::check_range(first, count, words(),
+                      "IMwLLSC::try_read: need count >= 1, first+count <= W");
+    return false;
+  }
+
   virtual std::uint32_t words() const = 0;
   virtual OpStatsSnapshot stats() const = 0;
   virtual util::Footprint footprint() const = 0;
@@ -42,7 +63,21 @@ class IMwLLSC {
   }
 };
 
-/// Adapts any concrete implementation with the same member signatures.
+namespace detail {
+
+/// Whether T has try_read(pid, first, count, out). perfbench's TimedCore
+/// decorator does not, and must still adapt.
+template <class T, class = void>
+struct HasTryRead : std::false_type {};
+template <class T>
+struct HasTryRead<T, std::void_t<decltype(std::declval<T&>().try_read(
+                         0u, 0u, 0u, static_cast<std::uint64_t*>(nullptr)))>>
+    : std::true_type {};
+
+}  // namespace detail
+
+/// Adapts any concrete implementation with the same member signatures;
+/// try_read is forwarded when T has it.
 template <class T>
 class MwLLSCAdapter final : public IMwLLSC {
  public:
@@ -56,6 +91,14 @@ class MwLLSCAdapter final : public IMwLLSC {
     return impl_.sc(pid, in);
   }
   bool vl(std::uint32_t pid) override { return impl_.vl(pid); }
+  bool try_read(std::uint32_t pid, std::uint32_t first, std::uint32_t count,
+                std::uint64_t* out) override {
+    if constexpr (detail::HasTryRead<T>::value) {
+      return impl_.try_read(pid, first, count, out);
+    } else {
+      return IMwLLSC::try_read(pid, first, count, out);
+    }
+  }
   std::uint32_t words() const override { return impl_.words(); }
   OpStatsSnapshot stats() const override { return impl_.stats(); }
   util::Footprint footprint() const override { return impl_.footprint(); }

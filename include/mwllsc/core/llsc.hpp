@@ -66,6 +66,18 @@ class Dw128LLSC {
     return value_of(cell_.w.load(std::memory_order_acquire));
   }
 
+  /// Unlinked read of the current value and its tag from one 16-byte load,
+  /// so the pair names one version: peek() then current_tag() could pair a
+  /// value with a later tag.
+  struct Tagged {
+    std::uint64_t value;
+    std::uint64_t tag;
+  };
+  Tagged peek_tagged() const {
+    const Word w = cell_.w.load(std::memory_order_acquire);
+    return {value_of(w), tag_of(w)};
+  }
+
   /// Tag of the word p linked to (for deterministic help scheduling).
   std::uint64_t linked_tag(std::uint32_t p) const {
     return tag_of(links_[p].seen);

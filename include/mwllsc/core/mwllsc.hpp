@@ -346,6 +346,23 @@ class MwLLSC {
     return x_.vl(p);  // O(1), independent of W
   }
 
+  /// Validated partial read: copies words [first, first+count) of the
+  /// current value into `out` in count+2 accesses — X's buffer and tag
+  /// from one unlinked load, the copy, then the first attempt's aged
+  /// re-check. Returns true iff the tag drifted by at most P, in which
+  /// case ring aging makes the copy exactly version t0's words, linearized
+  /// at the load; false (out unspecified) means more than P SCs committed
+  /// during the read. Never touches p's link, announce word or Priv.
+  /// Throws std::invalid_argument, in every build, unless count >= 1 and
+  /// first + count <= W.
+  bool try_read(std::uint32_t p, std::uint32_t first, std::uint32_t count,
+                std::uint64_t* out) {
+    assert(p < n_);
+    util::check_range(first, count, w_,
+                      "MwLLSC::try_read: need count >= 1, first+count <= W");
+    return rows_.read_range<Env>(x_, first, count, out, p) <= p2_;
+  }
+
   /// Crash-stop slot reclamation (membership layer, DESIGN.md §10).
   /// Settles the obligations a dead process left behind so its pid can be
   /// reissued. A ring swap it left pending (it died between its X commit

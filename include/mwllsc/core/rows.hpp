@@ -75,6 +75,29 @@ class BufferRows {
     }
   }
 
+  /// One attempt of a try_read of words [first, first+count): load the
+  /// buffer index X names and its tag together (x.peek_tagged()), copy the
+  /// range from that row, then re-read X's tag — count+2 Env steps,
+  /// "read:link", "read:copy" per word, "read:validate", and no link.
+  /// Returns the drift (tag advance during the copy); each caller accepts
+  /// the copy by its own reuse rule. No prefetch: ranges are a few words.
+  /// The caller checks the range.
+  template <class Env, class X>
+  std::uint64_t read_range(const X& x, std::uint32_t first,
+                           std::uint32_t count, std::uint64_t* out,
+                           std::uint32_t p) const {
+    Env::at("read:link", p);
+    const auto cur = x.peek_tagged();
+    const std::atomic<std::uint64_t>* r = row(buf_field(cur.value)) + first;
+    for (std::uint32_t i = 0; i < count; ++i) {
+      Env::at("read:copy", p);
+      out[i] = r[i].load(std::memory_order_relaxed);
+    }
+    std::atomic_thread_fence(std::memory_order_acquire);
+    Env::at("read:validate", p);
+    return x.current_tag() - cur.tag;
+  }
+
   /// Writes v into row b, one "sc:copy" Env step per word: an SC writing
   /// its value into its spare. The caller publishes the row.
   template <class Env>

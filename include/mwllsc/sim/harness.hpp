@@ -1,14 +1,14 @@
 // Deterministic simulation of the shipped multiword LL/SC classes.
 //
-// Each simulated process runs a script of LL, optional VL and SC calls on
-// a real core::MwLLSC, baseline::AmLLSC or baseline::RetryLLSC built with
-// core::HookEnv (core/env.hpp). The class calls Env::at right before each
-// shared access; the harness's hook records the access's name and yields
-// the process's fiber (sim/fiber.hpp) to the scheduler. So one step is one
-// shared access of the shipped code, and the scheduler — not the OS —
-// decides which process performs its next access. That turns Theorem 1's
-// wait-freedom claim from a statistical observation into a checkable
-// property:
+// Each simulated process runs a script of LL, optional try_read and VL,
+// then SC calls on a real core::MwLLSC, baseline::AmLLSC or
+// baseline::RetryLLSC built with core::HookEnv (core/env.hpp). The class
+// calls Env::at right before each shared access; the harness's hook
+// records the access's name and yields the process's fiber (sim/fiber.hpp)
+// to the scheduler. So one step is one shared access of the shipped code,
+// and the scheduler — not the OS — decides which process performs its
+// next access. That turns Theorem 1's wait-freedom claim from a
+// statistical observation into a checkable property:
 //
 //   * run_random            seeded uniform scheduling, the baseline sweep;
 //   * run_adversarial_anti  an anti-schedule that tries to starve one
@@ -99,13 +99,18 @@ struct EnumerateResult {
 struct WorkloadConfig {
   std::uint32_t ops_per_proc = 100;  ///< LL..SC rounds per process
   std::uint32_t vl_percent = 10;     ///< chance of a VL between LL and SC
-  std::uint64_t seed = 1;            ///< workload stream seed (VL coin)
+  /// Chance of a try_read of a random word range right after the LL, then
+  /// always a VL (which checks the read left the link alone). At 0 the
+  /// read coin is never drawn, so a shape without reads keeps the stream,
+  /// and so the schedules, it has without this field.
+  std::uint32_t read_percent = 0;
+  std::uint64_t seed = 1;  ///< workload stream seed (read/VL coins, ranges)
 };
 
 /// One object of class Impl and n processes, each a fiber running
-/// ops_per_proc rounds of LL, an optional VL, then an SC of a value no
-/// other attempt writes. The scheduler (a runner below) only chooses which
-/// process performs its next shared access.
+/// ops_per_proc rounds of LL, an optional try_read, an optional VL, then an
+/// SC of a value no other attempt writes. The scheduler (a runner below)
+/// only chooses which process performs its next shared access.
 template <class Impl, class Checker = InvariantChecker<Impl>>
 class SimWorkload {
  public:
@@ -128,6 +133,7 @@ class SimWorkload {
     done_.clear();
     next_id_ = 1;
     total_steps_ = completed_lls_ = crashes_ = reclaims_ = 0;
+    reads_ = refused_reads_ = 0;
     max_ll_steps_ = 0;
     for (std::uint32_t p = 0; p < n_; ++p) {
       Proc& pr = procs_[p];
@@ -173,10 +179,11 @@ class SimWorkload {
 
   /// The shared access p performs at its next step (nullptr once done).
   const char* parked_at(std::uint32_t p) const { return parked_[p]; }
-  /// Whether p's next step is an LL copy validation.
+  /// Whether p's next step is an LL or try_read copy validation.
   bool at_validation(std::uint32_t p) const {
     return detail::is_point(parked_[p], "ll:validate") ||
-           detail::is_point(parked_[p], "ll:revalidate");
+           detail::is_point(parked_[p], "ll:revalidate") ||
+           detail::is_point(parked_[p], "read:validate");
   }
   /// Steps p's unfinished operation has taken so far.
   std::uint32_t steps_in_flight(std::uint32_t p) const {
@@ -227,6 +234,8 @@ class SimWorkload {
   std::uint64_t total_steps() const { return total_steps_; }
   std::uint32_t max_ll_steps() const { return max_ll_steps_; }
   std::uint64_t completed_lls() const { return completed_lls_; }
+  std::uint64_t completed_reads() const { return reads_; }
+  std::uint64_t refused_reads() const { return refused_reads_; }
   std::uint64_t crashes_total() const { return crashes_; }
   std::uint64_t crash_reclaims_total() const { return reclaims_; }
 
@@ -253,7 +262,7 @@ class SimWorkload {
 
  private:
   // Script position within the current round.
-  enum : std::uint8_t { kAtLl = 0, kAtVl = 1, kAtSc = 2 };
+  enum : std::uint8_t { kAtLl = 0, kAtVl = 1, kAtSc = 2, kAtRead = 3 };
 
   // Everything a fiber's script touches lives here, outside the fiber's
   // frames, so a crashed fiber leaks nothing.
@@ -286,8 +295,24 @@ class SimWorkload {
           rec.type = OpType::kLl;
           obj_->ll(p, rec.value.data());
           rec.success = true;
-          pr.micro = (pr.rng.next() % 100 < cfg_.vl_percent) ? kAtVl : kAtSc;
+          if (cfg_.read_percent > 0 &&
+              pr.rng.next() % 100 < cfg_.read_percent) {
+            pr.micro = kAtRead;
+          } else {
+            pr.micro =
+                (pr.rng.next() % 100 < cfg_.vl_percent) ? kAtVl : kAtSc;
+          }
           break;
+        case kAtRead: {
+          rec.type = OpType::kRead;
+          rec.first = static_cast<std::uint32_t>(pr.rng.next() % w_);
+          const auto count =
+              static_cast<std::uint32_t>(1 + pr.rng.next() % (w_ - rec.first));
+          rec.value.resize(count);
+          rec.success = obj_->try_read(p, rec.first, count, rec.value.data());
+          pr.micro = kAtVl;
+          break;
+        }
         case kAtVl:
           rec.type = OpType::kVl;
           rec.success = obj_->vl(p);
@@ -296,6 +321,7 @@ class SimWorkload {
         default:
           rec.type = OpType::kSc;
           rec.sc_id = pr.sc_id = next_id_++;
+          rec.value.resize(w_);  // a try_read may have shrunk it
           for (std::uint32_t i = 0; i < w_; ++i) {
             rec.value[i] = value_word(rec.sc_id, i);
           }
@@ -339,6 +365,9 @@ class SimWorkload {
       if (r.type == OpType::kLl) {
         if (r.steps > max_ll_steps_) max_ll_steps_ = r.steps;
         ++completed_lls_;
+      } else if (r.type == OpType::kRead) {
+        ++reads_;
+        if (!r.success) ++refused_reads_;
       }
       chk_->on_op(r);
     }
@@ -362,6 +391,8 @@ class SimWorkload {
   std::uint64_t completed_lls_ = 0;
   std::uint64_t crashes_ = 0;
   std::uint64_t reclaims_ = 0;
+  std::uint64_t reads_ = 0;
+  std::uint64_t refused_reads_ = 0;
   std::uint32_t max_ll_steps_ = 0;
 };
 

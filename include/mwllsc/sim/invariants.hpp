@@ -18,6 +18,13 @@
 //           primitives" contract). VL mirrors SC. jp's LL that accepts a
 //           copy with drift in [1, P] and returns with its link broken is
 //           exactly what this permits: a successful SC did intervene.
+//           A try_read that returns true must return the words of one
+//           committed, untorn version current inside its window; one that
+//           returns false must have seen more than P commits in its window
+//           (jp's aged validation) or at least one (the baselines' exact
+//           check); jp's read takes exactly count+2 steps. The read leaves
+//           the link where it was: the VL the script issues right after
+//           it is checked against the LL's version.
 //   census  core::MwLLSC only:
 //     I1    every buffer of the N+R+1 has exactly one owner: the object
 //           (current), a process's spare (offered or not; an unconsumed
@@ -43,7 +50,7 @@
 
 namespace mwllsc::sim {
 
-enum class OpType { kLl, kSc, kVl };
+enum class OpType { kLl, kSc, kVl, kRead };
 
 /// One completed operation, as the process's script saw it. Versions are
 /// the class's version() (successful SCs so far) at the call and at the
@@ -53,7 +60,9 @@ struct OpRecord {
   std::uint32_t pid = 0;
   std::uint32_t steps = 0;          ///< shared accesses the op made
   bool success = false;             ///< SC/VL outcome; LL always true
-  std::vector<std::uint64_t> value;  ///< LL: value read; SC: value written
+  std::vector<std::uint64_t> value;  ///< LL: value read; SC: value written;
+                                     ///< try_read: words [first, ...)
+  std::uint32_t first = 0;          ///< try_read: first word of the range
   std::uint64_t sc_id = 0;          ///< SC: the attempt's value id
   std::uint64_t start_version = 0;
   std::uint64_t end_version = 0;
@@ -139,7 +148,10 @@ template <class Impl>
 class InvariantChecker {
  public:
   InvariantChecker(std::uint32_t n, std::uint32_t w)
-      : w_(w), last_ll_(n, kNone), version_of_id_(1, kNever) {}
+      : w_(w),
+        read_drift_(detail::HasCensus<Impl>::value ? pow2_at_least(n) : 0),
+        last_ll_(n, kNone),
+        version_of_id_(1, kNever) {}
 
   void on_step(const Impl& obj, const StepInfo& s) {
     if (failed_) return;
@@ -199,6 +211,38 @@ class InvariantChecker {
         last_ll_[r.pid] = l;
         break;
       }
+      case OpType::kRead: {
+        const auto count = static_cast<std::uint32_t>(r.value.size());
+        if constexpr (detail::HasCensus<Impl>::value) {
+          if (r.steps != count + 2) {
+            return fail("try_read(p%u) of %u words took %u steps, not "
+                        "count+2",
+                        r.pid, count, r.steps);
+          }
+        }
+        if (!r.success) {
+          if (r.end_version - r.start_version <= read_drift_) {
+            return fail("try_read(p%u) refused with %llu commits in its "
+                        "window; it may refuse only past %llu",
+                        r.pid, ull(r.end_version - r.start_version),
+                        ull(read_drift_));
+          }
+          break;
+        }
+        const std::uint64_t l = version_of(r.value, r.first);
+        if (l == kNever) {
+          return fail("try_read(p%u) returned words [%u, %u) no successful "
+                      "SC installed (torn, or never committed)",
+                      r.pid, r.first, r.first + count);
+        }
+        if (l < r.start_version || l > r.end_version) {
+          return fail("try_read(p%u) returned version %llu, outside its "
+                      "window [%llu, %llu]",
+                      r.pid, ull(l), ull(r.start_version),
+                      ull(r.end_version));
+        }
+        break;  // the link (last_ll_) stays
+      }
       case OpType::kVl:
         // True needs the linked version still current at the call; false
         // needs a successful SC after it by the return.
@@ -249,9 +293,16 @@ class InvariantChecker {
     return static_cast<unsigned long long>(v);
   }
 
-  /// The version whose value `v` is, or kNever if no committed SC wrote
-  /// exactly this value.
-  std::uint64_t version_of(const std::vector<std::uint64_t>& v) const {
+  static std::uint64_t pow2_at_least(std::uint32_t n) {
+    std::uint64_t p = 1;
+    while (p < n) p <<= 1;
+    return p;
+  }
+
+  /// The version whose words [first, first+v.size()) `v` is, or kNever if
+  /// no committed SC wrote exactly these words.
+  std::uint64_t version_of(const std::vector<std::uint64_t>& v,
+                           std::uint32_t first = 0) const {
     const std::uint64_t id = v[0] >> 16;
     if (id == 0) {
       for (std::uint64_t x : v) {
@@ -261,7 +312,7 @@ class InvariantChecker {
     }
     if (id >= version_of_id_.size()) return kNever;
     for (std::uint32_t i = 0; i < v.size(); ++i) {
-      if (v[i] != value_word(id, i)) return kNever;
+      if (v[i] != value_word(id, first + i)) return kNever;
     }
     return version_of_id_[id];
   }
@@ -302,6 +353,9 @@ class InvariantChecker {
   }
 
   std::uint32_t w_;
+  /// Commits a refused try_read must have seen more than: P for jp (the
+  /// census class; aged validation), 0 for the baselines (exact check).
+  std::uint64_t read_drift_;
   std::uint64_t steps_ = 0;
   std::uint64_t version_ = 0;
   bool failed_ = false;

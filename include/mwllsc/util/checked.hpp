@@ -4,6 +4,7 @@
 // member initializer, so it throws before any member allocates.
 #pragma once
 
+#include <cstdint>
 #include <stdexcept>
 
 namespace mwllsc::util {
@@ -13,6 +14,15 @@ template <class T>
 T checked(T v, bool ok, const char* what) {
   if (!ok) throw std::invalid_argument(what);
   return v;
+}
+
+/// Throws std::invalid_argument(`what`) unless [first, first+count) is a
+/// nonempty range of [0, size). Written so first+count cannot overflow.
+inline void check_range(std::uint32_t first, std::uint32_t count,
+                        std::uint32_t size, const char* what) {
+  if (count == 0 || first > size || count > size - first) {
+    throw std::invalid_argument(what);
+  }
 }
 
 }  // namespace mwllsc::util

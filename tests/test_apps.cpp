@@ -5,7 +5,8 @@
 //     0..N*K-1 and the final state is N*K;
 //   * the help-all attempt bound holds: no apply ever took more than
 //     WfUniversal::kMaxAttempts LL/SC rounds;
-//   * a round whose link broke ends at its VL: it issues no substrate SC;
+//   * a round whose link broke ends at its VL: it issues no substrate SC,
+//     and the next round confirms a help from two words, without an LL;
 //   * UniversalObject (lock-free retry) loses no increments;
 //   * both constructions refuse, in every build, a substrate whose
 //     initial SC fails;
@@ -148,8 +149,8 @@ void deterministic_help_paths() {
   }
   // Lost at the VL, then helped: p0 has linked when p1 commits (helping
   // p0 in the same SC). p0's VL finds its link broken, so its round ends
-  // without an SC; its second LL finds the op applied and returns the
-  // result from that snapshot.
+  // without an SC; its second round's two-word try_read finds the op
+  // applied and returns the result from it, without an LL.
   {
     HookedWfCounter obj(2, Counter{0});
     DetHook st{&obj, "apps:linked", false, 0};
@@ -163,10 +164,13 @@ void deterministic_help_paths() {
     CHECK_EQ(obj.max_attempts(), 2u);  // one lost round + the helped exit
     CHECK_EQ(st.p0_lost_rounds, 1u);
     // The lost round wrote nothing: the only SCs are the constructor's
-    // and p1's, and the VLs are p1's gate and p0's.
+    // and p1's, and the VLs are p1's gate and p0's. The LLs are the
+    // constructor's, p0's first round, p1's and read(0): the helped
+    // round took none.
     const core::OpStatsSnapshot s = obj.substrate().stats();
     CHECK_EQ(s.sc_ops, 2u);
     CHECK_EQ(s.vl_ops, 2u);
+    CHECK_EQ(s.ll_ops, 4u);
   }
   std::printf("  deterministic help paths  OK\n");
 }

@@ -5,8 +5,11 @@
 // 74), and every word of every value is distinct from every other word and
 // from the same word of every other value, so a copy that drops, repeats or
 // shifts a word — or mixes two versions — at a line boundary fails.
-// Also: the constructor preconditions every implementation enforces in
-// every build.
+// Also: try_read's contract (the words ll reads, the link untouched, bad
+// ranges refused; the facade default for an implementation without it) and
+// the constructor preconditions every implementation enforces in every
+// build.
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
@@ -26,6 +29,49 @@ void fill(std::vector<std::uint64_t>& v, std::uint64_t salt) {
   for (std::size_t i = 0; i < v.size(); ++i) {
     v[i] = 0x9E3779B97F4A7C15ULL * (i + 1) + (salt << 40);
   }
+}
+
+// Preconditions (constructor arguments, try_read ranges) hold in every
+// build: refused with std::invalid_argument.
+template <class Make>
+bool refuses(Make make) {
+  try {
+    make();
+  } catch (const std::invalid_argument&) {
+    return true;
+  }
+  return false;
+}
+
+// try_read's contract on a quiescent object holding `cur`: any range reads
+// the same words ll does; between ll and sc it leaves the link alone (vl
+// holds across it, the sc commits); a bad range is refused.
+void try_read_for(core::IMwLLSC& obj, std::uint32_t w,
+                  std::vector<std::uint64_t>& cur) {
+  std::vector<std::uint64_t> part(w), mine(w);
+  for (std::uint32_t first : {0u, w / 2, w - 1}) {
+    for (std::uint32_t count : {1u, w - first}) {
+      std::fill(part.begin(), part.end(), ~std::uint64_t{0});
+      CHECK(obj.try_read(2, first, count, part.data()));
+      for (std::uint32_t i = 0; i < count; ++i) {
+        CHECK_EQ(part[i], cur[first + i]);
+      }
+    }
+  }
+  obj.ll(0, mine.data());
+  CHECK(mine == cur);
+  CHECK(obj.try_read(0, 0, w, part.data()));  // the linked pid's own read
+  CHECK(part == cur);
+  CHECK(obj.try_read(1, w - 1, 1, part.data()));
+  CHECK(obj.vl(0));
+  fill(cur, 99);
+  CHECK(obj.sc(0, cur.data()));
+  CHECK(obj.try_read(0, 0, w, part.data()));
+  CHECK(part == cur);
+  CHECK(refuses([&] { obj.try_read(0, 0, 0, part.data()); }));
+  CHECK(refuses([&] { obj.try_read(0, 0, w + 1, part.data()); }));
+  CHECK(refuses([&] { obj.try_read(0, w, 1, part.data()); }));
+  CHECK(refuses([&] { obj.try_read(0, 1, ~0u, part.data()); }));  // wraps
 }
 
 void semantics_for(const core::MwLLSCFactory& f, std::uint32_t w) {
@@ -91,6 +137,8 @@ void semantics_for(const core::MwLLSCFactory& f, std::uint32_t w) {
     CHECK(c == a);
   }
 
+  try_read_for(*obj, w, a);
+
   // Counter sanity: sc_success <= sc_ops <= ll-ish totals, all populated.
   const auto s = obj->stats();
   CHECK(s.ll_ops >= 5);
@@ -133,16 +181,6 @@ void degenerate_for(const core::MwLLSCFactory& f) {
 // Constructor preconditions hold in Release too: each is refused with
 // std::invalid_argument instead of building an object whose buffer
 // indices overflow their 18-bit fields or that copies zero words.
-template <class Make>
-bool refuses(Make make) {
-  try {
-    make();
-  } catch (const std::invalid_argument&) {
-    return true;
-  }
-  return false;
-}
-
 void preconditions() {
   using Jp = core::MwLLSC<llsc::Dw128LLSC>;
   constexpr std::uint32_t kMax = core::kMaxProcs;
@@ -169,11 +207,35 @@ void preconditions() {
   CHECK(refuses([] { Am obj(kMax + 1, 4); }));
 }
 
+// An implementation without try_read (a decorator that does not forward
+// it) adapts with the facade's default: the range check, then false.
+struct LlOnly {
+  LlOnly(std::uint32_t n, std::uint32_t w) : impl(n, w) {}
+  void ll(std::uint32_t p, std::uint64_t* out) { impl.ll(p, out); }
+  bool sc(std::uint32_t p, const std::uint64_t* in) { return impl.sc(p, in); }
+  bool vl(std::uint32_t p) { return impl.vl(p); }
+  std::uint32_t words() const { return impl.words(); }
+  core::OpStatsSnapshot stats() const { return impl.stats(); }
+  util::Footprint footprint() const { return impl.footprint(); }
+  void set_trace(obs::TraceSink* sink, std::uint32_t var) {
+    impl.set_trace(sink, var);
+  }
+  core::MwLLSC<llsc::Dw128LLSC> impl;
+};
+
+void facade_default() {
+  core::MwLLSCAdapter<LlOnly> obj(2, 4);
+  std::uint64_t v[4] = {};
+  CHECK(!obj.try_read(0, 0, 4, v));
+  CHECK(refuses([&] { obj.try_read(0, 0, 5, v); }));
+}
+
 }  // namespace
 
 int main() {
   std::printf("test_core_semantics:\n");
   preconditions();
+  facade_default();
   for (const auto& f : bench::all_factories()) {
     for (std::uint32_t w : kWidths) semantics_for(f, w);
     degenerate_for(f);

@@ -357,6 +357,72 @@ void undisturbed_ll_never_announces() {
   CHECK(!obj.vl(0));  // pid 1's commits broke pid 0's open link
 }
 
+// try_read parked at its k-th "read:copy" step while pid 1 commits.
+struct ReadHook {
+  Hooked* obj = nullptr;
+  std::uint32_t at_word = 0;  // park before copying this word
+  std::uint32_t commits = 0;  // successful SCs landed there
+  std::uint32_t copies = 0;   // read:copy steps seen so far
+  std::uint64_t base = 0;     // the commits write base*round + i
+};
+
+void read_interfere(void* ctx, const char* point, std::uint32_t pid) {
+  auto* st = static_cast<ReadHook*>(ctx);
+  if (pid != 0 || std::strcmp(point, "read:copy") != 0) return;
+  if (st->copies++ != st->at_word) return;
+  std::vector<std::uint64_t> v(kW);
+  for (std::uint64_t round = 1; round <= st->commits; ++round) {
+    st->obj->ll(1, v.data());
+    for (std::uint32_t i = 0; i < kW; ++i) v[i] = st->base * round + i;
+    CHECK(st->obj->sc(1, v.data()));
+  }
+}
+
+// try_read validates by the first attempt's aged rule: parked at any word
+// of its copy, it returns true with version t0's words while at most P
+// commits land, and false once P+1 do. Past P+1 the pool recycles the
+// buffer it is copying (its new owner rewrites it), so some of those
+// copies are torn, and none of them may come back true. The read never
+// touches the reader's link or announce word, and takes count+2 steps.
+void try_read_aged_validation() {
+  constexpr std::uint32_t kP = 2;  // N = 2
+  std::uint32_t torn = 0;
+  for (std::uint32_t commits = 0; commits <= 4 * kP; ++commits) {
+    for (std::uint32_t k = 0; k < kW; ++k) {
+      Hooked obj(2, kW);
+      std::vector<std::uint64_t> t0(kW), out(kW);
+      for (std::uint32_t i = 0; i < kW; ++i) t0[i] = 7 + i;
+      obj.ll(0, out.data());
+      CHECK(obj.sc(0, t0.data()));
+      obj.ll(0, out.data());  // link pid 0 at t0; the read must keep it
+      ReadHook st{&obj, k, commits, 0, 1000 * (commits + 1)};
+      core::HookEnv::install(&read_interfere, &st);
+      const bool ok = obj.try_read(0, 0, kW, out.data());
+      core::HookEnv::install(nullptr, nullptr);
+      CHECK_EQ(ok, commits <= kP);
+      if (ok) CHECK(out == t0);
+      if (!ok && out[0] == t0[0] && out != t0) ++torn;  // t0's head, not tail
+      CHECK_EQ(obj.vl(0), commits == 0);
+      const auto s = obj.stats();
+      CHECK_EQ(s.ll_ops, 2u + commits);  // the read is no LL
+      CHECK_EQ(s.helps_given, 0u);       // nor an announce
+      check_i1(obj);
+    }
+  }
+  CHECK(torn > 0);  // the refusals above include real tears
+
+  // Undisturbed: exactly read:link, one read:copy per word, read:validate.
+  Hooked obj(2, kW);
+  std::vector<std::string> steps;
+  std::uint64_t two[2];
+  core::HookEnv::install(&log_pid0, &steps);
+  CHECK(obj.try_read(0, 1, 2, two));
+  core::HookEnv::install(nullptr, nullptr);
+  const std::vector<std::string> expect{"read:link", "read:copy", "read:copy",
+                                        "read:validate"};
+  CHECK(steps == expect);
+}
+
 }  // namespace
 
 int main() {
@@ -366,6 +432,7 @@ int main() {
   consumed_donation_goes_stale();
   undisturbed_ll_never_announces();
   second_line_words();
+  try_read_aged_validation();
   std::printf("test_help_path: OK\n");
   return 0;
 }

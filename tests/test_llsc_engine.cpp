@@ -1,6 +1,6 @@
 // Single-word LL/SC engine semantics: round-trips, semantic SC failure
 // (fails iff a successful SC intervened), VL, link consumption, ABA, the
-// per-SC tag count, and full 64-bit values.
+// per-SC tag count, the tagged peek, and full 64-bit values.
 #include <cstdint>
 
 #include "core/llsc.hpp"
@@ -60,6 +60,14 @@ void engine_semantics() {
     CHECK(z.sc(0, i));
     CHECK_EQ(z.current_tag(), i);
   }
+
+  // peek_tagged reads value and tag together and leaves the link alone.
+  z.ll(0);
+  const Engine::Tagged t = z.peek_tagged();
+  CHECK_EQ(t.value, 10u);
+  CHECK_EQ(t.tag, 10u);
+  CHECK(z.vl(0));
+  CHECK(z.sc(0, 11));
 
   // Space accounting exposes both shared and private parts.
   CHECK(x.shared_bytes() > 0);

@@ -14,6 +14,8 @@
 //       long the adversary runs — and the adversary does reach it: the
 //       victim's first attempt falls back and its announced round is
 //       rescued, exactly 3W+6 steps.
+//   (b') try_read under the same oracle, on all three classes, with jp's
+//       reads refused under the anti-adversary and accepted otherwise;
 //   (c) directed help-path choreographies — a donor that gives its spare
 //       away and then loses its own SC, an owner whose withdraw beats the
 //       donation CAS, and a donor whose help re-validation fails and so
@@ -119,6 +121,58 @@ void random_oracle_sweep() {
     if (!rr.ok) std::fprintf(stderr, "retry random: %s\n", rr.error.c_str());
     CHECK(rr.ok);
   }
+}
+
+// try_read under the oracle: random schedules on all three classes with
+// reads between LL and SC, then jp's anti-adversary aimed at the reads'
+// validations too (P+1 commits land before each one), so the run sees
+// both accepted and refused reads, and a bounded-exhaustive search that
+// tears a read mid-copy. Each read is followed by a VL checked against the
+// LL's version, so a read that moved the link fails it.
+void read_oracle() {
+  WorkloadConfig cfg;
+  cfg.ops_per_proc = 150;
+  cfg.vl_percent = 20;
+  cfg.read_percent = 60;
+  for (std::uint64_t s = 1; s <= 3; ++s) {
+    cfg.seed = s;
+    SimWorkload<SimJp> jp(3, 5, cfg);
+    const RunResult rj = run_random(jp, s * 131);
+    if (!rj.ok) std::fprintf(stderr, "jp reads: %s\n", rj.error.c_str());
+    CHECK(rj.ok);
+    CHECK(jp.completed_reads() > 0);
+    SimWorkload<SimAm> am(3, 5, cfg);
+    const RunResult ra = run_random(am, s * 131);
+    if (!ra.ok) std::fprintf(stderr, "am reads: %s\n", ra.error.c_str());
+    CHECK(ra.ok);
+    SimWorkload<SimRetry> rt(3, 5, cfg);
+    const RunResult rr = run_random(rt, s * 131);
+    if (!rr.ok) std::fprintf(stderr, "retry reads: %s\n", rr.error.c_str());
+    CHECK(rr.ok);
+    CHECK(rt.refused_reads() > 0);
+  }
+  // Exhaustively, with one preemption: a reader stopped between two copy
+  // words while the other process runs all five rounds sees its buffer
+  // recycled and rewritten (R = 2), so that copy is torn and must be
+  // refused.
+  WorkloadConfig tiny;
+  tiny.ops_per_proc = 5;
+  tiny.read_percent = 100;
+  const EnumerateResult e =
+      enumerate_preemption_bounded<SimJp>(2, 2, tiny, 1, 2000000);
+  if (!e.ok) std::fprintf(stderr, "read search: %s\n", e.error.c_str());
+  CHECK(e.ok);
+  CHECK(!e.truncated);
+  CHECK(e.schedules_explored > 100);
+
+  cfg.ops_per_proc = 1000000;
+  cfg.seed = 7;
+  SimWorkload<SimJp> wl(3, 5, cfg);
+  const RunResult r = run_adversarial_anti(wl, 0, 5 + 8, 30000, 4 + 1);
+  if (!r.ok) std::fprintf(stderr, "jp read adversary: %s\n", r.error.c_str());
+  CHECK(r.ok);
+  CHECK(wl.refused_reads() > 0);
+  CHECK(wl.refused_reads() < wl.completed_reads());
 }
 
 struct AdvOut {
@@ -270,6 +324,7 @@ int main() {
   exhaustive_ring_aging();
   exhaustive_reaches_rescue();
   random_oracle_sweep();
+  read_oracle();
   adversary_separation();
   donor_loses_its_sc();
   withdraw_beats_donation();
